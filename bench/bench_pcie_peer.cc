@@ -63,20 +63,22 @@ main(int argc, char **argv)
         MultiSlotSystem socket(twoCardSocket());
         if (!socket.trainAll())
             return 1;
-        PciePeerLink link("pcie", socket.eventq(),
-                          socket.channelInSlot(0)->card()
-                              ->clockDomain(),
-                          &socket, {},
-                          *socket.channelInSlot(0)->card(),
+        fpga::ContuttoCard &a = *socket.channelInSlot(0)->card();
+        PciePeerLink link("pcie", *socket.executor(), 0, 0,
+                          a.clockDomain(), &socket, {}, a,
                           *socket.channelInSlot(2)->card());
         double frames0 = dmiFrames(socket);
         bool done = false;
-        Tick t0 = socket.eventq().curTick();
-        link.transfer(0, 0, 0, bytes, [&] { done = true; });
-        while (!done && socket.eventq().step()) {
-        }
-        double secs =
-            ticksToSeconds(socket.eventq().curTick() - t0);
+        EventQueue &eq = socket.channelQueue(0);
+        const Tick t0 = eq.curTick();
+        Tick t1 = t0;
+        link.transfer(0, 0, 0, bytes, [&] {
+            done = true;
+            t1 = eq.curTick();
+        });
+        socket.executor()->runUntilIdle([&] { return done; },
+                                        milliseconds(100));
+        double secs = ticksToSeconds(t1 - t0);
         std::printf("%-24s %14.2f %20.0f\n", "PCIe peer DMA",
                     bytes / secs / 1e9, dmiFrames(socket) - frames0);
         tm.capture("pcie-peer-dma", socket);
@@ -92,7 +94,9 @@ main(int argc, char **argv)
         auto &dst = socket.channelInSlot(2)->port();
         std::uint64_t lines = bytes / dmi::cacheLineSize;
         std::uint64_t next = 0, done_lines = 0;
-        Tick t0 = socket.eventq().curTick();
+        EventQueue &eq = socket.channelQueue(0);
+        const Tick t0 = eq.curTick();
+        Tick t1 = t0;
         std::function<void()> pump = [&] {
             if (next >= lines)
                 return;
@@ -102,16 +106,16 @@ main(int argc, char **argv)
                          dst.write(i * dmi::cacheLineSize, r.data,
                                    [&](const HostOpResult &) {
                                        ++done_lines;
+                                       t1 = eq.curTick();
                                        pump();
                                    });
                      });
         };
         for (int w = 0; w < 16; ++w)
             pump();
-        while (done_lines < lines && socket.eventq().step()) {
-        }
-        double secs =
-            ticksToSeconds(socket.eventq().curTick() - t0);
+        socket.executor()->runUntilIdle(
+            [&] { return done_lines == lines; }, milliseconds(100));
+        double secs = ticksToSeconds(t1 - t0);
         std::printf("%-24s %14.2f %20.0f\n", "host-mediated copy",
                     bytes / secs / 1e9, dmiFrames(socket) - frames0);
         tm.capture("host-mediated", socket);

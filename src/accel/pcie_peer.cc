@@ -5,54 +5,31 @@ namespace contutto::accel
 
 using mem::MemRequest;
 
-PciePeerLink::PciePeerLink(const std::string &name, EventQueue &eq,
-                           const ClockDomain &domain,
+PciePeerLink::PciePeerLink(const std::string &name,
+                           sim::ShardedExecutor &exec, unsigned shardA,
+                           unsigned shardB, const ClockDomain &domain,
                            stats::StatGroup *parent,
                            const Params &params,
                            fpga::ContuttoCard &cardA,
                            fpga::ContuttoCard &cardB)
-    : SimObject(name, eq, domain, parent), params_(params),
+    : SimObject(name, exec.queue(shardA), domain, parent),
+      params_(params),
       portA_(&cardA.avalon().createPort(name + ".dmaA")),
       portB_(&cardB.avalon().createPort(name + ".dmaB")),
+      exec_(exec), shardA_(shardA), shardB_(shardB),
       stats_{{this, "transfers", "peer transfers completed"},
              {this, "bytesMoved", "bytes moved card-to-card"}}
-{}
-
-void
-PciePeerLink::bindShards(sim::ShardedExecutor *exec, unsigned shardA,
-                         unsigned shardB)
 {
-    ct_assert(exec != nullptr);
-    ct_assert(!busy_);
-    ct_assert(shardA < exec->numShards());
-    ct_assert(shardB < exec->numShards());
-    exec_ = exec;
-    shardA_ = shardA;
-    shardB_ = shardB;
-}
-
-EventQueue &
-PciePeerLink::engineQueue()
-{
-    return exec_ ? exec_->queue(shardOf(srcCard_)) : eventq();
-}
-
-void
-PciePeerLink::runOn(unsigned shard, std::function<void()> fn)
-{
-    if (!exec_) {
-        fn();
-        return;
-    }
-    const unsigned here = exec_->currentShard();
-    if (here == shard) {
-        fn();
-        return;
-    }
-    const Tick now = here == sim::ShardedExecutor::invalidShard
-        ? exec_->queue(shard).curTick()
-        : exec_->queue(here).curTick();
-    exec_->post(shard, now, std::move(fn));
+    ct_assert(shardA < exec.numShards() && shardB < exec.numShards());
+    // A line crossing shards lands at the next window edge; with a
+    // window wider than the line latency every line would be late.
+    if (shardA != shardB && exec.window() > params.lineLatency)
+        fatal("%s: cards on shards %u and %u need an executor window "
+              "no wider than the PCIe line latency, but the window is "
+              "%llu ticks and the line latency %llu ticks",
+              name.c_str(), shardA, shardB,
+              (unsigned long long)exec.window(),
+              (unsigned long long)params.lineLatency);
 }
 
 void
@@ -73,20 +50,16 @@ PciePeerLink::transfer(unsigned src_card, Addr src, Addr dst,
     inFlight_ = 0;
     done_ = std::move(done);
 
-    // Doorbell + descriptor fetch, then the engine starts pulling.
-    // The engine runs on the source card's shard when bound.
-    runOn(exec_ ? shardOf(src_card) : sim::ShardedExecutor::invalidShard,
-          [this] {
-              EventQueue &q = engineQueue();
-              OneShotEvent::schedule(q,
-                                     q.curTick()
-                                         + params_.setupLatency,
-                                     [this] {
-                                         linkFreeAt_ =
-                                             engineQueue().curTick();
-                                         pump();
-                                     });
-          });
+    // Doorbell + descriptor fetch, then the engine starts pulling on
+    // the source card's shard.
+    exec_.runOn(shardOf(src_card), [this] {
+        EventQueue &q = engineQueue();
+        OneShotEvent::schedule(q, q.curTick() + params_.setupLatency,
+                               [this] {
+                                   linkFreeAt_ = engineQueue().curTick();
+                                   pump();
+                               });
+    });
 }
 
 void
@@ -109,21 +82,19 @@ PciePeerLink::pump()
             Tick start =
                 std::max(engineQueue().curTick(), linkFreeAt_);
             linkFreeAt_ = start + ser;
-            dmi::CacheLine data = r.data;
             const Tick arrive = linkFreeAt_ + params_.lineLatency;
-            if (!exec_) {
-                OneShotEvent::schedule(
-                    eventq(), arrive,
-                    [this, index, data] { lineArrived(index, data); });
-            } else {
-                // The line crosses to the destination card's shard
-                // as an executor message; conservative delivery
-                // quantizes arrival to the next window edge.
-                exec_->post(shardOf(1 - srcCard_), arrive,
-                            [this, index, data] {
-                                lineArrived(index, data);
-                            });
-            }
+            const unsigned to = shardOf(1 - srcCard_);
+            auto land = [this, index, data = r.data] {
+                lineArrived(index, data);
+            };
+            // Co-sharded cards take the queue directly; otherwise the
+            // line crosses as an executor message, which the window
+            // check in the constructor keeps on time.
+            if (to == shardOf(srcCard_))
+                OneShotEvent::schedule(exec_.queue(to), arrive,
+                                       std::move(land));
+            else
+                exec_.post(to, arrive, std::move(land));
         };
         src_port->submit(req);
     }
@@ -133,9 +104,9 @@ void
 PciePeerLink::lineArrived(std::uint64_t index,
                           const dmi::CacheLine &data)
 {
-    // Runs on the destination card's shard when bound; it touches
-    // only the destination port (srcCard_/dst_ are constant for the
-    // duration of a transfer). Completion hops back to the engine.
+    // Runs on the destination card's shard; it touches only the
+    // destination port (srcCard_/dst_ are constant for the duration
+    // of a transfer). Completion hops back to the engine.
     bus::AvalonBus::Port *dst_port =
         srcCard_ == 0 ? portB_ : portA_;
     auto req = std::make_shared<MemRequest>();
@@ -143,22 +114,20 @@ PciePeerLink::lineArrived(std::uint64_t index,
     req->isWrite = true;
     req->data = data;
     req->onDone = [this](MemRequest &) {
-        runOn(exec_ ? shardOf(srcCard_)
-                    : sim::ShardedExecutor::invalidShard,
-              [this] {
-                  ct_assert(inFlight_ > 0);
-                  --inFlight_;
-                  ++writesDone_;
-                  stats_.bytesMoved += double(dmi::cacheLineSize);
-                  if (writesDone_ == totalLines_) {
-                      busy_ = false;
-                      ++stats_.transfers;
-                      if (done_)
-                          done_();
-                      return;
-                  }
-                  pump();
-              });
+        exec_.runOn(shardOf(srcCard_), [this] {
+            ct_assert(inFlight_ > 0);
+            --inFlight_;
+            ++writesDone_;
+            stats_.bytesMoved += double(dmi::cacheLineSize);
+            if (writesDone_ == totalLines_) {
+                busy_ = false;
+                ++stats_.transfers;
+                if (done_)
+                    done_();
+                return;
+            }
+            pump();
+        });
     };
     dst_port->submit(req);
 }

@@ -9,6 +9,15 @@
  * A transfer streams lines out of the source card's DIMMs, across
  * the link at PCIe bandwidth, and into the destination card's
  * DIMMs — no DMI frame ever crosses the processor's memory channel.
+ *
+ * The link runs on a sim::ShardedExecutor, each card's Avalon side
+ * on that card's shard. The DMA engine state rides the *source*
+ * card's shard for each transfer. Cards on one shard (every 1-shard
+ * socket) exchange lines as plain events at their arrival ticks.
+ * Cards on two shards exchange lines and completions as executor
+ * messages, which land at window edges — identically in serial and
+ * parallel modes — so the executor's window must not exceed
+ * Params::lineLatency, or every line would wait for a barrier.
  */
 
 #ifndef CONTUTTO_ACCEL_PCIE_PEER_HH
@@ -38,24 +47,16 @@ class PciePeerLink : public SimObject
         unsigned window = 64;
     };
 
-    PciePeerLink(const std::string &name, EventQueue &eq,
+    /**
+     * Card A lives on shard @p shardA of @p exec, card B on
+     * @p shardB. @throw FatalError when the shards differ and the
+     * executor's window exceeds @p params.lineLatency.
+     */
+    PciePeerLink(const std::string &name, sim::ShardedExecutor &exec,
+                 unsigned shardA, unsigned shardB,
                  const ClockDomain &domain, stats::StatGroup *parent,
                  const Params &params, fpga::ContuttoCard &cardA,
                  fpga::ContuttoCard &cardB);
-
-    /**
-     * Split the link across shards of @p exec: card A's Avalon side
-     * lives on @p shardA, card B's on @p shardB. The DMA engine
-     * state rides the *source* card's shard for each transfer; lines
-     * cross the link — and completions return — as executor
-     * messages, so they land at window boundaries, identically in
-     * serial and parallel modes. Unbound (the default), the link
-     * runs its original single-queue path, byte for byte.
-     *
-     * Call once, before the first transfer, while single-threaded.
-     */
-    void bindShards(sim::ShardedExecutor *exec, unsigned shardA,
-                    unsigned shardB);
 
     /**
      * DMA @p bytes from @p src on card @p src_card (0 or 1) to
@@ -78,26 +79,19 @@ class PciePeerLink : public SimObject
     void pump();
     void lineArrived(std::uint64_t index, const dmi::CacheLine &data);
 
-    /** @{ Shard plumbing; identity operations when unbound. */
     unsigned shardOf(unsigned card) const
     {
         return card == 0 ? shardA_ : shardB_;
     }
     /** The queue the current transfer's engine state lives on. */
-    EventQueue &engineQueue();
-    /** Run @p fn on @p shard (inline when already there/unbound). */
-    void runOn(unsigned shard, std::function<void()> fn);
-    /** @} */
+    EventQueue &engineQueue() { return exec_.queue(shardOf(srcCard_)); }
 
     Params params_;
     bus::AvalonBus::Port *portA_;
     bus::AvalonBus::Port *portB_;
-
-    /** @{ Sharded split (null/ignored when unbound). */
-    sim::ShardedExecutor *exec_ = nullptr;
-    unsigned shardA_ = 0;
-    unsigned shardB_ = 0;
-    /** @} */
+    sim::ShardedExecutor &exec_;
+    unsigned shardA_;
+    unsigned shardB_;
 
     bool busy_ = false;
     unsigned srcCard_ = 0;

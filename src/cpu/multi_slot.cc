@@ -73,32 +73,32 @@ MultiSlotSystem::deriveWindow(const Params &params)
     return minFrame * 1024;
 }
 
-MultiSlotSystem::MultiSlotSystem(const Params &params)
-    : stats::StatGroup("socket"), params_(params),
-      eqStats_(this, eq_)
+sim::ShardedExecutor::Params
+MultiSlotSystem::executorParams(const Params &params)
 {
     Validation v = validate(params);
     if (!v.ok)
         fatal("plug rules: %s", v.error.c_str());
 
-    if (params.shards >= 1) {
-        sim::ShardedExecutor::Params ep;
-        ep.shards = params.shards;
-        ep.window = params.shardWindow ? params.shardWindow
-                                       : deriveWindow(params);
-        ep.mode = params.parallelExec
-            ? sim::ShardedExecutor::Mode::parallel
-            : sim::ShardedExecutor::Mode::serial;
-        exec_ = std::make_unique<sim::ShardedExecutor>(ep);
-        parStats_.emplace(this, *exec_);
-        for (unsigned s = 0; s < params.shards; ++s) {
-            shardGroups_.push_back(
-                std::make_unique<stats::StatGroup>(
-                    "shard" + std::to_string(s), this));
-            shardEqStats_.push_back(
-                std::make_unique<EventCoreStats>(
-                    shardGroups_.back().get(), exec_->queue(s)));
-        }
+    sim::ShardedExecutor::Params ep;
+    ep.shards = params.shards;
+    ep.window = params.shardWindow ? params.shardWindow
+                                   : deriveWindow(params);
+    ep.mode = params.parallelExec
+        ? sim::ShardedExecutor::Mode::parallel
+        : sim::ShardedExecutor::Mode::serial;
+    return ep;
+}
+
+MultiSlotSystem::MultiSlotSystem(const Params &params)
+    : stats::StatGroup("socket"), params_(params),
+      exec_(executorParams(params)), parStats_(this, exec_)
+{
+    for (unsigned s = 0; s < params.shards; ++s) {
+        shardGroups_.push_back(std::make_unique<stats::StatGroup>(
+            "shard" + std::to_string(s), this));
+        shardEqStats_.push_back(std::make_unique<EventCoreStats>(
+            shardGroups_.back().get(), exec_.queue(s)));
     }
 
     slotToChannel_.fill(nullptr);
@@ -125,46 +125,23 @@ bool
 MultiSlotSystem::trainAll()
 {
     // The FSP trains channels in parallel on real machines; do the
-    // same here.
-    if (sharded()) {
-        // Per-channel result slots, written shard-locally; the idle
-        // predicate reads them at barriers, where the hand-off
-        // mutex orders the accesses.
-        std::vector<char> done(channels_.size(), 0);
-        std::vector<char> ok(channels_.size(), 0);
-        for (unsigned i = 0; i < channels_.size(); ++i)
-            channels_[i]->trainAsync(
-                [&done, &ok, i](const dmi::TrainingResult &r) {
-                    done[i] = 1;
-                    ok[i] = r.success ? 1 : 0;
-                });
-        bool finished = exec_->runUntilIdle(
-            [&done] {
-                for (char d : done)
-                    if (!d)
-                        return false;
-                return true;
-            },
-            milliseconds(200));
-        if (!finished)
-            return false;
-        for (char o : ok)
-            if (!o)
-                return false;
-        return true;
-    }
-
-    unsigned finished = 0;
-    bool all_ok = true;
-    for (auto &ch : channels_) {
-        ch->trainAsync([&](const dmi::TrainingResult &r) {
-            ++finished;
-            all_ok = all_ok && r.success;
-        });
-    }
-    while (finished < channels_.size() && eq_.step()) {
-    }
-    return all_ok && finished == channels_.size();
+    // same here. Per-channel result slots, written shard-locally;
+    // the idle predicate reads them at barriers, where the hand-off
+    // mutex orders the accesses.
+    std::vector<char> done(channels_.size(), 0);
+    std::vector<char> ok(channels_.size(), 0);
+    for (unsigned i = 0; i < channels_.size(); ++i)
+        channels_[i]->trainAsync(
+            [&done, &ok, i](const dmi::TrainingResult &r) {
+                done[i] = 1;
+                ok[i] = r.success ? 1 : 0;
+            });
+    const bool finished = exec_.runUntilIdle(
+        [&done] {
+            return std::find(done.begin(), done.end(), 0) == done.end();
+        },
+        milliseconds(200));
+    return finished && std::find(ok.begin(), ok.end(), 0) == ok.end();
 }
 
 std::uint64_t
@@ -190,71 +167,43 @@ MultiSlotSystem::localAddr(Addr addr) const
         + addr % dmi::cacheLineSize;
 }
 
-void
-MultiSlotSystem::runOnChannel(unsigned ch, std::function<void()> fn)
-{
-    const unsigned owner = shardOfChannel(ch);
-    const unsigned here = exec_->currentShard();
-    if (here == owner) {
-        fn();
-        return;
-    }
-    // A foreign (or setup-time) caller: hop to the owner shard at
-    // the caller's current time. Inside run() this defers to the
-    // next window edge; outside it lands immediately — both paths
-    // identical across serial and parallel modes.
-    const Tick now = here == sim::ShardedExecutor::invalidShard
-        ? exec_->queue(owner).curTick()
-        : exec_->queue(here).curTick();
-    exec_->post(owner, now, std::move(fn));
-}
-
 HostMemPort::Callback
 MultiSlotSystem::routeCompletion(HostMemPort::Callback cb)
 {
     // Count the op until its callback has actually run, so
     // runUntilIdle's predicate sees ops that are mid-hop between
-    // shards (invisible to any channel's quiescent()).
+    // shards (invisible to any channel's quiescent()). A port runs
+    // each completion once, so the hop may take the callback; a
+    // setup-time caller has no shard to return to.
     pendingOps_.fetch_add(1, std::memory_order_relaxed);
-    HostMemPort::Callback counted =
-        [this, cb = std::move(cb)](const HostOpResult &r) {
+    const unsigned caller = exec_.currentShard();
+    return [this, caller, cb = std::move(cb)](
+               const HostOpResult &r) mutable {
+        auto finish = [this, cb = std::move(cb), r] {
             if (cb)
                 cb(r);
             pendingOps_.fetch_sub(1, std::memory_order_relaxed);
         };
-    const unsigned caller = exec_->currentShard();
-    if (caller == sim::ShardedExecutor::invalidShard)
-        return counted;
-    return [this, caller,
-            cb = std::move(counted)](const HostOpResult &r) {
-        const unsigned here = exec_->currentShard();
-        if (here == caller) {
-            cb(r);
-            return;
-        }
-        const Tick now = here == sim::ShardedExecutor::invalidShard
-            ? exec_->queue(caller).curTick()
-            : exec_->queue(here).curTick();
-        exec_->post(caller, now, [cb, r] { cb(r); });
+        if (caller == sim::ShardedExecutor::invalidShard)
+            finish();
+        else
+            exec_.runOn(caller, std::move(finish));
     };
 }
 
 void
 MultiSlotSystem::read(Addr addr, HostMemPort::Callback cb)
 {
+    // A foreign (or setup-time) caller hops to the owner shard at
+    // its current time. Inside run() that defers to the next window
+    // edge; outside it lands immediately — identically in serial and
+    // parallel modes.
     const unsigned ch = channelOf(addr);
-    const Addr local = localAddr(addr);
-    if (!sharded()) {
-        channels_[ch]->port().read(local, std::move(cb));
-        return;
-    }
-    auto routed = routeCompletion(std::move(cb));
-    runOnChannel(ch,
-                 [this, ch, local,
-                  routed = std::move(routed)]() mutable {
-                     channels_[ch]->port().read(local,
-                                                std::move(routed));
-                 });
+    exec_.runOn(shardOfChannel(ch),
+                [this, ch, local = localAddr(addr),
+                 cb = routeCompletion(std::move(cb))]() mutable {
+                    channels_[ch]->port().read(local, std::move(cb));
+                });
 }
 
 void
@@ -262,18 +211,12 @@ MultiSlotSystem::write(Addr addr, const dmi::CacheLine &data,
                        HostMemPort::Callback cb)
 {
     const unsigned ch = channelOf(addr);
-    const Addr local = localAddr(addr);
-    if (!sharded()) {
-        channels_[ch]->port().write(local, data, std::move(cb));
-        return;
-    }
-    auto routed = routeCompletion(std::move(cb));
-    runOnChannel(ch,
-                 [this, ch, local, data,
-                  routed = std::move(routed)]() mutable {
-                     channels_[ch]->port().write(local, data,
-                                                 std::move(routed));
-                 });
+    exec_.runOn(shardOfChannel(ch),
+                [this, ch, local = localAddr(addr), data,
+                 cb = routeCompletion(std::move(cb))]() mutable {
+                    channels_[ch]->port().write(local, data,
+                                                std::move(cb));
+                });
 }
 
 double
@@ -309,10 +252,7 @@ MultiSlotSystem::measureAggregateReadBandwidth(Tick window)
     for (unsigned ch = 0; ch < channels_.size(); ++ch)
         for (int k = 0; k < 40; ++k) // beyond the 32 tags
             issue(ch);
-    if (sharded())
-        exec_->run(end);
-    else
-        eq_.run(end);
+    exec_.run(end);
     runUntilIdle();
     std::uint64_t bytes = 0;
     for (const Stream &s : streams)
@@ -323,31 +263,16 @@ MultiSlotSystem::measureAggregateReadBandwidth(Tick window)
 bool
 MultiSlotSystem::runUntilIdle(Tick timeout)
 {
-    if (sharded()) {
-        return exec_->runUntilIdle(
-            [this] {
-                if (pendingOps_.load(std::memory_order_relaxed))
+    return exec_.runUntilIdle(
+        [this] {
+            if (pendingOps_.load(std::memory_order_relaxed))
+                return false;
+            for (const auto &ch : channels_)
+                if (!ch->quiescent())
                     return false;
-                for (const auto &ch : channels_)
-                    if (!ch->quiescent())
-                        return false;
-                return true;
-            },
-            timeout);
-    }
-    Tick deadline = eq_.curTick() + timeout;
-    for (;;) {
-        bool idle = true;
-        for (const auto &ch : channels_)
-            if (!ch->quiescent())
-                idle = false;
-        if (idle)
             return true;
-        if (eq_.curTick() >= deadline)
-            return false;
-        if (!eq_.step())
-            return true;
-    }
+        },
+        timeout);
 }
 
 sim::SamplingController &
@@ -370,11 +295,9 @@ MultiSlotSystem::enableSampling(const sim::SamplingConfig &cfg,
 Tick
 MultiSlotSystem::curTick() const
 {
-    if (!sharded())
-        return eq_.curTick();
     Tick t = 0;
-    for (unsigned s = 0; s < exec_->numShards(); ++s)
-        t = std::max(t, exec_->queue(s).curTick());
+    for (unsigned s = 0; s < exec_.numShards(); ++s)
+        t = std::max(t, exec_.queue(s).curTick());
     return t;
 }
 

@@ -13,23 +13,22 @@
  * Consecutive cache lines interleave across the populated channels,
  * giving the socket-level bandwidth of Figure 1's organization.
  *
- * Execution comes in two flavours:
- *  - Legacy (Params::shards == 0): one EventQueue serializes the
- *    whole socket, exactly as before.
- *  - Sharded (Params::shards >= 1): each populated channel — its
- *    HostPort, DMI pair, buffer and DIMM stack — is owned by shard
- *    (channel index mod shards), each shard with a private
- *    EventQueue, run under sim::ShardedExecutor's conservative
- *    window/barrier protocol. The lookahead window derives from the
- *    DMI link's minimum frame latency. Channels share no mutable
- *    state (clock domains are immutable; stats are per-channel), so
- *    the only cross-shard traffic is socket-level arbitration:
- *    read()/write() issued from a foreign shard, and their
- *    completions, cross via the executor's mailboxes and land at
- *    window boundaries. The serial fallback
- *    (Params::parallelExec == false) is bit-identical to the
- *    N-thread run — tests/integration/test_parallel_differential.cc
- *    holds both to that, stats-JSON byte for byte.
+ * The socket always runs on a sim::ShardedExecutor: each populated
+ * channel — its HostPort, DMI pair, buffer and DIMM stack — is owned
+ * by shard (channel index mod Params::shards), each shard with a
+ * private EventQueue, under the executor's conservative
+ * window/barrier protocol. The lookahead window derives from the
+ * DMI link's minimum frame latency. Channels share no mutable state
+ * (clock domains are immutable; stats are per-channel), so the only
+ * cross-shard traffic is socket-level arbitration: read()/write()
+ * issued from a foreign shard, and their completions, cross via the
+ * executor's mailboxes and land at window boundaries. On the default
+ * single shard nothing is foreign, so every op runs inline as on one
+ * plain queue; only idle runs (trainAll(), runUntilIdle()) return at
+ * a window barrier rather than at the last event. The serial
+ * fallback (Params::parallelExec == false) is bit-identical to the
+ * N-thread run — tests/integration/test_parallel_differential.cc
+ * holds both to that, stats-JSON byte for byte.
  */
 
 #ifndef CONTUTTO_CPU_MULTI_SLOT_HH
@@ -37,7 +36,6 @@
 
 #include <array>
 #include <atomic>
-#include <optional>
 
 #include "cpu/channel.hh"
 #include "sim/event_stats.hh"
@@ -72,13 +70,8 @@ class MultiSlotSystem : public stats::StatGroup
     struct Params
     {
         std::array<SlotSpec, numSlots> slots{};
-        /**
-         * 0: legacy single-queue execution. N >= 1: sharded
-         * execution with N shards (channel i on shard i mod N);
-         * N == 1 exercises the windowed engine with no
-         * partitioning, useful as its own determinism anchor.
-         */
-        unsigned shards = 0;
+        /** Shards, at least 1; channel i lives on shard i mod N. */
+        unsigned shards = 1;
         /** Worker threads, or the bit-identical serial fallback. */
         bool parallelExec = true;
         /** Lookahead window in ticks; 0 derives it from the DMI
@@ -116,25 +109,16 @@ class MultiSlotSystem : public stats::StatGroup
     /** Train every populated channel; true when all succeed. */
     bool trainAll();
 
-    /** Legacy single-queue access; invalid in sharded mode. */
-    EventQueue &eventq()
-    {
-        ct_assert(!sharded());
-        return eq_;
-    }
-
-    /** @{ Sharded-execution access. */
-    bool sharded() const { return exec_ != nullptr; }
-    sim::ShardedExecutor *executor() { return exec_.get(); }
+    /** @{ Execution access. */
+    sim::ShardedExecutor *executor() { return &exec_; }
     unsigned shardOfChannel(unsigned idx) const
     {
-        ct_assert(sharded());
-        return idx % exec_->numShards();
+        return idx % exec_.numShards();
     }
-    /** The queue channel @p idx lives on (legacy: the one queue). */
+    /** The queue channel @p idx lives on. */
     EventQueue &channelQueue(unsigned idx)
     {
-        return sharded() ? exec_->queue(shardOfChannel(idx)) : eq_;
+        return exec_.queue(shardOfChannel(idx));
     }
     /** @} */
 
@@ -163,11 +147,11 @@ class MultiSlotSystem : public stats::StatGroup
 
     /**
      * @{ Socket-global operations: lines interleave across the
-     * populated channels. In sharded mode these are safe from any
-     * shard (and from outside run()): issue and completion cross
-     * shards via executor mailboxes when caller and owner differ,
-     * which defers them to the next window boundary — identically
-     * in serial and parallel modes.
+     * populated channels. These are safe from any shard (and from
+     * outside run()): issue and completion cross shards via
+     * executor mailboxes when caller and owner differ, which defers
+     * them to the next window boundary — identically in serial and
+     * parallel modes.
      */
     void read(Addr addr, HostMemPort::Callback cb);
     void write(Addr addr, const dmi::CacheLine &data,
@@ -188,7 +172,7 @@ class MultiSlotSystem : public stats::StatGroup
 
     bool runUntilIdle(Tick timeout = milliseconds(200));
 
-    /** Max simulated time over all queues (sharded-aware). */
+    /** Max simulated time over all shard queues. */
     Tick curTick() const;
 
     /**
@@ -204,30 +188,30 @@ class MultiSlotSystem : public stats::StatGroup
     sim::SamplingController *sampler() { return sampler_.get(); }
 
   private:
-    /** Run @p fn on channel @p ch's shard (or inline when local). */
-    void runOnChannel(unsigned ch, std::function<void()> fn);
+    /** The executor's parameters; checks the plug rules first, as
+     *  the window derivation needs a populated slot. */
+    static sim::ShardedExecutor::Params
+    executorParams(const Params &params);
+
     /** Route a completion back to the shard that issued the op. */
     HostMemPort::Callback routeCompletion(HostMemPort::Callback cb);
 
     Params params_;
-    EventQueue eq_;
-    EventCoreStats eqStats_;
-    /** Sharded execution (null in legacy mode). Declared before the
-     *  channels: they deschedule events from its queues on
-     *  destruction, so it must outlive them. */
-    std::unique_ptr<sim::ShardedExecutor> exec_;
-    std::optional<sim::ParallelStats> parStats_;
+    /** Declared before the channels: they deschedule events from
+     *  its queues on destruction, so it must outlive them. */
+    sim::ShardedExecutor exec_;
+    sim::ParallelStats parStats_;
     /** Per-shard "shardN" groups holding each queue's eventq. */
     std::vector<std::unique_ptr<stats::StatGroup>> shardGroups_;
     std::vector<std::unique_ptr<EventCoreStats>> shardEqStats_;
     SocketClocks clocks_;
     std::vector<std::unique_ptr<MemoryChannel>> channels_;
     std::array<MemoryChannel *, numSlots> slotToChannel_{};
-    /** Sharded-mode socket ops whose completion callback has not
-     *  run yet — including ones mid-hop between shards, which no
-     *  channel's quiescent() can see. Atomic because issue and
-     *  completion may happen on different shards; only its settled
-     *  value at barriers is ever observed. */
+    /** Socket ops whose completion callback has not run yet —
+     *  including ones mid-hop between shards, which no channel's
+     *  quiescent() can see. Atomic because issue and completion may
+     *  happen on different shards; only its settled value at
+     *  barriers is ever observed. */
     std::atomic<std::uint64_t> pendingOps_{0};
     std::unique_ptr<sim::SamplingController> sampler_;
     std::unique_ptr<sim::SamplingStats> samplingStats_;

@@ -135,14 +135,15 @@ class ShardedExecutor
     };
 
     /**
-     * The default lookahead: the DMI link's minimum frame latency.
-     * A 16-byte frame crosses the narrowest modelled link (one byte
-     * per lane-group beat at the ConTutto 125 ps unit interval, 8:1
-     * gearing) in 16 us / 1000 = 16 ns; we use a 4 us window so a
-     * barrier amortises over thousands of shard-local events while
-     * staying far below every cross-slot interaction latency in the
-     * tree (PCIe peer setup is 3 us + 250 ns/line; socket-level
-     * completions are explicitly window-deferred, see post()).
+     * The default window: 4 us, so a barrier amortises over
+     * thousands of shard-local events. It is a batching choice, not
+     * a latency bound — it exceeds the DMI frame latency (tens of
+     * ns) and the PCIe peer link's 250 ns per line. Messages land at
+     * window edges (see post()), so a model whose cross-shard
+     * latency is shorter than the window must be run with a window
+     * no wider than that latency: accel::PciePeerLink refuses to
+     * span shards otherwise. cpu::MultiSlotSystem derives its own
+     * window (deriveWindow()).
      */
     static constexpr Tick defaultWindow() { return Tick(4000000); }
 
@@ -169,6 +170,7 @@ class ShardedExecutor
 
     /** Shard @p s's private event queue. */
     EventQueue &queue(unsigned s) { return *shards_[s]->eq; }
+    const EventQueue &queue(unsigned s) const { return *shards_[s]->eq; }
 
     /**
      * The shard whose window the calling thread is currently
@@ -194,6 +196,25 @@ class ShardedExecutor
      * the message is scheduled directly at max(when, queue tick).
      */
     void post(unsigned to, Tick when, std::function<void()> fn);
+
+    /**
+     * Run @p fn on shard @p to: inline when the caller is already on
+     * it, else post()ed at the caller's current tick (the target's,
+     * from outside run()). The inline path invokes @p fn as is, with
+     * no std::function wrap.
+     */
+    template <typename Fn>
+    void
+    runOn(unsigned to, Fn &&fn)
+    {
+        const unsigned here = currentShard();
+        if (here == to) {
+            fn();
+            return;
+        }
+        const Tick now = queue(here == invalidShard ? to : here).curTick();
+        post(to, now, std::forward<Fn>(fn));
+    }
 
     /**
      * Run every shard until all queues drain and no message is in

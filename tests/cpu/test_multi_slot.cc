@@ -154,6 +154,24 @@ shardedCdimm(unsigned channels, unsigned shards, bool parallel)
     return p;
 }
 
+/** Stat groups named @p name anywhere under @p g. */
+unsigned
+countGroups(const stats::StatGroup &g, const std::string &name)
+{
+    unsigned n = g.groupName() == name ? 1 : 0;
+    for (const stats::StatGroup *c : g.children())
+        n += countGroups(*c, name);
+    return n;
+}
+
+TEST(ShardedSocket, DefaultSocketRunsOnOneShard)
+{
+    MultiSlotSystem socket(allCdimm(4));
+    EXPECT_EQ(socket.executor()->numShards(), 1u);
+    // One queue, so exactly one eventq group in the stats tree.
+    EXPECT_EQ(countGroups(socket, "eventq"), 1u);
+}
+
 TEST(ShardedSocket, DerivedWindowTracksFrameLatency)
 {
     // 28-byte downstream frame = 224 bits on 14 lanes = 16 UI;
@@ -174,7 +192,6 @@ TEST(ShardedSocket, TrainsAndServesInterleavedTraffic)
 {
     for (bool parallel : {false, true}) {
         MultiSlotSystem socket(shardedCdimm(4, 4, parallel));
-        ASSERT_TRUE(socket.sharded());
         ASSERT_TRUE(socket.trainAll()) << "parallel=" << parallel;
 
         // Ops issued from setup complete on each channel's own

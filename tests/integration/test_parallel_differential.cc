@@ -10,8 +10,8 @@
  *    channel per shard, soaked with per-channel fault campaigns plus
  *    a cross-shard rotating workload. Serial and parallel executions
  *    must produce byte-identical stats-JSON trees, identical FSP
- *    error-log contents, and the same final tick — per seed, at 2
- *    and at 4 shards.
+ *    error-log contents, and the same final tick — per seed, at 1,
+ *    2 and 4 shards.
  *
  *  - Task farm: seeded crash-recovery campaigns distributed over
  *    worker threads via ShardedExecutor::runTasks. Every seed's
@@ -214,8 +214,7 @@ runShardedSoak(std::uint64_t seed, unsigned shards, bool parallel)
 
     // Let every campaign window elapse so all faults have landed,
     // then drain reads to consume any still-armed frame faults.
-    if (socket.sharded())
-        socket.executor()->run(campaignEnd);
+    socket.executor()->run(campaignEnd);
     for (unsigned c = 0; c < nch; ++c)
         EXPECT_EQ(injectors[c]->history().size(),
                   socket.channel(c).card() ? 15u : 14u)
@@ -259,7 +258,9 @@ class ParallelDifferential
 TEST_P(ParallelDifferential, ShardedSoakSerialVsParallelBitIdentical)
 {
     const std::uint64_t seed = GetParam();
-    for (unsigned shards : {2u, 4u}) {
+    // One shard is every default socket's path; it gets no worker
+    // threads, but it must agree with itself all the same.
+    for (unsigned shards : {1u, 2u, 4u}) {
         DiffResult serial = runShardedSoak(seed, shards, false);
         DiffResult parallel = runShardedSoak(seed, shards, true);
 
