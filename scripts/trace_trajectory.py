@@ -18,6 +18,12 @@ With --check BASELINE the script gates:
     trace-driven campaigns impractical.  The floor is deliberately
     far under the recorded baseline value so runner-hardware spread
     cannot fail an honest build.
+  - detailedOpsPerSec must be >= the floor (the baseline's
+    "detailedOpsFloor", default 5e4 ops/sec): full-detail replay,
+    where every record crosses the DMI link, the buffer and DRAM
+    through the event queue, is the path the per-trip host cost
+    work targets.  Like the sampled floor it sits far under the
+    recorded value, and well under it on slower runners.
   - recaptureMatch must not be 0: when the bench was asked to
     recapture its own replay (the CI smoke always asks), the
     recaptured file must equal the input checksum-for-checksum, or
@@ -35,6 +41,7 @@ import re
 import sys
 
 REPLAY_OPS_FLOOR = 1.0e6
+DETAILED_OPS_FLOOR = 5.0e4
 
 WANTED = re.compile(
     r"(records|decodeOpsPerSec|replayOpsPerSec|detailedOpsPerSec"
@@ -64,6 +71,7 @@ def distill(doc):
     return {"schema": "contutto-trace-trajectory-v1",
             "source": "bench_trace_replay --stats-json capture",
             "replayOpsFloor": REPLAY_OPS_FLOOR,
+            "detailedOpsFloor": DETAILED_OPS_FLOOR,
             "captures": captures}
 
 
@@ -81,7 +89,12 @@ def check(fresh, baseline_path):
     now = flat(fresh)
     failed = False
 
-    floor = float(base.get("replayOpsFloor", REPLAY_OPS_FLOOR))
+    floors = {
+        "replayOpsPerSec":
+            float(base.get("replayOpsFloor", REPLAY_OPS_FLOOR)),
+        "detailedOpsPerSec":
+            float(base.get("detailedOpsFloor", DETAILED_OPS_FLOOR)),
+    }
 
     records = now.get("traceBench.records")
     if not records or records <= 0:
@@ -91,15 +104,16 @@ def check(fresh, baseline_path):
     else:
         sys.stderr.write("ok   records: %d\n" % records)
 
-    ops = now.get("traceBench.replayOpsPerSec")
-    if ops is None:
-        sys.stderr.write("MISSING traceBench.replayOpsPerSec\n")
-        failed = True
-    else:
+    for name, floor in floors.items():
+        ops = now.get("traceBench." + name)
+        if ops is None:
+            sys.stderr.write("MISSING traceBench.%s\n" % name)
+            failed = True
+            continue
         verdict = "FAIL" if ops < floor else "ok"
         sys.stderr.write(
-            "%-4s replayOpsPerSec: %.0f vs floor %.0f\n"
-            % (verdict, ops, floor))
+            "%-4s %s: %.0f vs floor %.0f\n"
+            % (verdict, name, ops, floor))
         if ops < floor:
             failed = True
 

@@ -1,5 +1,7 @@
 #include "sim/event.hh"
 
+#include <algorithm>
+
 namespace contutto
 {
 
@@ -29,7 +31,10 @@ EventQueue::EventQueue()
     : _buckets(numBuckets),
       _occ(numWheelWords, 0),
       _summary(numSummaryWords, 0)
-{}
+{
+    for (Bucket &b : _buckets)
+        b.list._next = b.list._prev = &b.list;
+}
 
 EventQueue::~EventQueue() = default;
 
@@ -40,57 +45,48 @@ EventQueue::markOccupied(std::size_t idx)
     _summary[idx >> 12] |= std::uint64_t(1) << ((idx >> 6) & 63);
 }
 
-void
-EventQueue::clearOccupied(std::size_t idx)
+bool
+EventQueue::firesAfter(const Event &a, const Event &b)
 {
-    const std::size_t w = idx >> 6;
-    _occ[w] &= ~(std::uint64_t(1) << (idx & 63));
-    if (!_occ[w])
-        _summary[w >> 6] &= ~(std::uint64_t(1) << (w & 63));
+    // Bitwise, not short-circuit: within a coarse bucket whether two
+    // ticks tie is data-dependent, and a mispredicted branch per
+    // compare costs more than evaluating all three keys.
+    const bool gtWhen = a._when > b._when;
+    const bool eqWhen = a._when == b._when;
+    const bool gtPrio = a._priority > b._priority;
+    const bool eqPrio = a._priority == b._priority;
+    const bool gtOrder = a._order > b._order;
+    return gtWhen | (eqWhen & (gtPrio | (eqPrio & gtOrder)));
 }
 
 void
 EventQueue::bucketInsert(Event *ev)
 {
-    const std::size_t idx = std::size_t(ev->_when) & bucketMask;
+    const std::size_t idx = bucketOf(ev->_when);
     Bucket &b = _buckets[idx];
     ev->_inWheel = true;
 
-    if (!b.head) {
-        ev->_prev = ev->_next = nullptr;
-        b.head = b.tail = ev;
-        markOccupied(idx);
-    } else {
-        // Every resident shares this event's tick (the wheel only
-        // holds events within one span of curTick, so bucket indices
-        // cannot alias distinct ticks). Ordering within the bucket is
-        // therefore (priority, order). Fresh schedules carry the
-        // largest order yet issued, making tail append the common
-        // case; only overflow pulls (which keep their original order)
-        // and lower-priority tails walk backwards.
-        Event *after = b.tail;
-        while (after
-               && (after->_priority > ev->_priority
-                   || (after->_priority == ev->_priority
-                       && after->_order > ev->_order))) {
-            after = after->_prev;
-        }
-        if (!after) {
-            ev->_prev = nullptr;
-            ev->_next = b.head;
-            b.head->_prev = ev;
-            b.head = ev;
-        } else {
-            ev->_prev = after;
-            ev->_next = after->_next;
-            if (after->_next)
-                after->_next->_prev = ev;
-            else
-                b.tail = ev;
-            after->_next = ev;
-        }
-    }
+    // A bucket spans wheelGrain ticks, but every resident lies in
+    // this event's slot (the wheel holds fewer than numBuckets slots
+    // past curTick's, so indices cannot alias two slots). The bucket
+    // is kept sorted by (tick, priority, order), and its head is the
+    // next event of the slot. Fresh schedules carry the largest order
+    // yet issued, so the walk back from the tail only passes
+    // residents at a later tick or a higher priority value; overflow
+    // pulls, which keep their original order, also pass same-key
+    // later arrivals.
+    detail::WheelLink *const sentinel = &b.list;
+    detail::WheelLink *after = sentinel->_prev;
+    while (after != sentinel
+           && firesAfter(*static_cast<Event *>(after), *ev))
+        after = after->_prev;
+    detail::WheelLink *const link = ev;
+    link->_prev = after;
+    link->_next = after->_next;
+    after->_next->_prev = link;
+    after->_next = link;
 
+    markOccupied(idx);
     ++b.count;
     ++_wheelCount;
     if (b.count > _ctr.bucketHighWater && !_freezeCtr)
@@ -100,24 +96,20 @@ EventQueue::bucketInsert(Event *ev)
 void
 EventQueue::bucketUnlink(Event *ev)
 {
-    const std::size_t idx = std::size_t(ev->_when) & bucketMask;
+    const std::size_t idx = bucketOf(ev->_when);
     Bucket &b = _buckets[idx];
-
-    if (ev->_prev)
-        ev->_prev->_next = ev->_next;
-    else
-        b.head = ev->_next;
-    if (ev->_next)
-        ev->_next->_prev = ev->_prev;
-    else
-        b.tail = ev->_prev;
-
-    ev->_prev = ev->_next = nullptr;
+    detail::WheelLink *const link = ev;
+    link->_prev->_next = link->_next;
+    link->_next->_prev = link->_prev;
+    link->_prev = link->_next = nullptr;
     ev->_inWheel = false;
     --b.count;
     --_wheelCount;
-    if (!b.head)
-        clearOccupied(idx);
+
+    // Clear the occupancy bits without branching on emptiness.
+    const std::size_t w = idx >> 6;
+    _occ[w] &= ~(std::uint64_t(b.count == 0) << (idx & 63));
+    _summary[w >> 6] &= ~(std::uint64_t(_occ[w] == 0) << (w & 63));
 }
 
 std::size_t
@@ -173,7 +165,7 @@ EventQueue::schedule(Event *ev, Tick when)
             _ctr.liveHighWater = _live;
     }
 
-    if (when - _curTick < wheelSpan) {
+    if (inHorizon(when)) {
         bucketInsert(ev);
     } else {
         ev->_inWheel = false;
@@ -235,7 +227,7 @@ EventQueue::pullOverflow()
                 ++_ctr.stalePops;
             continue;
         }
-        if (top.when - _curTick >= wheelSpan)
+        if (!inHorizon(top.when))
             break;
         Event *ev = top.ev;
         _overflow.pop();
@@ -254,9 +246,8 @@ EventQueue::peekNext()
         return nullptr;
     pullOverflow();
     if (_wheelCount) {
-        const std::size_t idx =
-            nextOccupied(std::size_t(_curTick) & bucketMask);
-        return _buckets[idx].head;
+        const std::size_t idx = nextOccupied(bucketOf(_curTick));
+        return static_cast<Event *>(_buckets[idx].list._next);
     }
     // Wheel empty: the next event sits beyond the horizon, and
     // pullOverflow just pruned any stale prefix off the heap.
@@ -332,7 +323,10 @@ EventQueue::run(Tick limit)
         if (ev->_when > limit) {
             // Leave future events queued; advance time to the limit
             // so a subsequent run() continues from a known point.
-            _curTick = limit;
+            // Never rewind: wheel residents were admitted against
+            // the current slot, and an earlier curTick would put
+            // them beyond the horizon (aliasing their buckets).
+            _curTick = std::max(_curTick, limit);
             return _curTick;
         }
         fire(ev);

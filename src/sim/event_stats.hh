@@ -55,7 +55,8 @@ class EventCoreStats : public stats::StatGroup
               [&eq] { return double(eq.counters().liveHighWater); }),
           bucketHighWater(
               this, "bucketHighWater",
-              "most events in one wheel bucket at once",
+              "most events in one wheel bucket (one slot of "
+              "wheelGrain ticks) at once",
               [&eq] {
                   return double(eq.counters().bucketHighWater);
               }),

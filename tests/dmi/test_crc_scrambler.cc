@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "dmi/crc.hh"
@@ -23,16 +25,60 @@ TEST(Crc16, KnownVector)
               0x29B1);
 }
 
+// Bit-at-a-time CRC-16/CCITT-FALSE straight from the definition:
+// MSB-first, poly 0x1021, init 0xFFFF, no reflection, no final XOR.
+std::uint16_t
+bitwiseCrc16(const std::uint8_t *data, std::size_t len)
+{
+    std::uint16_t crc = 0xFFFF;
+    for (std::size_t i = 0; i < len; ++i) {
+        for (int b = 7; b >= 0; --b) {
+            const bool in = (data[i] >> b) & 1;
+            const bool top = crc & 0x8000;
+            crc = std::uint16_t(crc << 1);
+            if (in != top)
+                crc ^= 0x1021;
+        }
+    }
+    return crc;
+}
+
+// The slice-by-8 kernel against the bitwise definition for every
+// length 0-64: no 8-byte steps, several, and every tail length.
+TEST(Crc16, SliceBy8MatchesBitwiseReferenceForEveryLength)
+{
+    Rng r(9);
+    for (int trial = 0; trial < 16; ++trial) {
+        std::vector<std::uint8_t> buf(64);
+        for (auto &b : buf)
+            b = std::uint8_t(r.next());
+        if (trial == 0)
+            std::fill(buf.begin(), buf.end(), 0x00);
+        if (trial == 1)
+            std::fill(buf.begin(), buf.end(), 0xFF);
+        for (std::size_t len = 0; len <= buf.size(); ++len)
+            ASSERT_EQ(crc16(buf.data(), len),
+                      bitwiseCrc16(buf.data(), len))
+                << "trial " << trial << " len " << len;
+    }
+}
+
+// A 42 B upstream frame fed in two chunks, split at every offset,
+// so the 8-byte steps start at every alignment of the frame.
 TEST(Crc16, IncrementalMatchesOneShot)
 {
-    std::vector<std::uint8_t> buf(100);
+    std::vector<std::uint8_t> frame(upFrameBytes);
     Rng r(3);
-    for (auto &b : buf)
+    for (auto &b : frame)
         b = std::uint8_t(r.next());
-    Crc16 inc;
-    inc.update(buf.data(), 40);
-    inc.update(buf.data() + 40, 60);
-    EXPECT_EQ(inc.value(), crc16(buf.data(), buf.size()));
+    const std::uint16_t whole = crc16(frame.data(), frame.size());
+    ASSERT_EQ(whole, bitwiseCrc16(frame.data(), frame.size()));
+    for (std::size_t cut = 0; cut <= frame.size(); ++cut) {
+        Crc16 c;
+        c.update(frame.data(), cut);
+        c.update(frame.data() + cut, frame.size() - cut);
+        EXPECT_EQ(c.value(), whole) << "split at " << cut;
+    }
 }
 
 // Property: every single-bit error in a frame-sized block is caught.
@@ -125,8 +171,9 @@ TEST(Scrambler, DesyncCorrupts)
     EXPECT_NE(data, orig);
 }
 
-// The production scrambler steps a byte at a time through lookup
-// tables; this is the bit-serial Galois reference it must match.
+// The production scrambler steps 8 bytes, then single bytes, through
+// lookup tables; this is the bit-serial Galois reference it must
+// match.
 struct BitSerialScrambler
 {
     std::uint16_t lfsr;
@@ -146,22 +193,70 @@ struct BitSerialScrambler
     }
 };
 
-TEST(Scrambler, ByteStepMatchesBitSerialReferenceExhaustively)
+// apply() XORs 8 keystream bytes per step from the word tables and
+// finishes the tail through the byte tables. Every start state,
+// every length 0-48 (lengths below 8 use only the byte step; the
+// range covers the 28 B downstream and 42 B upstream frames and
+// every tail length): the bytes and the final state must match the
+// bit-serial reference.
+TEST(Scrambler, MatchesBitSerialReferenceExhaustively)
 {
-    // Every possible LFSR state, several bytes deep so the table
-    // walk exercises state transitions, not just the first output.
+    constexpr std::size_t maxLen = 48;
+    static_assert(upFrameBytes <= maxLen && downFrameBytes <= maxLen);
+    std::array<std::uint8_t, maxLen> data{};
+    Rng r(8);
+    for (auto &b : data)
+        b = std::uint8_t(r.next());
+
     for (unsigned seed = 0; seed < 0x10000; ++seed) {
-        Scrambler fast{std::uint16_t(seed)};
+        // want[n] is data with the first n reference keystream bytes
+        // XORed in; stateAfter[n] the reference state after them.
+        std::array<std::uint8_t, maxLen> want = data;
+        std::array<std::uint16_t, maxLen + 1> stateAfter{};
         BitSerialScrambler ref{std::uint16_t(seed)};
-        for (int i = 0; i < 4; ++i) {
-            std::uint8_t byte = 0;
-            fast.apply(&byte, 1);
-            ASSERT_EQ(byte, ref.nextByte())
-                << "seed " << seed << " byte " << i;
-            ASSERT_EQ(fast.state(), ref.lfsr)
-                << "seed " << seed << " byte " << i;
+        stateAfter[0] = ref.lfsr;
+        for (std::size_t i = 0; i < maxLen; ++i) {
+            want[i] ^= ref.nextByte();
+            stateAfter[i + 1] = ref.lfsr;
+        }
+        for (std::size_t len = 0; len <= maxLen; ++len) {
+            std::array<std::uint8_t, maxLen> got = data;
+            Scrambler fast{std::uint16_t(seed)};
+            fast.apply(got.data(), len);
+            ASSERT_TRUE(std::equal(got.begin(), got.begin() + len,
+                                   want.begin()))
+                << "seed " << seed << " len " << len;
+            ASSERT_TRUE(std::equal(got.begin() + len, got.end(),
+                                   data.begin() + len))
+                << "wrote past len: seed " << seed << " len " << len;
+            ASSERT_EQ(fast.state(), stateAfter[len])
+                << "seed " << seed << " len " << len;
         }
     }
+}
+
+// skip(n) must leave the generator exactly where apply() over n bytes
+// does: same state, same keystream afterwards.
+TEST(Scrambler, SkipMatchesApplyOnZeroBuffer)
+{
+    for (unsigned seed = 0; seed < 0x10000; ++seed) {
+        for (std::size_t len = 0; len <= 48; ++len) {
+            Scrambler skipped{std::uint16_t(seed)};
+            Scrambler applied{std::uint16_t(seed)};
+            std::array<std::uint8_t, 48> zeros{};
+            skipped.skip(len);
+            applied.apply(zeros.data(), len);
+            ASSERT_EQ(skipped.state(), applied.state())
+                << "seed " << seed << " len " << len;
+        }
+    }
+    Scrambler a(0xACE1), b(0xACE1);
+    std::vector<std::uint8_t> head(1000, 0), tailA(64, 0), tailB(64, 0);
+    a.apply(head.data(), head.size());
+    b.skip(head.size());
+    a.apply(tailA.data(), tailA.size());
+    b.apply(tailB.data(), tailB.size());
+    EXPECT_EQ(tailA, tailB);
 }
 
 TEST(Scrambler, KeystreamHasTransitions)

@@ -2,7 +2,7 @@
  * @file
  * Differential determinism test for the ladder event queue.
  *
- * Drives 1M+ randomized schedule/deschedule/reschedule/step ops
+ * Drives 1M+ randomized schedule/deschedule/reschedule/step/run ops
  * through the real EventQueue and, in lock-step, through a minimal
  * reference implementation (binary heap + lazy deletion — the
  * pre-ladder structure) that follows the same documented contract:
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <random>
@@ -108,6 +109,22 @@ class RefQueue
 
     std::size_t size() const { return live_; }
 
+    /** EventQueue::run(limit): fire through @p limit, never rewind. */
+    Tick
+    run(Tick limit, std::vector<Fired> &log)
+    {
+        for (;;) {
+            skipStale();
+            if (heap_.empty())
+                return cur_;
+            if (heap_.top().when > limit) {
+                cur_ = std::max(cur_, limit);
+                return cur_;
+            }
+            step(log);
+        }
+    }
+
     bool
     step(std::vector<Fired> &log)
     {
@@ -175,6 +192,7 @@ TEST(EventQueueDifferential, MillionOpFuzzMatchesReferenceHeap)
     constexpr int kEvents = 512;
     constexpr std::uint64_t kOps = 1'200'000;
     constexpr Tick span = EventQueue::wheelSpan;
+    constexpr Tick grain = EventQueue::wheelGrain;
 
     EventQueue eq;
     RefQueue ref(kEvents);
@@ -199,6 +217,10 @@ TEST(EventQueueDifferential, MillionOpFuzzMatchesReferenceHeap)
     auto pickDelta = [&](std::uint64_t r) -> Tick {
         const std::uint64_t d = (r >> 16) & 0xFFFFFFFF;
         switch ((r >> 52) % 10) {
+          case 6: // one tick either side of a bucket boundary
+            return Tick(d % 64) * grain + grain - 1 + Tick((d >> 6) % 3);
+          case 7: // either side of the horizon edge
+            return span - 2 * grain + Tick(d % (4 * grain));
           case 8:
             return Tick(d % std::uint64_t(span)); // anywhere on wheel
           case 9: // far future: overflow heap
@@ -231,6 +253,22 @@ TEST(EventQueueDifferential, MillionOpFuzzMatchesReferenceHeap)
                 when = ev.when(); // exercise the no-op fast path
             eq.reschedule(&ev, when);
             ref.reschedule(id, when, ev.priority());
+        } else if (op >= 96) {
+            // run(limit) to a mid-bucket tick, sometimes one already
+            // behind curTick (which must not rewind the clock).
+            const Tick cur = eq.curTick();
+            const Tick offset = Tick((r >> 20) % (2 * grain));
+            const Tick limit = (r >> 40) % 8 == 0
+                                   ? cur - std::min(cur, offset)
+                                   : cur + offset;
+            const std::size_t before = logNew.size();
+            const Tick a = eq.run(limit);
+            const Tick b = ref.run(limit, logRef);
+            ASSERT_EQ(a, b) << "run(" << limit << ") at op " << i;
+            ASSERT_EQ(logNew.size(), logRef.size());
+            for (std::size_t k = before; k < logNew.size(); ++k)
+                ASSERT_EQ(logNew[k], logRef[k])
+                    << "run divergence at op " << i;
         } else {
             const bool a = eq.step();
             const bool b = ref.step(logRef);
