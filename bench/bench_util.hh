@@ -15,7 +15,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -237,9 +236,10 @@ class Telemetry
     {
         if (statsPath_.empty())
             return;
-        std::ostringstream os;
-        stats::toJson(group, os);
-        captures_.emplace_back(label, os.str());
+        Json c = Json::object();
+        c.set("label", Json::string(label));
+        c.set("stats", stats::toJson(group));
+        captures_.append(std::move(c));
     }
 
     /** Periodic snapshots of @p group (active with
@@ -259,9 +259,7 @@ class Telemetry
     {
         if (!dumper_)
             return;
-        std::ostringstream os;
-        dumper_->write(os);
-        intervals_ = os.str();
+        intervals_ = dumper_->json();
         dumper_.reset();
     }
 
@@ -290,30 +288,28 @@ class Telemetry
         char hash[32];
         std::snprintf(hash, sizeof(hash), "%016llx",
                       (unsigned long long)configHash_);
-        os << "{\"meta\": {\"binary\": ";
-        stats::jsonEscape(binary_, os);
-        os << ", \"configHash\": \"" << hash << "\", \"seed\": "
-           << seed_ << ", \"simMode\": \""
-           << (sampling_.enabled ? "sampled" : "detailed") << "\"";
-        if (sampling_.enabled)
-            os << ", \"sampling\": {\"warmupUnits\": "
-               << sampling_.warmupUnits << ", \"windowUnits\": "
-               << sampling_.windowUnits << ", \"periodUnits\": "
-               << sampling_.periodUnits << "}";
-        os << "}, \"captures\": [";
-        const char *sep = "";
-        for (const auto &c : captures_) {
-            os << sep << "{\"label\": ";
-            stats::jsonEscape(c.first, os);
-            os << ", \"stats\": " << c.second << "}";
-            sep = ", ";
+        Json meta = Json::object();
+        meta.set("binary", Json::string(binary_));
+        meta.set("configHash", Json::string(hash));
+        meta.set("seed", Json::number(seed_));
+        meta.set("simMode", Json::string(sampling_.enabled ? "sampled"
+                                                           : "detailed"));
+        if (sampling_.enabled) {
+            Json knobs = Json::object();
+            knobs.set("warmupUnits", Json::number(sampling_.warmupUnits));
+            knobs.set("windowUnits", Json::number(sampling_.windowUnits));
+            knobs.set("periodUnits", Json::number(sampling_.periodUnits));
+            meta.set("sampling", std::move(knobs));
         }
-        os << "]";
-        if (!intervals_.empty())
-            os << ", \"intervals\": " << intervals_;
-        os << "}\n";
+        Json doc = Json::object();
+        doc.set("meta", std::move(meta));
+        const std::size_t n = captures_.items().size();
+        doc.set("captures", std::move(captures_));
+        if (!intervals_.isNull())
+            doc.set("intervals", std::move(intervals_));
+        os << doc.dump() << '\n';
         std::printf("[telemetry] stats json: %s (%zu captures)\n",
-                    statsPath_.c_str(), captures_.size());
+                    statsPath_.c_str(), n);
     }
 
     void writeTrace()
@@ -342,8 +338,8 @@ class Telemetry
     std::uint64_t configHash_ = 0;
     std::uint64_t sample_ = 1;
     std::uint64_t intervalNs_ = 0;
-    std::vector<std::pair<std::string, std::string>> captures_;
-    std::string intervals_;
+    Json captures_ = Json::array();
+    Json intervals_;
     std::unique_ptr<telemetry::IntervalDumper> dumper_;
     bool finished_ = false;
 };

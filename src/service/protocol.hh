@@ -74,12 +74,18 @@
 #include <string>
 
 #include "ras/soak_campaign.hh"
-#include "service/json.hh"
+#include "sim/json.hh"
 #include "sim/sampling.hh"
 #include "storage/crash_campaign.hh"
 
 namespace contutto::service
 {
+
+/** @{ The wire format is the repository's JSON library
+ *  (sim/json.hh); malformed protocol input is its error type. */
+using contutto::Json;
+using ProtocolError = JsonError;
+/** @} */
 
 /** A parsed submit request. */
 struct Request

@@ -1,8 +1,6 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <iomanip>
 
 namespace contutto::stats
 {
@@ -28,12 +26,13 @@ Value::print(std::ostream &os, const std::string &prefix) const
        << "\n";
 }
 
-void
-Value::json(std::ostream &os) const
+Json
+Value::json() const
 {
-    os << "{\"kind\":\"value\",\"value\":";
-    jsonNumber(value(), os);
-    os << "}";
+    Json j = Json::object();
+    j.set("kind", Json::string("value"));
+    j.set("value", Json::number(value()));
+    return j;
 }
 
 void
@@ -133,136 +132,82 @@ StatGroup::findStat(const std::string &name) const
     return nullptr;
 }
 
-void
-jsonEscape(const std::string &s, std::ostream &os)
+Json
+Scalar::json() const
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              unsigned(c));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    Json j = Json::object();
+    j.set("kind", Json::string("scalar"));
+    j.set("value", Json::number(value_));
+    return j;
 }
 
-void
-jsonNumber(double v, std::ostream &os)
+Json
+Distribution::json() const
 {
-    // JSON has no inf/nan tokens; the empty-histogram quantile
-    // sentinel (and any other non-finite value) maps to null.
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    if (v == std::floor(v) && std::abs(v) < 1e15) {
-        os << std::int64_t(v);
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    Json j = Json::object();
+    j.set("kind", Json::string("distribution"));
+    j.set("count", Json::number(count_));
+    j.set("sum", Json::number(sum()));
+    j.set("mean", Json::number(mean()));
+    j.set("min", Json::number(minimum()));
+    j.set("max", Json::number(maximum()));
+    j.set("stddev", Json::number(stddev()));
+    return j;
 }
 
-void
-Scalar::json(std::ostream &os) const
+Json
+Histogram::json() const
 {
-    os << "{\"kind\":\"scalar\",\"value\":";
-    jsonNumber(value_, os);
-    os << "}";
-}
-
-void
-Distribution::json(std::ostream &os) const
-{
-    os << "{\"kind\":\"distribution\",\"count\":" << count_
-       << ",\"sum\":";
-    jsonNumber(sum(), os);
-    os << ",\"mean\":";
-    jsonNumber(mean(), os);
-    os << ",\"min\":";
-    jsonNumber(minimum(), os);
-    os << ",\"max\":";
-    jsonNumber(maximum(), os);
-    os << ",\"stddev\":";
-    jsonNumber(stddev(), os);
-    os << "}";
-}
-
-void
-Histogram::json(std::ostream &os) const
-{
-    os << "{\"kind\":\"histogram\",\"count\":" << dist_.count()
-       << ",\"mean\":";
-    jsonNumber(dist_.mean(), os);
-    os << ",\"min\":";
-    jsonNumber(dist_.minimum(), os);
-    os << ",\"max\":";
-    jsonNumber(dist_.maximum(), os);
-    os << ",\"p50\":";
-    jsonNumber(dist_.count() ? quantile(0.5) : NAN, os);
-    os << ",\"p99\":";
-    jsonNumber(dist_.count() ? quantile(0.99) : NAN, os);
-    os << ",\"bucketWidth\":";
-    jsonNumber(width_, os);
+    Json j = Json::object();
+    j.set("kind", Json::string("histogram"));
+    j.set("count", Json::number(dist_.count()));
+    j.set("mean", Json::number(dist_.mean()));
+    j.set("min", Json::number(dist_.minimum()));
+    j.set("max", Json::number(dist_.maximum()));
+    j.set("p50", Json::number(quantile(0.5)));
+    j.set("p99", Json::number(quantile(0.99)));
+    j.set("bucketWidth", Json::number(width_));
     // Explicit upper bucket edges, one per bucket, so stats-JSON
     // consumers and the Prometheus exposition (sim/metrics.hh) agree
     // on boundaries without re-deriving them from bucketWidth. The
     // overflow bucket has no finite edge: null, the +Inf marker.
-    os << ",\"le\":[";
+    Json le = Json::array();
+    Json buckets = Json::array();
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        os << (i ? "," : "");
-        if (i == buckets_.size() - 1)
-            os << "null";
-        else
-            jsonNumber(double(i + 1) * width_, os);
+        le.append(i + 1 == buckets_.size()
+                      ? Json::makeNull()
+                      : Json::number(double(i + 1) * width_));
+        buckets.append(Json::number(buckets_[i]));
     }
-    os << "],\"buckets\":[";
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        os << (i ? "," : "") << buckets_[i];
-    os << "]}";
+    j.set("le", std::move(le));
+    j.set("buckets", std::move(buckets));
+    return j;
+}
+
+Json
+toJson(const StatGroup &group)
+{
+    const std::string &full = group.groupName();
+    auto dot = full.rfind('.');
+    Json j = Json::object();
+    j.set("name", Json::string(dot == std::string::npos
+                                   ? full
+                                   : full.substr(dot + 1)));
+    Json stats = Json::object();
+    for (const StatBase *s : group.ownStats())
+        stats.set(s->name(), s->json());
+    j.set("stats", std::move(stats));
+    Json groups = Json::array();
+    for (const StatGroup *g : group.children())
+        groups.append(toJson(*g));
+    j.set("groups", std::move(groups));
+    return j;
 }
 
 void
 toJson(const StatGroup &group, std::ostream &os)
 {
-    const std::string &full = group.groupName();
-    auto dot = full.rfind('.');
-    std::string leaf =
-        dot == std::string::npos ? full : full.substr(dot + 1);
-    os << "{\"name\":";
-    jsonEscape(leaf, os);
-    os << ",\"stats\":{";
-    bool first = true;
-    for (const StatBase *s : group.ownStats()) {
-        if (!first)
-            os << ",";
-        first = false;
-        jsonEscape(s->name(), os);
-        os << ":";
-        s->json(os);
-    }
-    os << "},\"groups\":[";
-    first = true;
-    for (const StatGroup *g : group.children()) {
-        if (!first)
-            os << ",";
-        first = false;
-        toJson(*g, os);
-    }
-    os << "]}";
+    os << toJson(group).dump();
 }
 
 } // namespace contutto::stats

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace contutto::stats
@@ -43,8 +44,11 @@ class StatBase
     virtual void print(std::ostream &os,
                        const std::string &prefix) const = 0;
 
-    /** Emit the value as a single JSON object (no trailing space). */
-    virtual void json(std::ostream &os) const = 0;
+    /** The value as one JSON object. */
+    virtual Json json() const = 0;
+
+    /** Write json() to @p os as one line without a newline. */
+    void json(std::ostream &os) const { os << json().dump(); }
 
     /** Restore the statistic to its just-constructed state. */
     virtual void reset() = 0;
@@ -67,7 +71,7 @@ class Scalar : public StatBase
     double value() const { return value_; }
 
     void print(std::ostream &os, const std::string &prefix) const override;
-    void json(std::ostream &os) const override;
+    Json json() const override;
     void reset() override { value_ = 0; }
 
   private:
@@ -94,7 +98,7 @@ class Value : public StatBase
     double value() const { return fetch_(); }
 
     void print(std::ostream &os, const std::string &prefix) const override;
-    void json(std::ostream &os) const override;
+    Json json() const override;
     /** The source of truth lives in the model; nothing to reset. */
     void reset() override {}
 
@@ -140,7 +144,7 @@ class Distribution : public StatBase
     }
 
     void print(std::ostream &os, const std::string &prefix) const override;
-    void json(std::ostream &os) const override;
+    Json json() const override;
 
     void
     reset() override
@@ -242,7 +246,7 @@ class Histogram : public StatBase
     double quantile(double q) const;
 
     void print(std::ostream &os, const std::string &prefix) const override;
-    void json(std::ostream &os) const override;
+    Json json() const override;
 
     void
     reset() override
@@ -364,17 +368,16 @@ class StatGroup
 };
 
 /**
- * Serialize @p group and its whole subtree as one JSON object:
+ * @p group and its whole subtree as one JSON object:
  * {"name": <leaf>, "stats": {<stat>: {...}}, "groups": [...]}.
- * Non-finite values (the empty-histogram quantile sentinel) are
- * emitted as null so the output is always strictly valid JSON.
+ * Numbers follow Json::number's rule, so non-finite values (the
+ * empty-histogram quantile sentinel) become null and the output is
+ * always strictly valid JSON.
  */
-void toJson(const StatGroup &group, std::ostream &os);
+Json toJson(const StatGroup &group);
 
-/** @{ JSON helpers shared with the telemetry exporters. */
-void jsonEscape(const std::string &s, std::ostream &os);
-void jsonNumber(double v, std::ostream &os);
-/** @} */
+/** Write toJson(@p group).dump() to @p os (no trailing newline). */
+void toJson(const StatGroup &group, std::ostream &os);
 
 } // namespace contutto::stats
 

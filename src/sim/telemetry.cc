@@ -1,10 +1,6 @@
 #include "sim/telemetry.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstring>
-#include <sstream>
 
 namespace contutto::telemetry
 {
@@ -20,24 +16,26 @@ writePerfettoTrace(const std::vector<span::Span> &spans,
                       return a.begin < b.begin;
                   return a.seq < b.seq;
               });
-    os << "[";
-    bool first = true;
+    // One canonical event per element, streamed: a full capture
+    // is up to the tracker's capacity of spans.
+    const char *sep = "";
+    os << '[';
     for (const span::Span &s : sorted) {
-        if (!first)
-            os << ",\n";
-        first = false;
         // Ticks are picoseconds; trace-event "ts"/"dur" are
         // microseconds (fractional values are accepted).
-        double ts_us = double(s.begin) * 1e-6;
-        double dur_us = double(s.end - s.begin) * 1e-6;
-        os << "{\"name\":";
-        stats::jsonEscape(s.stage, os);
-        os << ",\"cat\":\"span\",\"ph\":\"X\",\"ts\":";
-        stats::jsonNumber(ts_us, os);
-        os << ",\"dur\":";
-        stats::jsonNumber(dur_us, os);
-        os << ",\"pid\":0,\"tid\":" << s.id << ",\"args\":{\"traceId\":"
-           << s.id << "}}";
+        Json ev = Json::object();
+        ev.set("name", Json::string(s.stage));
+        ev.set("cat", Json::string("span"));
+        ev.set("ph", Json::string("X"));
+        ev.set("ts", Json::number(double(s.begin) * 1e-6));
+        ev.set("dur", Json::number(double(s.end - s.begin) * 1e-6));
+        ev.set("pid", Json::number(std::uint64_t(0)));
+        ev.set("tid", Json::number(s.id));
+        Json args = Json::object();
+        args.set("traceId", Json::number(s.id));
+        ev.set("args", std::move(args));
+        os << sep << ev.dump();
+        sep = ",";
     }
     os << "]\n";
 }
@@ -46,181 +44,6 @@ void
 writePerfettoTrace(std::ostream &os)
 {
     writePerfettoTrace(span::snapshot(), os);
-}
-
-namespace
-{
-
-/** Minimal recursive-descent JSON checker (RFC 8259 subset). */
-struct Lint
-{
-    const char *p;
-    const char *end;
-
-    void ws()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n'
-                           || *p == '\r'))
-            ++p;
-    }
-
-    bool lit(const char *s)
-    {
-        std::size_t n = std::strlen(s);
-        if (std::size_t(end - p) < n || std::strncmp(p, s, n) != 0)
-            return false;
-        p += n;
-        return true;
-    }
-
-    bool string()
-    {
-        if (p >= end || *p != '"')
-            return false;
-        ++p;
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p >= end)
-                    return false;
-                if (*p == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++p;
-                        if (p >= end || !std::isxdigit(
-                                static_cast<unsigned char>(*p)))
-                            return false;
-                    }
-                }
-            } else if (static_cast<unsigned char>(*p) < 0x20) {
-                return false;
-            }
-            ++p;
-        }
-        if (p >= end)
-            return false;
-        ++p; // closing quote
-        return true;
-    }
-
-    bool number()
-    {
-        const char *start = p;
-        if (p < end && *p == '-')
-            ++p;
-        if (p >= end || !std::isdigit(static_cast<unsigned char>(*p)))
-            return false;
-        if (*p == '0') {
-            ++p; // RFC 8259: no leading zeros ("01" is not a number)
-        } else {
-            while (p < end
-                   && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        if (p < end && *p == '.') {
-            ++p;
-            if (p >= end
-                || !std::isdigit(static_cast<unsigned char>(*p)))
-                return false;
-            while (p < end
-                   && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        if (p < end && (*p == 'e' || *p == 'E')) {
-            ++p;
-            if (p < end && (*p == '+' || *p == '-'))
-                ++p;
-            if (p >= end
-                || !std::isdigit(static_cast<unsigned char>(*p)))
-                return false;
-            while (p < end
-                   && std::isdigit(static_cast<unsigned char>(*p)))
-                ++p;
-        }
-        return p > start;
-    }
-
-    bool value()
-    {
-        ws();
-        if (p >= end)
-            return false;
-        switch (*p) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return lit("true");
-          case 'f': return lit("false");
-          case 'n': return lit("null");
-          default: return number();
-        }
-    }
-
-    bool object()
-    {
-        ++p; // '{'
-        ws();
-        if (p < end && *p == '}') {
-            ++p;
-            return true;
-        }
-        while (true) {
-            ws();
-            if (!string())
-                return false;
-            ws();
-            if (p >= end || *p != ':')
-                return false;
-            ++p;
-            if (!value())
-                return false;
-            ws();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            if (p < end && *p == '}') {
-                ++p;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool array()
-    {
-        ++p; // '['
-        ws();
-        if (p < end && *p == ']') {
-            ++p;
-            return true;
-        }
-        while (true) {
-            if (!value())
-                return false;
-            ws();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            if (p < end && *p == ']') {
-                ++p;
-                return true;
-            }
-            return false;
-        }
-    }
-};
-
-} // namespace
-
-bool
-jsonLint(const std::string &text)
-{
-    Lint l{text.data(), text.data() + text.size()};
-    if (!l.value())
-        return false;
-    l.ws();
-    return l.p == l.end;
 }
 
 IntervalDumper::IntervalDumper(EventQueue &eq,
@@ -254,9 +77,10 @@ IntervalDumper::stop()
 void
 IntervalDumper::snapshot()
 {
-    std::ostringstream os;
-    stats::toJson(group_, os);
-    snaps_.emplace_back(eq_.curTick(), os.str());
+    Json snap = Json::object();
+    snap.set("tick", Json::number(eq_.curTick()));
+    snap.set("stats", stats::toJson(group_));
+    snaps_.append(std::move(snap));
 }
 
 void
@@ -266,18 +90,19 @@ IntervalDumper::tick()
     eq_.schedule(&event_, eq_.curTick() + period_);
 }
 
+Json
+IntervalDumper::json() const
+{
+    Json j = Json::object();
+    j.set("period", Json::number(period_));
+    j.set("snapshots", snaps_);
+    return j;
+}
+
 void
 IntervalDumper::write(std::ostream &os) const
 {
-    os << "{\"period\":" << period_ << ",\"snapshots\":[";
-    bool first = true;
-    for (const auto &[tick, json] : snaps_) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "{\"tick\":" << tick << ",\"stats\":" << json << "}";
-    }
-    os << "]}\n";
+    os << json().dump() << '\n';
 }
 
 } // namespace contutto::telemetry

@@ -13,21 +13,21 @@
  *
  *  - stats::toJson() (sim/stats.hh) snapshots a whole StatGroup
  *    tree; IntervalDumper takes such snapshots periodically on the
- *    event queue and writes them out as one JSON array, giving
+ *    event queue and writes them out as one JSON object, giving
  *    benches a time series rather than only an end-of-run total.
  *
- * jsonLint() is a strict little validator used by the exporters'
- * tests and by benches that want to self-check their output files.
+ * Both are built on Json (sim/json.hh) and written in its canonical
+ * form, so Json::parse(text).dump() gives back the same text.
  */
 
 #ifndef CONTUTTO_SIM_TELEMETRY_HH
 #define CONTUTTO_SIM_TELEMETRY_HH
 
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/event.hh"
+#include "sim/json.hh"
 #include "sim/span.hh"
 #include "sim/stats.hh"
 
@@ -43,9 +43,6 @@ void writePerfettoTrace(const std::vector<span::Span> &spans,
 
 /** Convenience: export the span tracker's current capture. */
 void writePerfettoTrace(std::ostream &os);
-
-/** True when @p text is one strictly valid JSON value. */
-bool jsonLint(const std::string &text);
 
 /**
  * Periodic stats snapshots: every @p period ticks the group tree is
@@ -68,9 +65,12 @@ class IntervalDumper
     /** Take one snapshot immediately (also called by the timer). */
     void snapshot();
 
-    std::size_t snapshots() const { return snaps_.size(); }
+    std::size_t snapshots() const { return snaps_.items().size(); }
 
-    /** Emit everything collected so far as one JSON object. */
+    /** Everything collected so far as one JSON object. */
+    Json json() const;
+
+    /** Write json() to @p os, then a newline. */
     void write(std::ostream &os) const;
 
   private:
@@ -79,7 +79,8 @@ class IntervalDumper
     EventQueue &eq_;
     const stats::StatGroup &group_;
     Tick period_;
-    std::vector<std::pair<Tick, std::string>> snaps_;
+    /** [{"tick": T, "stats": {...}}, ...] */
+    Json snaps_ = Json::array();
     EventFunctionWrapper event_;
 };
 
