@@ -21,7 +21,8 @@
  * Reports events/sec for each core and the new/legacy speedup ratio.
  * The ratio is what CI gates on (machine-independent); absolute
  * rates are recorded for trend-watching. Use --stats-json=FILE to
- * capture the numbers for scripts/event_trajectory.py.
+ * capture the numbers for scripts/bench_gate.py, which checks the
+ * ratios against bench/baselines/BENCH_event_core.json.
  */
 
 #include <chrono>

@@ -16,11 +16,12 @@
  *
  * The bandwidth is a pure function of simulated time, so serial and
  * parallel must agree bit for bit; the bench checks that inline and
- * exports determinismOk so scripts/parallel_trajectory.py can gate
- * on it anywhere. Speedups, by contrast, are a property of the host
- * — a single-core runner cannot show one — so the bench records
- * hostCores and the gate script only enforces speedup floors when
- * the host has at least as many cores as shards.
+ * exports determinismOk so scripts/bench_gate.py can gate on it
+ * anywhere. Speedups, by contrast, are a property of the host — a
+ * single-core runner cannot show one — so the bench records
+ * hostCores and the speedup floors in BENCH_parallel.json carry
+ * minCores: they apply only when the host has at least as many
+ * cores as shards.
  *
  * Use --stats-json=FILE for the machine-readable capture and
  * --window=NS to change the simulated window (default 40 us).

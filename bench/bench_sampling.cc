@@ -17,8 +17,8 @@
  *             estimate contains the true detailed runtime
  *
  * The aggregate minSpeedup / maxRelError / allCovered values are
- * what scripts/sampling_trajectory.py distills and CI gates on
- * (speedup floor, error ceiling).
+ * what scripts/bench_gate.py distills and CI gates on (speedup
+ * floor, error ceiling and coverage rules in BENCH_sampling.json).
  */
 
 #include <chrono>

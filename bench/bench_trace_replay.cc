@@ -20,7 +20,8 @@
  * Without --trace=FILE the bench generates its own qsort-shaped
  * trace (--shape/--records/--seed/--mean-delay-ns/--out control
  * it). The aggregate stats land under "traceBench" for
- * scripts/trace_trajectory.py to distill and gate.
+ * scripts/bench_gate.py to distill and gate against
+ * bench/baselines/BENCH_trace.json.
  */
 
 #include <chrono>
