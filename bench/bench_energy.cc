@@ -39,7 +39,8 @@ main(int argc, char **argv)
                            AccelDriver::Params{256 * MiB,
                                                microseconds(1)});
         EnergyMeter meter(sys);
-        meter.attach(complex.accessProcessor());
+        meter.attach(
+            complex.accessProcessor().apStats().instructions);
         Tick t0 = sys.eventq().curTick();
         bool done = false;
         driver.minMaxAsync(0, bytes, [&](const ControlBlock &) {

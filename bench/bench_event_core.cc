@@ -16,7 +16,8 @@
  *                  dmi/mbs completion-hop pattern.
  *   far-timers     near-future traffic plus watchdog-style far
  *                  timers that are perpetually re-armed, exercising
- *                  the overflow heap and stale-entry pruning.
+ *                  overflow-heap removal (lazy in the legacy core,
+ *                  eager in the ladder).
  *
  * Reports events/sec for each core and the new/legacy speedup ratio.
  * The ratio is what CI gates on (machine-independent); absolute
@@ -372,8 +373,8 @@ farTimers(std::uint64_t targetEvents)
                             eq.curTick() + rnd() % 3000 + 1);
                 // Activity re-arms a watchdog: the far timer is
                 // descheduled long before it fires, every time —
-                // stale-entry churn in the heap, O(1) unlink or one
-                // lazy prune in the ladder.
+                // stale-entry churn in the legacy heap, an O(1)
+                // unlink or an O(log n) heap removal in the ladder.
                 if (rnd() % 4 == 0) {
                     Wrapper *d = dogs[rnd() % kWatchdogs].get();
                     if (d->scheduled())

@@ -118,27 +118,20 @@ AvalonBus::dispatch(const mem::MemRequestPtr &req)
     req->addr -= hit->range.base;
 
     // Wrap the completion so the response pays the return CDC hop.
-    // The wrapper keeps the request alive until the deferred call;
-    // it clears onDone before invoking the original to break the
-    // shared_ptr cycle (requests are single-use).
+    // The wrapper lives inside the request, so it holds the request
+    // weakly; the deferred call holds it strongly until it runs (or
+    // until the queue releases it unfired).
     auto original = std::move(req->onDone);
-    mem::MemRequestPtr keep = req;
-    req->onDone = [this, original, keep](mem::MemRequest &r) {
+    std::weak_ptr<mem::MemRequest> self = req;
+    req->onDone = [this, original, self](mem::MemRequest &r) {
         ++stats_.transactions;
         stats_.bytes += double(r.size);
-        if (original) {
+        if (original)
             OneShotEvent::schedule(eventq(),
                                    clockEdge(params_.cdcCycles),
-                                   [original, keep] {
-                                       keep->onDone = nullptr;
+                                   [original, keep = self.lock()] {
                                        original(*keep);
                                    });
-        } else {
-            // Defer the clear: we are executing inside keep->onDone
-            // right now and must not destroy it mid-call.
-            OneShotEvent::schedule(eventq(), curTick(),
-                                   [keep] { keep->onDone = nullptr; });
-        }
     };
 
     // Request-side CDC hop into the slave's domain.

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "accel/access_processor.hh"
-
 namespace contutto::cpu
 {
 
@@ -27,9 +25,9 @@ EnergyMeter::EnergyMeter(Power8System &sys, EnergyCoefficients coeffs)
 }
 
 void
-EnergyMeter::attach(accel::AccessProcessor &ap)
+EnergyMeter::attach(const stats::Scalar &apInstructions)
 {
-    ap_ = &ap;
+    apInstructions_ = &apInstructions;
     base_ = take();
 }
 
@@ -73,8 +71,8 @@ EnergyMeter::take() const
     s.hostLines = ps.reads.value() + ps.writes.value()
         + ps.rmws.value();
 
-    if (ap_)
-        s.apInstructions = ap_->apStats().instructions.value();
+    if (apInstructions_)
+        s.apInstructions = apInstructions_->value();
     return s;
 }
 

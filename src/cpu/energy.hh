@@ -22,11 +22,6 @@
 
 #include "cpu/system.hh"
 
-namespace contutto::accel
-{
-class AccessProcessor;
-} // namespace contutto::accel
-
 namespace contutto::cpu
 {
 
@@ -74,8 +69,12 @@ class EnergyMeter
     explicit EnergyMeter(Power8System &sys,
                          EnergyCoefficients coeffs = {});
 
-    /** Attach an Access processor so its work is accounted too. */
-    void attach(accel::AccessProcessor &ap);
+    /**
+     * Account an Access processor's work too, through its retired
+     * instruction counter (kept narrow so cpu/ does not depend on
+     * accel/).
+     */
+    void attach(const stats::Scalar &apInstructions);
 
     /** Re-baseline the snapshot. */
     void reset();
@@ -97,7 +96,7 @@ class EnergyMeter
     Snapshot take() const;
 
     Power8System &sys_;
-    accel::AccessProcessor *ap_ = nullptr;
+    const stats::Scalar *apInstructions_ = nullptr;
     EnergyCoefficients coeffs_;
     Snapshot base_;
 };

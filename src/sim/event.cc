@@ -8,8 +8,9 @@ namespace contutto
 Event::~Event()
 {
     // Destroying a still-scheduled event would leave a dangling
-    // pointer in the queue; models must deschedule first (the
-    // generation counter protects reschedules, not destruction).
+    // pointer in the queue; models must deschedule first. Deschedule
+    // removes every trace of the event, wheel or overflow, so the
+    // owner may destroy it right after.
     if (_scheduled)
         panic("event destroyed while scheduled");
 }
@@ -36,7 +37,27 @@ EventQueue::EventQueue()
         b.list._next = b.list._prev = &b.list;
 }
 
-EventQueue::~EventQueue() = default;
+EventQueue::~EventQueue()
+{
+    // Pending one-shots own themselves and their captures: release
+    // them unfired. Persistent events belong to models, which
+    // deschedule them in their own destructors.
+    std::vector<OneShotEvent *> pending;
+    auto collect = [&pending](Event *ev) {
+        if (auto *os = dynamic_cast<OneShotEvent *>(ev))
+            pending.push_back(os);
+    };
+    for (Bucket &b : _buckets)
+        for (detail::WheelLink *l = b.list._next; l != &b.list;
+             l = l->_next)
+            collect(static_cast<Event *>(l));
+    for (Event *ev : _overflow)
+        collect(ev);
+    for (OneShotEvent *os : pending) {
+        deschedule(os);
+        os->~OneShotEvent();
+    }
+}
 
 void
 EventQueue::markOccupied(std::size_t idx)
@@ -157,7 +178,6 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->_when = when;
     ev->_order = _nextOrder++;
     ev->_scheduled = true;
-    ++ev->_generation;
     ++_live;
     if (!_freezeCtr) {
         ++_ctr.schedules;
@@ -169,8 +189,8 @@ EventQueue::schedule(Event *ev, Tick when)
         bucketInsert(ev);
     } else {
         ev->_inWheel = false;
-        _overflow.push(OverflowEntry{when, ev->_order, ev,
-                                     ev->_generation, ev->_priority});
+        _overflow.push_back(ev);
+        heapSiftUp(std::uint32_t(_overflow.size() - 1), ev);
         if (!_freezeCtr)
             ++_ctr.overflowSpills;
     }
@@ -184,16 +204,14 @@ EventQueue::deschedule(Event *ev)
         panic("deschedule of unscheduled event '%s'", ev->name());
 
     ev->_scheduled = false;
-    // Bump the generation so a lingering overflow entry is
-    // recognized as stale; harmless for wheel residents, whose
-    // unlink below is a true removal.
-    ++ev->_generation;
     --_live;
     if (!_freezeCtr)
         ++_ctr.deschedules;
 
     if (ev->_inWheel)
         bucketUnlink(ev);
+    else
+        heapRemove(ev);
 }
 
 void
@@ -215,22 +233,62 @@ EventQueue::reschedule(Event *ev, Tick when)
 }
 
 void
+EventQueue::heapSiftUp(std::uint32_t i, Event *ev)
+{
+    while (i > 0) {
+        const std::uint32_t parent = (i - 1) / 2;
+        Event *p = _overflow[parent];
+        if (!firesAfter(*p, *ev))
+            break;
+        _overflow[i] = p;
+        p->_heapIndex = i;
+        i = parent;
+    }
+    _overflow[i] = ev;
+    ev->_heapIndex = i;
+}
+
+void
+EventQueue::heapSiftDown(std::uint32_t i, Event *ev)
+{
+    const std::uint32_t n = std::uint32_t(_overflow.size());
+    for (;;) {
+        std::uint32_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n
+            && firesAfter(*_overflow[child], *_overflow[child + 1]))
+            ++child;
+        Event *c = _overflow[child];
+        if (!firesAfter(*ev, *c))
+            break;
+        _overflow[i] = c;
+        c->_heapIndex = i;
+        i = child;
+    }
+    _overflow[i] = ev;
+    ev->_heapIndex = i;
+}
+
+void
+EventQueue::heapRemove(Event *ev)
+{
+    // Fill the hole with the last entry and settle it: at most one
+    // of the two sifts moves it.
+    Event *last = _overflow.back();
+    _overflow.pop_back();
+    if (last != ev) {
+        heapSiftUp(ev->_heapIndex, last);
+        heapSiftDown(last->_heapIndex, last);
+    }
+}
+
+void
 EventQueue::pullOverflow()
 {
-    // The single staleness scan: an overflow entry is either pruned
-    // here or consumed live, never re-examined.
-    while (!_overflow.empty()) {
-        const OverflowEntry &top = _overflow.top();
-        if (top.generation != top.ev->_generation) {
-            _overflow.pop();
-            if (!_freezeCtr)
-                ++_ctr.stalePops;
-            continue;
-        }
-        if (!inHorizon(top.when))
-            break;
-        Event *ev = top.ev;
-        _overflow.pop();
+    while (!_overflow.empty() && inHorizon(_overflow.front()->_when)) {
+        Event *ev = _overflow.front();
+        heapRemove(ev);
         // The event kept its original order, so bucketInsert places
         // it correctly relative to later same-tick schedules.
         bucketInsert(ev);
@@ -249,10 +307,9 @@ EventQueue::peekNext()
         const std::size_t idx = nextOccupied(bucketOf(_curTick));
         return static_cast<Event *>(_buckets[idx].list._next);
     }
-    // Wheel empty: the next event sits beyond the horizon, and
-    // pullOverflow just pruned any stale prefix off the heap.
+    // Wheel empty: the next event sits beyond the horizon.
     if (!_overflow.empty())
-        return _overflow.top().ev;
+        return _overflow.front();
     panic("event queue inconsistent: %llu live events unreachable",
           (unsigned long long)_live);
 }
@@ -260,12 +317,10 @@ EventQueue::peekNext()
 void
 EventQueue::fire(Event *ev)
 {
-    if (ev->_inWheel) {
+    if (ev->_inWheel)
         bucketUnlink(ev);
-    } else {
-        // peekNext() returned the overflow top; pop that entry.
-        _overflow.pop();
-    }
+    else
+        heapRemove(ev); // peekNext() returned the overflow top
     ct_assert(ev->_when >= _curTick);
     _curTick = ev->_when;
     ev->_scheduled = false;
@@ -289,27 +344,6 @@ EventQueue::nextEventTick()
 {
     Event *ev = peekNext();
     return ev ? ev->_when : maxTick;
-}
-
-void
-EventQueue::purgeStaleOverflow()
-{
-    if (_overflow.empty())
-        return;
-    std::vector<OverflowEntry> keep;
-    keep.reserve(_overflow.size());
-    while (!_overflow.empty()) {
-        const OverflowEntry &top = _overflow.top();
-        if (top.generation != top.ev->_generation) {
-            if (!_freezeCtr)
-                ++_ctr.stalePops;
-        } else {
-            keep.push_back(top);
-        }
-        _overflow.pop();
-    }
-    for (OverflowEntry &e : keep)
-        _overflow.push(e);
 }
 
 Tick
@@ -350,7 +384,6 @@ EventQueue::checkpointSave(ckpt::Section &out) const
     out.putU64(_ctr.rescheduleNoops);
     out.putU64(_ctr.overflowSpills);
     out.putU64(_ctr.overflowPulls);
-    out.putU64(_ctr.stalePops);
     out.putU64(_ctr.liveHighWater);
     out.putU64(_ctr.bucketHighWater);
     out.putU64(_ctr.oneShotPoolHits);
@@ -370,11 +403,7 @@ EventQueue::checkpointRestore(ckpt::Section &in)
     if (!empty())
         panic("event queue restore with %llu events still live",
               (unsigned long long)_live);
-    ct_assert(_wheelCount == 0);
-    // The drain phase descheduled overflow residents lazily; drop
-    // their stale heap entries now so they are never pruned on the
-    // resumed timeline (the uninterrupted run has no such prunes).
-    _overflow = {};
+    ct_assert(_wheelCount == 0 && _overflow.empty());
     _curTick = in.getU64();
     _nextOrder = in.getU64();
     _ctr.processed = in.getU64();
@@ -384,7 +413,6 @@ EventQueue::checkpointRestore(ckpt::Section &in)
     _ctr.rescheduleNoops = in.getU64();
     _ctr.overflowSpills = in.getU64();
     _ctr.overflowPulls = in.getU64();
-    _ctr.stalePops = in.getU64();
     _ctr.liveHighWater = in.getU64();
     _ctr.bucketHighWater = in.getU64();
     _ctr.oneShotPoolHits = in.getU64();

@@ -28,15 +28,17 @@
  *    (192 KiB, against 1.5 MiB for one bucket per tick) stay
  *    cache-resident.
  *  - A far-future overflow heap for events beyond the wheel horizon
- *    (ACK timeouts, watchdogs, scrub periods). Entries are pulled
- *    into the wheel as the horizon reaches them; deschedule of an
- *    overflow resident is lazy (generation counter), and stale
- *    entries are pruned exactly once, at pull time.
+ *    (ACK timeouts, watchdogs, scrub periods): a binary min-heap of
+ *    Event pointers, each resident recording its own heap slot, so
+ *    deschedule removes the entry at once. Entries are pulled into
+ *    the wheel as the horizon reaches them.
  *
- * Deferred one-off work (OneShotEvent) draws from a freelist pool
- * owned by the queue, and callbacks live in fixed-capacity inplace
- * storage, so the steady-state schedule/dispatch path performs no
- * heap allocation at all.
+ * Either way a descheduled event leaves nothing behind, so its owner
+ * may destroy it at once. Deferred one-off work (OneShotEvent) draws
+ * from a freelist pool owned by the queue, and callbacks live in
+ * fixed-capacity inplace storage, so the steady-state
+ * schedule/dispatch path performs no heap allocation at all. The
+ * queue owns pending one-shots: destroying it releases them unfired.
  */
 
 #ifndef CONTUTTO_SIM_EVENT_HH
@@ -46,7 +48,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -131,8 +132,8 @@ class Event : private detail::WheelLink
 
     Tick _when = 0;
     std::uint64_t _order = 0;
-    /** Generation counter invalidating stale overflow-heap entries. */
-    std::uint64_t _generation = 0;
+    /** Slot in the overflow heap (valid while an overflow resident). */
+    std::uint32_t _heapIndex = 0;
     int _priority;
     bool _scheduled = false;
     /** True: linked in a wheel bucket; false: overflow resident. */
@@ -180,8 +181,6 @@ class EventQueue : public ckpt::Checkpointable
         std::uint64_t overflowSpills = 0;
         /** Overflow residents migrated into the wheel. */
         std::uint64_t overflowPulls = 0;
-        /** Lazy-deleted overflow entries pruned. */
-        std::uint64_t stalePops = 0;
         /** Most live events resident at once. */
         std::uint64_t liveHighWater = 0;
         /** Most events resident in a single bucket (one slot of
@@ -277,17 +276,6 @@ class EventQueue : public ckpt::Checkpointable
     static constexpr std::uint64_t cancelPollInterval = 4096;
 
     /**
-     * Prune every lazily-deleted overflow entry now instead of at
-     * pull time. Never changes what fires or in what order — only
-     * when stalePops accrue. Checkpoint-taking loops call this at
-     * every boundary in *all* runs (baseline, checkpointing,
-     * resumed) so no stale entry straddles a checkpoint: a restored
-     * queue starts with an empty heap and would otherwise miss the
-     * prunes the uninterrupted run counts later.
-     */
-    void purgeStaleOverflow();
-
-    /**
      * @{ ckpt::Checkpointable: clock, insertion-order counter, and
      * hot counters. Restore demands a fully drained queue — every
      * event owner must have descheduled its events first (the drain
@@ -305,8 +293,9 @@ class EventQueue : public ckpt::Checkpointable
      * uninterrupted one. Refill happens after the clock is restored,
      * so wheel/overflow residency is decided at the checkpoint tick
      * — callers must take checkpoints only after a normalization
-     * probe (nextEventTick()) so residency agrees between the saving
-     * run and an uninterrupted baseline.
+     * probe (nextEventTick(), which pulls every due overflow
+     * resident into the wheel) so residency and the pull counter
+     * agree between the saving run and an uninterrupted baseline.
      */
     class CounterFreeze
     {
@@ -336,25 +325,6 @@ class EventQueue : public ckpt::Checkpointable
     {
         detail::WheelLink list;
         std::uint32_t count = 0;
-    };
-
-    struct OverflowEntry
-    {
-        Tick when;
-        std::uint64_t order;
-        Event *ev;
-        std::uint64_t generation;
-        int priority;
-
-        bool
-        operator>(const OverflowEntry &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            if (priority != o.priority)
-                return priority > o.priority;
-            return order > o.order;
-        }
     };
 
     static constexpr std::size_t numBuckets = std::size_t(1)
@@ -394,14 +364,20 @@ class EventQueue : public ckpt::Checkpointable
     void markOccupied(std::size_t idx);
     /** @} */
 
-    /** Migrate overflow residents now inside the horizon; prunes
-     *  stale entries met on the way (the single staleness scan). */
+    /** @{ Overflow heap internals. The sift helpers settle @p ev
+     *  into the hole at slot @p i, moving it up or down. */
+    void heapRemove(Event *ev);
+    void heapSiftUp(std::uint32_t i, Event *ev);
+    void heapSiftDown(std::uint32_t i, Event *ev);
+    /** @} */
+
+    /** Migrate overflow residents now inside the horizon. */
     void pullOverflow();
 
     /** Next event to fire (no unlink), or null. */
     Event *peekNext();
 
-    /** Unlink @p ev (wheel) or pop it (overflow top), then fire. */
+    /** Unlink @p ev (wheel or overflow top), then fire it. */
     void fire(Event *ev);
 
     std::vector<Bucket> _buckets;
@@ -409,9 +385,8 @@ class EventQueue : public ckpt::Checkpointable
     std::vector<std::uint64_t> _summary; ///< bit per _occ word.
     std::size_t _wheelCount = 0;
 
-    std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
-                        std::greater<>>
-        _overflow;
+    /** Overflow min-heap under firesAfter; top at index 0. */
+    std::vector<Event *> _overflow;
 
     Tick _curTick = 0;
     std::uint64_t _nextOrder = 0;
@@ -466,8 +441,9 @@ class EventFunctionWrapper : public Event
 
 /**
  * A self-deleting event for one-off deferred work; created via
- * OneShotEvent::schedule and destroyed after firing. Cannot be
- * descheduled by the caller (it owns itself). Storage comes from the
+ * OneShotEvent::schedule and destroyed after firing, or unfired when
+ * its queue is destroyed first. Cannot be descheduled by the caller
+ * (it owns itself). Storage comes from the
  * queue's freelist pool, and the callback is inplace, so the
  * steady-state deferred-call path never touches the heap. The
  * capacity accommodates the largest capture in the tree (an MBS read

@@ -47,9 +47,6 @@ class EventCoreStats : public stats::StatGroup
               this, "overflowPulls",
               "overflow residents migrated into the wheel",
               [&eq] { return double(eq.counters().overflowPulls); }),
-          stalePops(this, "stalePops",
-                    "lazy-deleted overflow entries pruned",
-                    [&eq] { return double(eq.counters().stalePops); }),
           liveHighWater(
               this, "liveHighWater", "most live events at once",
               [&eq] { return double(eq.counters().liveHighWater); }),
@@ -92,7 +89,6 @@ class EventCoreStats : public stats::StatGroup
     stats::Value rescheduleNoops;
     stats::Value overflowSpills;
     stats::Value overflowPulls;
-    stats::Value stalePops;
     stats::Value liveHighWater;
     stats::Value bucketHighWater;
     stats::Value oneShotPoolHits;

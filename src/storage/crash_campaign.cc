@@ -421,13 +421,8 @@ CrashRecoveryCampaign::run(const RunOptions &opts)
         // any due overflow residents into the wheel here, so wheel/
         // overflow residency — and the pull counters — agree at this
         // boundary between a run that checkpoints, a run that
-        // resumes, and a run that does neither. The stale purge is
-        // part of the same normalization: a descheduled-but-unpruned
-        // overflow ghost would otherwise be counted later by the
-        // uninterrupted run but never by a resumed one (the restored
-        // heap starts empty).
+        // resumes, and a run that does neither.
         eq.nextEventTick();
-        eq.purgeStaleOverflow();
         if (opts.checkpointEvery != 0 && round != 0
             && round != startRound_
             && round % opts.checkpointEvery == 0) {
@@ -441,7 +436,6 @@ CrashRecoveryCampaign::run(const RunOptions &opts)
         runRound(round);
     }
     eq.nextEventTick(); // terminal boundary, same normalization
-    eq.purgeStaleOverflow();
 
     result_.cuts = unsigned(domain_->domainStats().cuts.value());
     result_.brownoutsInjected = unsigned(

@@ -83,8 +83,9 @@ TEST(Tcam, RandomizedAgainstLinearReference)
                 && ((key ^ ref[i].value) & ref[i].mask) == 0)
                 expect = i;
         ASSERT_EQ(hit.has_value(), expect.has_value());
-        if (hit)
+        if (hit) {
             ASSERT_EQ(hit->index, *expect);
+        }
     }
 }
 

@@ -169,8 +169,9 @@ TEST_P(MbsFuzz, MixedRmwStreamMatchesReference)
         }
         // Occasionally let everything drain; otherwise keep the
         // engines loaded with conflicting work.
-        if (rng.chance(0.1))
+        if (rng.chance(0.1)) {
             ASSERT_TRUE(sys.runUntilIdle());
+        }
     }
     ASSERT_TRUE(sys.runUntilIdle());
 

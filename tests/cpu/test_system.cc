@@ -357,8 +357,9 @@ TEST(System, RandomMixedTrafficMatchesReferenceModel)
             });
         }
         // Interleave: only sync every few ops to get overlap.
-        if (round % 7 == 6)
+        if (round % 7 == 6) {
             ASSERT_TRUE(sys.runUntilIdle());
+        }
     }
     ASSERT_TRUE(sys.runUntilIdle());
 }

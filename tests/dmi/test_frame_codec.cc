@@ -305,8 +305,9 @@ TEST_P(CodecFuzz, RandomInterleavedStreams)
     for (unsigned i = 0; i < cmds.size(); ++i) {
         EXPECT_EQ(out[i].addr, cmds[i].addr);
         EXPECT_EQ(out[i].type, cmds[i].type);
-        if (hasWriteData(cmds[i].type))
+        if (hasWriteData(cmds[i].type)) {
             EXPECT_EQ(out[i].data, cmds[i].data);
+        }
     }
     EXPECT_TRUE(asmb.idle());
 }

@@ -199,8 +199,9 @@ TEST(Integration, NoisyLinkSoakWithKnobChanges)
             }
             // Sync each round boundary so the reference stays valid
             // for reads racing writes to the same line.
-            if (op % 25 == 24)
+            if (op % 25 == 24) {
                 ASSERT_TRUE(sys.runUntilIdle(milliseconds(400)));
+            }
         }
         ASSERT_TRUE(sys.runUntilIdle(milliseconds(400)));
     }

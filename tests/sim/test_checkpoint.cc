@@ -192,6 +192,22 @@ TEST(CheckpointFile, VersionMismatchThrows)
     EXPECT_THROW(ckpt::Checkpoint::deserialize(raw), ckpt::Error);
 }
 
+TEST(CheckpointFile, FormatVersionOneIsRefused)
+{
+    // Version 2 dropped a counter from the EventQueue section, so a
+    // version-1 file must be refused, never misparsed.
+    ckpt::Checkpoint ck;
+    ck.add("payload").putU64(1);
+    std::vector<std::uint8_t> raw = ck.serialize();
+    const std::uint32_t v1 = 1;
+    std::memcpy(raw.data() + 8, &v1, sizeof(v1));
+    std::uint64_t sum =
+        ckpt::fnv1a(raw.data(), raw.size() - sizeof(std::uint64_t));
+    std::memcpy(raw.data() + raw.size() - sizeof(sum), &sum,
+                sizeof(sum));
+    EXPECT_THROW(ckpt::Checkpoint::deserialize(raw), ckpt::Error);
+}
+
 TEST(CheckpointRng, StreamResumesExactly)
 {
     Rng a(12345);

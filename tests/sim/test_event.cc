@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/event.hh"
@@ -215,20 +218,25 @@ TEST(EventQueue, OverflowPullPreservesInsertionOrder)
     EXPECT_EQ(eq.counters().overflowPulls, 1u);
 }
 
-TEST(EventQueue, DeschedulingOverflowResidentIsLazy)
+TEST(EventQueue, DeschedulingOverflowResidentRemovesItAtOnce)
 {
     EventQueue eq;
     std::vector<int> log;
     auto a = record(log, 1);
     auto b = record(log, 2);
+    auto c = record(log, 3);
     eq.schedule(&a, 2 * EventQueue::wheelSpan);
     eq.schedule(&b, 3 * EventQueue::wheelSpan);
-    eq.deschedule(&a);
+    eq.schedule(&c, 4 * EventQueue::wheelSpan);
+    eq.deschedule(&a); // the heap top
+    eq.deschedule(&c); // the heap tail
     EXPECT_FALSE(a.scheduled());
     EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.nextEventTick(), 3 * EventQueue::wheelSpan);
+    eq.schedule(&a, 5 * EventQueue::wheelSpan);
     eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2}));
-    EXPECT_EQ(eq.counters().stalePops, 1u);
+    EXPECT_EQ(log, (std::vector<int>{2, 1}));
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, RescheduleAcrossTheHorizon)
@@ -236,12 +244,100 @@ TEST(EventQueue, RescheduleAcrossTheHorizon)
     EventQueue eq;
     std::vector<int> log;
     auto a = record(log, 1);
+    auto b = record(log, 2);
     eq.schedule(&a, 4 * EventQueue::wheelSpan);
+    eq.schedule(&b, 5 * EventQueue::wheelSpan);
     eq.reschedule(&a, 10); // overflow -> wheel
+    EXPECT_EQ(eq.size(), 2u);
+    EXPECT_EQ(eq.nextEventTick(), 10u);
+    eq.reschedule(&b, 3 * EventQueue::wheelSpan); // overflow -> overflow
     eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1}));
-    EXPECT_EQ(eq.curTick(), 10u);
-    EXPECT_EQ(eq.counters().stalePops, 1u); // the abandoned entry
+    EXPECT_EQ(log, (std::vector<int>{1, 2}));
+    EXPECT_EQ(eq.curTick(), 3 * EventQueue::wheelSpan);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, OverflowHeapRemovalKeepsFiringOrder)
+{
+    // Deschedules and reschedules at random heap positions: the entry
+    // that fills a removed slot must settle upward or downward, so the
+    // heap top is always the next to fire. Distinct ticks lie a full
+    // horizon apart, so a misplaced entry is never rescued by a pull;
+    // few of them and three priorities make ties common.
+    constexpr int kEvents = 256;
+    EventQueue eq;
+    std::mt19937_64 rng(16);
+    std::vector<int> log;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> evs;
+    for (int i = 0; i < kEvents; ++i)
+        evs.push_back(std::make_unique<EventFunctionWrapper>(
+            [&log, i] { log.push_back(i); }, "far", 10 + 40 * (i % 3)));
+
+    struct Key
+    {
+        Tick when;
+        int prio;
+        std::uint64_t seq;
+        int id;
+    };
+    std::vector<Key> keys(kEvents);
+    std::uint64_t seq = 0;
+    auto arm = [&](int i) {
+        const Tick when =
+            Tick(2 + rng() % 48) * EventQueue::wheelSpan;
+        keys[std::size_t(i)] = Key{when, evs[std::size_t(i)]->priority(),
+                                   seq++, i};
+        eq.schedule(evs[std::size_t(i)].get(), when);
+    };
+    for (int i = 0; i < kEvents; ++i)
+        arm(i);
+    for (int k = 0; k < 4000; ++k) {
+        const int i = int(rng() % kEvents);
+        if (evs[std::size_t(i)]->scheduled())
+            eq.deschedule(evs[std::size_t(i)].get());
+        if (rng() % 3 != 0)
+            arm(i);
+        Tick first = maxTick;
+        for (int j = 0; j < kEvents; ++j)
+            if (evs[std::size_t(j)]->scheduled())
+                first = std::min(first, keys[std::size_t(j)].when);
+        ASSERT_EQ(eq.nextEventTick(), first) << "after op " << k;
+    }
+
+    std::vector<Key> live;
+    for (int i = 0; i < kEvents; ++i)
+        if (evs[std::size_t(i)]->scheduled())
+            live.push_back(keys[std::size_t(i)]);
+    std::sort(live.begin(), live.end(), [](const Key &a, const Key &b) {
+        return std::tie(a.when, a.prio, a.seq)
+               < std::tie(b.when, b.prio, b.seq);
+    });
+    std::vector<int> expect;
+    for (const Key &k : live)
+        expect.push_back(k.id);
+    EXPECT_EQ(eq.size(), live.size());
+    eq.run();
+    EXPECT_EQ(log, expect);
+}
+
+TEST(EventQueue, DescheduledOverflowResidentMayBeDestroyed)
+{
+    // A model that deschedules a far-future timer and then goes away
+    // (a LinkTrainer after training) must leave nothing in the queue
+    // that still points at the dead event.
+    EventQueue eq;
+    std::vector<int> log;
+    auto later = record(log, 2);
+    {
+        auto timer = std::make_unique<EventFunctionWrapper>(
+            [&log] { log.push_back(1); }, "timer");
+        eq.schedule(timer.get(), 2 * EventQueue::wheelSpan);
+        eq.schedule(&later, 3 * EventQueue::wheelSpan);
+        eq.deschedule(timer.get());
+    }
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2}));
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, CountersTrackCoreActivity)
@@ -461,6 +557,23 @@ TEST(EventQueue, OneShotCallbackCanScheduleOneShots)
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2}));
     EXPECT_EQ(eq.curTick(), 15u);
+}
+
+TEST(EventQueue, DestroyingTheQueueReleasesPendingOneShots)
+{
+    auto payload = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = payload;
+    bool fired = false;
+    {
+        EventQueue eq;
+        OneShotEvent::schedule(eq, 10, [&fired, p = payload] {
+            fired = *p == 7;
+        });
+        OneShotEvent::schedule(eq, 3 * EventQueue::wheelSpan,
+                               [p = std::move(payload)] { (void)p; });
+    }
+    EXPECT_FALSE(fired);
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST(InplaceFunction, InvokesAndMoves)

@@ -42,9 +42,10 @@ TEST(Spec, TwelveBenchmarksWithDistinctCharacter)
     EXPECT_EQ(mcf->name, "429.mcf");
     for (const auto &p : profiles) {
         EXPECT_GT(p.baseCpi, 0.0);
-        if (p.name != "429.mcf")
+        if (p.name != "429.mcf") {
             EXPECT_LE(p.missesPerKiloInstr,
                       mcf->missesPerKiloInstr);
+        }
     }
 }
 
