@@ -44,12 +44,13 @@ wallSec(std::chrono::steady_clock::time_point t0,
 }
 
 /** Run one timed replay on a fresh ConTutto system; returns wall
- *  seconds and fills @p result. */
+ *  seconds and fills @p result and @p events, the events the replay
+ *  processed. */
 double
 runTimed(const trace::MappedTrace &bin,
          const sim::SamplingConfig &sampling, std::uint64_t seed,
          trace::CaptureSink *capture,
-         cpu::TimedTraceReplayer::Result &result)
+         cpu::TimedTraceReplayer::Result &result, std::uint64_t &events)
 {
     bench::Power8System sys(bench::contuttoSystem());
     if (!sys.train())
@@ -63,6 +64,7 @@ runTimed(const trace::MappedTrace &bin,
     cpu::TimedTraceReplayer rep("replay", sys.eventq(), core, &sys,
                                 params, sys.port());
     bool finished = false;
+    const std::uint64_t events0 = sys.eventq().eventsProcessed();
     auto t0 = std::chrono::steady_clock::now();
     rep.start(bin, [&](const cpu::TimedTraceReplayer::Result &r) {
         result = r;
@@ -72,6 +74,7 @@ runTimed(const trace::MappedTrace &bin,
     }
     auto t1 = std::chrono::steady_clock::now();
     ct_assert(finished);
+    events = sys.eventq().eventsProcessed() - events0;
     return wallSec(t0, t1);
 }
 
@@ -125,8 +128,9 @@ main(int argc, char **argv)
     sim::SamplingConfig sampling = tm.samplingConfig();
     sampling.enabled = true;
     cpu::TimedTraceReplayer::Result sampledR;
+    std::uint64_t sampledEvents = 0;
     const double sampledSec =
-        runTimed(bin, sampling, seed, nullptr, sampledR);
+        runTimed(bin, sampling, seed, nullptr, sampledR, sampledEvents);
     const double sampledOps =
         sampledSec > 0 ? records / sampledSec : 0;
 
@@ -136,10 +140,14 @@ main(int argc, char **argv)
         sink = std::make_unique<trace::CaptureSink>(recapturePath);
     sim::SamplingConfig detailed; // disabled
     cpu::TimedTraceReplayer::Result detailedR;
-    const double detailedSec =
-        runTimed(bin, detailed, seed, sink.get(), detailedR);
+    std::uint64_t detailedEvents = 0;
+    const double detailedSec = runTimed(bin, detailed, seed, sink.get(),
+                                        detailedR, detailedEvents);
     const double detailedOps =
         detailedSec > 0 ? records / detailedSec : 0;
+    // Host-independent: the same trace always costs the same events.
+    const double eventsPerRecord =
+        records > 0 ? double(detailedEvents) / records : 0;
 
     double recaptureMatch = -1;
     if (sink) {
@@ -160,8 +168,8 @@ main(int argc, char **argv)
     std::printf("%-10s %10.3fs %12.0f  (detailed trips: %llu)\n",
                 "sampled", sampledSec, sampledOps,
                 (unsigned long long)sampledR.detailed);
-    std::printf("%-10s %10.3fs %12.0f\n", "detailed", detailedSec,
-                detailedOps);
+    std::printf("%-10s %10.3fs %12.0f  (%.3f events/record)\n",
+                "detailed", detailedSec, detailedOps, eventsPerRecord);
     std::printf("\ntrace span %llu ps | sampled runtime %llu ps | "
                 "detailed runtime %llu ps\n",
                 (unsigned long long)span,
@@ -180,6 +188,10 @@ main(int argc, char **argv)
     stats::Value detailedV(&root, "detailedOpsPerSec",
                            "full-detail timed-replay throughput",
                            [&] { return detailedOps; });
+    stats::Value eventsV(&root, "detailedEventsPerRecord",
+                         "events processed per record in the "
+                         "full-detail replay",
+                         [&] { return eventsPerRecord; });
     stats::Value matchV(
         &root, "recaptureMatch",
         "1 when the recaptured trace matched the input byte for "

@@ -89,8 +89,11 @@ main()
         auto level = std::make_shared<int>(0);
         std::shared_ptr<std::function<void(Addr)>> step =
             std::make_shared<std::function<void(Addr)>>();
-        *step = [&, level, step, key](Addr node) {
-            sys.port().read(node, [&, level, step,
+        // The walk holds itself only weakly; the pending read holds
+        // it strongly, so it is freed once the last level returns.
+        std::weak_ptr<std::function<void(Addr)>> self = step;
+        *step = [&, level, self, key](Addr node) {
+            sys.port().read(node, [&, level, next_step = self.lock(),
                                    key](const HostOpResult &) {
                 if (++*level >= 4) {
                     ++walked;
@@ -101,7 +104,7 @@ main()
                 Addr next = 16 * MiB
                     + ((key >> (8 * *level)) & 0xFF) * 4096
                     + Addr(*level) * 1 * MiB;
-                (*step)(next & ~Addr(127));
+                (*next_step)(next & ~Addr(127));
             });
         };
         (*step)(16 * MiB + (key & 0xFF) * 4096);

@@ -100,6 +100,17 @@ CentaurModel::CentaurModel(const std::string &name, EventQueue &eq,
 {
     ct_assert(!ports_.empty());
     link_.onFrame = [this](const DownFrame &f) { frameArrived(f); };
+    for (unsigned t = 0; t < numTags; ++t) {
+        watchdogs_[t].centaur = this;
+        watchdogs_[t].tag = std::uint8_t(t);
+    }
+}
+
+CentaurModel::~CentaurModel()
+{
+    for (Watchdog &w : watchdogs_)
+        if (w.scheduled())
+            eventq().deschedule(&w);
 }
 
 Ddr3Controller &
@@ -183,22 +194,30 @@ CentaurModel::armTagOp(std::uint8_t tag)
     TagOp &op = tagOps_[tag];
     op.seq = ++seqCounter_;
     if (config_.cmdTimeout != 0) {
-        std::uint32_t seq = op.seq;
-        Tick wait = config_.cmdTimeout << op.retries;
-        OneShotEvent::schedule(eventq(), curTick() + wait,
-                               [this, tag, seq] {
-                                   tagTimeout(tag, seq);
-                               });
+        // A re-arm takes a fresh place among same-tick events, as a
+        // new watchdog would.
+        Watchdog &w = watchdogs_[tag];
+        if (w.scheduled())
+            eventq().deschedule(&w);
+        eventq().schedule(&w, curTick()
+                                  + (config_.cmdTimeout << op.retries));
     }
     return op.seq;
 }
 
 void
-CentaurModel::tagTimeout(std::uint8_t tag, std::uint32_t seq)
+CentaurModel::retireTagOp(std::uint8_t tag)
+{
+    tagOps_[tag] = TagOp{};
+    if (watchdogs_[tag].scheduled())
+        eventq().deschedule(&watchdogs_[tag]);
+}
+
+void
+CentaurModel::tagTimeout(std::uint8_t tag)
 {
     TagOp &op = tagOps_[tag];
-    if (!op.active || op.seq != seq)
-        return; // the access completed; watchdog is stale
+    ct_assert(op.active);
     ++stats_.cmdTimeouts;
     if (op.retries >= config_.maxCmdRetries) {
         reclaimTag(tag);
@@ -225,7 +244,7 @@ CentaurModel::reclaimTag(std::uint8_t tag)
                           "command tag " + std::to_string(tag)
                               + " reclaimed after retry exhaustion");
     MemCommand cmd = op.cmd;
-    op = TagOp{};
+    retireTagOp(tag);
     if (cmd.type == CmdType::read128) {
         // The host is owed data; poison it rather than hang the tag.
         ++stats_.poisonedReads;
@@ -301,7 +320,7 @@ CentaurModel::issueReadAccess(std::uint8_t tag)
             return; // superseded by a retry or reclaim
         if (consumeStall())
             return;
-        op = TagOp{};
+        retireTagOp(tag);
         if (config_.cacheEnabled) {
             // Write-through cache: fills are never dirty.
             cache_.fill(c.addr);
@@ -396,7 +415,7 @@ CentaurModel::issueWriteAccess(std::uint8_t tag)
             return; // superseded by a retry or reclaim
         if (consumeStall())
             return;
-        op = TagOp{};
+        retireTagOp(tag);
         sendDone(tag, tid);
         releaseWrite(line);
         noteWriteDrained(tag);

@@ -79,6 +79,8 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
                  const Config &config, dmi::BufferLink &link,
                  std::vector<mem::Ddr3Controller *> ports);
 
+    ~CentaurModel() override;
+
     const Config &config() const { return config_; }
 
     /** Cache hit rate so far (reads+writes). */
@@ -132,6 +134,16 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
         dmi::MemCommand cmd;   ///< Retained for re-issue.
     };
 
+    /** A tag's DDR watchdog: armed at each issue, descheduled when
+     *  the access completes. */
+    struct Watchdog final : Event
+    {
+        CentaurModel *centaur = nullptr;
+        std::uint8_t tag = 0;
+        void process() override { centaur->tagTimeout(tag); }
+        const char *name() const override { return "centaur.watchdog"; }
+    };
+
     /** One flush waiting for older writes to drain to DDR. */
     struct FlushOp
     {
@@ -153,7 +165,9 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     void finishRead(const dmi::MemCommand &cmd, bool poisoned);
     void sendDone(std::uint8_t tag, TraceId traceId);
     std::uint32_t armTagOp(std::uint8_t tag);
-    void tagTimeout(std::uint8_t tag, std::uint32_t seq);
+    /** The access on @p tag is over: clear it, stop its watchdog. */
+    void retireTagOp(std::uint8_t tag);
+    void tagTimeout(std::uint8_t tag);
     void reclaimTag(std::uint8_t tag);
     bool consumeStall();
     void releaseWrite(Addr line);
@@ -176,6 +190,7 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     std::deque<dmi::MemCommand> deferred_;
     std::vector<FlushOp> pendingFlushes_;
     std::array<TagOp, dmi::numTags> tagOps_{};
+    std::array<Watchdog, dmi::numTags> watchdogs_{};
     std::uint32_t seqCounter_ = 0;
     unsigned stallBudget_ = 0;
     firmware::ErrorLog *errorLog_ = nullptr;

@@ -69,10 +69,16 @@ Mbs::Mbs(const std::string &name, EventQueue &eq,
     writePorts_[0] = &bus_.createPort(name + ".wr0");
     writePorts_[1] = &bus_.createPort(name + ".wr1");
     link_.onFrame = [this](const DownFrame &f) { frameArrived(f); };
+    for (unsigned t = 0; t < numTags; ++t) {
+        watchdogs_[t].mbs = this;
+        watchdogs_[t].tag = t;
+    }
 }
 
 Mbs::~Mbs()
 {
+    for (unsigned t = 0; t < numTags; ++t)
+        disarmCmdTimeout(t);
     for (auto &ev : writeArbEvent_)
         if (ev.scheduled())
             eventq().deschedule(&ev);
@@ -98,10 +104,12 @@ void
 Mbs::powerReset()
 {
     assembler_.reset();
-    for (Engine &e : engines_) {
+    for (unsigned t = 0; t < numTags; ++t) {
+        Engine &e = engines_[t];
         e.active = false;
         e.phase = Phase::idle;
         e.retries = 0;
+        disarmCmdTimeout(t);
     }
     activeEngines_ = 0;
     for (unsigned p = 0; p < 2; ++p) {
@@ -309,23 +317,29 @@ Mbs::armCmdTimeout(unsigned tag)
         return;
     Engine &e = engines_[tag];
     e.issueSeq = ++issueSeqCounter_;
-    std::uint32_t seq = e.issueSeq;
     // Exponential backoff: each retry waits twice as long, giving a
-    // congested memory system room to drain before giving up.
+    // congested memory system room to drain before giving up. The
+    // re-arm takes a fresh place among same-tick events, as a new
+    // watchdog would.
     Tick wait = params_.cmdTimeout << e.retries;
-    OneShotEvent::schedule(eventq(), curTick() + wait,
-                           [this, tag, seq] {
-                               engineTimeout(tag, seq);
-                           });
+    disarmCmdTimeout(tag);
+    eventq().schedule(&watchdogs_[tag], curTick() + wait);
 }
 
 void
-Mbs::engineTimeout(unsigned tag, std::uint32_t seq)
+Mbs::disarmCmdTimeout(unsigned tag)
+{
+    if (watchdogs_[tag].scheduled())
+        eventq().deschedule(&watchdogs_[tag]);
+}
+
+void
+Mbs::engineTimeout(unsigned tag)
 {
     Engine &e = engines_[tag];
-    // Stale watchdog: the access completed (or the tag moved on).
-    if (!e.active || e.issueSeq != seq)
-        return;
+    ct_assert(e.active);
+    // Between a read and the write that re-arms (RMW write
+    // arbitration, merge) nothing is outstanding.
     if (e.phase != Phase::readIssued && e.phase != Phase::writeIssued)
         return;
 
@@ -655,6 +669,7 @@ Mbs::finishEngine(unsigned tag)
     ct_assert(e.active);
     if (e.cmd.traceId != noTraceId)
         span::closeIfOpen(e.cmd.traceId, "mbs", curTick());
+    disarmCmdTimeout(tag);
     e = Engine{};
     ct_assert(activeEngines_ > 0);
     --activeEngines_;

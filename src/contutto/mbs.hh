@@ -166,10 +166,20 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         unsigned retries = 0;     ///< Watchdog re-issues so far.
         /**
          * Generation counter for the outstanding memory access;
-         * completions and timeouts for older issues of this tag
-         * carry a stale value and are ignored.
+         * completions for older issues of this tag carry a stale
+         * value and are ignored.
          */
         std::uint32_t issueSeq = 0;
+    };
+
+    /** An engine's command watchdog: armed at each memory issue,
+     *  descheduled when the engine finishes. */
+    struct Watchdog final : Event
+    {
+        Mbs *mbs = nullptr;
+        unsigned tag = 0;
+        void process() override { mbs->engineTimeout(tag); }
+        const char *name() const override { return "mbs.watchdog"; }
     };
 
     /** A pending flush: completes when its tag set drains. */
@@ -192,7 +202,8 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     void issueWrite(unsigned tag, unsigned port);
     void writeCompleted(unsigned tag);
     void armCmdTimeout(unsigned tag);
-    void engineTimeout(unsigned tag, std::uint32_t seq);
+    void disarmCmdTimeout(unsigned tag);
+    void engineTimeout(unsigned tag);
     void reclaimTag(unsigned tag);
     bool consumeStall();
     void mergeAndWrite(unsigned tag, unsigned port);
@@ -213,6 +224,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     bus::AvalonBus &bus_;
     dmi::CommandAssembler assembler_;
     std::array<Engine, dmi::numTags> engines_{};
+    std::array<Watchdog, dmi::numTags> watchdogs_{};
     unsigned activeEngines_ = 0;
     unsigned frameCounter_ = 0; ///< Alternates the two decoders.
 

@@ -172,20 +172,34 @@ MemoryChannel::memoryCapacity() const
 }
 
 void
-MemoryChannel::functionalWrite(Addr addr, std::size_t len,
-                               const std::uint8_t *data)
+MemoryChannel::storeLines(Addr addr, std::size_t len,
+                          const std::uint8_t *data, ImageStore store)
 {
     LineInterleave li{unsigned(devices_.size()), cacheLineSize};
     while (len > 0) {
         std::size_t in_line =
             cacheLineSize - std::size_t(addr % cacheLineSize);
         std::size_t chunk = std::min(len, in_line);
-        devices_[li.portOf(addr)]->image().write(li.localAddr(addr),
-                                                 chunk, data);
+        (devices_[li.portOf(addr)]->image().*store)(li.localAddr(addr),
+                                                    chunk, data);
         addr += chunk;
         data += chunk;
         len -= chunk;
     }
+}
+
+void
+MemoryChannel::functionalWrite(Addr addr, std::size_t len,
+                               const std::uint8_t *data)
+{
+    storeLines(addr, len, data, &mem::MemImage::write);
+}
+
+void
+MemoryChannel::warmWrite(Addr addr, std::size_t len,
+                         const std::uint8_t *data)
+{
+    storeLines(addr, len, data, &mem::MemImage::warmWrite);
 }
 
 void

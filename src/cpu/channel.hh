@@ -142,6 +142,8 @@ class MemoryChannel : public stats::StatGroup
                          const std::uint8_t *data);
     void functionalRead(Addr addr, std::size_t len,
                         std::uint8_t *data);
+    /** A fast-forwarded store (mem::MemImage::warmWrite). */
+    void warmWrite(Addr addr, std::size_t len, const std::uint8_t *data);
     /** @} */
 
     /** True when no command or frame is in flight. */
@@ -150,6 +152,12 @@ class MemoryChannel : public stats::StatGroup
     const ChannelParams &params() const { return params_; }
 
   private:
+    using ImageStore = void (mem::MemImage::*)(Addr, std::size_t,
+                                               const std::uint8_t *);
+    /** Apply @p store to each line's slice on its device. */
+    void storeLines(Addr addr, std::size_t len, const std::uint8_t *data,
+                    ImageStore store);
+
     ChannelParams params_;
     EventQueue &eq_;
     std::unique_ptr<dmi::DmiChannel> down_;

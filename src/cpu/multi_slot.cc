@@ -284,8 +284,7 @@ MultiSlotSystem::enableSampling(const sim::SamplingConfig &cfg,
     sampler_->setFunctionalWrite(
         [this](Addr addr, const dmi::CacheLine &line) {
             channel(channelOf(addr))
-                .functionalWrite(localAddr(addr), line.size(),
-                                 line.data());
+                .warmWrite(localAddr(addr), line.size(), line.data());
         });
     samplingStats_ =
         std::make_unique<sim::SamplingStats>(this, *sampler_);

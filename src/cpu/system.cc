@@ -23,8 +23,7 @@ Power8System::enableSampling(const sim::SamplingConfig &cfg,
     sampler_ = std::make_unique<sim::SamplingController>(cfg, seed);
     sampler_->setFunctionalWrite(
         [this](Addr addr, const dmi::CacheLine &line) {
-            channel_->functionalWrite(addr, line.size(),
-                                      line.data());
+            channel_->warmWrite(addr, line.size(), line.data());
         });
     samplingStats_ =
         std::make_unique<sim::SamplingStats>(this, *sampler_);

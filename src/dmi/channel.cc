@@ -1,14 +1,28 @@
 #include "dmi/channel.hh"
 
+#include <algorithm>
+
 namespace contutto::dmi
 {
+
+namespace
+{
+
+/** Initial ring capacity, a power of two; it doubles when full. */
+constexpr std::size_t initialRingFrames = 64;
+
+} // namespace
 
 DmiChannel::DmiChannel(const std::string &name, EventQueue &eq,
                        const ClockDomain &domain,
                        stats::StatGroup *parent, const Params &params)
     : SimObject(name, eq, domain, parent), params_(params),
+      ring_(initialRingFrames), ringMask_(initialRingFrames - 1),
       createdAt_(eq.curTick()), rng_(params.seed),
-      serializeDone_([this] { deliver(); }, name + ".serializeDone"),
+      // Reception precedes other work at the same edge: the frame
+      // is data that same-tick consumers act on.
+      rxEvent_([this] { receive(); }, name + ".rx",
+               Event::clockPriority),
       stats_{{this, "framesCarried", "frames fully serialized"},
              {this, "bytesCarried", "payload bytes carried"},
              {this, "framesCorrupted", "frames hit by bit errors"},
@@ -19,10 +33,27 @@ DmiChannel::DmiChannel(const std::string &name, EventQueue &eq,
     spareLanes_ = params_.spareLanes;
 }
 
+DmiChannel::~DmiChannel()
+{
+    if (rxEvent_.scheduled())
+        eventq().deschedule(&rxEvent_);
+}
+
+void
+DmiChannel::setReceiver(FrameReceiver &receiver,
+                        const ClockDomain &domain, unsigned rxProcCycles)
+{
+    ct_assert(head_ == tail_);
+    receiver_ = &receiver;
+    rxDomain_ = &domain;
+    rxProcCycles_ = rxProcCycles;
+}
+
 void
 DmiChannel::failLane(unsigned lane)
 {
     ct_assert(lane < params_.lanes);
+    settleNow();
     ++lanesFailed_;
     if (lanesFailed_ <= spareLanes_) {
         // The spare takes over transparently; the service processor
@@ -39,34 +70,56 @@ DmiChannel::failLane(unsigned lane)
 void
 DmiChannel::repairAllLanes()
 {
+    settleNow();
     lanesFailed_ = 0;
-}
-
-void
-DmiChannel::setSink(std::function<void(const WireFrame &)> sink)
-{
-    sink_ = std::move(sink);
 }
 
 void
 DmiChannel::send(const WireFrame &frame)
 {
     ct_assert(frame.len == downFrameBytes || frame.len == upFrameBytes);
-    queue_.push_back(frame);
-    if (!busy_)
-        startNext();
+    if (tail_ - head_ == ring_.size())
+        grow();
+    const Tick now = curTick();
+    InFlight &f = slot(tail_++);
+    f.wire = frame;
+    f.start = std::max(now, busyUntil_);
+    f.end = f.start + serializationTime(frame.len);
+    const Tick landed = f.end + params_.flightTime;
+    f.rx = rxDomain_ ? rxDomain_->edgeAfter(landed, rxProcCycles_)
+                     : landed;
+    f.dropped = false;
+    busyUntil_ = f.end;
+    // A frame that starts now is decided now, and the frame before
+    // it, if any, has ended.
+    if (f.start == now)
+        settle(now, true);
+    if (!rxEvent_.scheduled())
+        eventq().schedule(&rxEvent_, f.rx);
 }
 
 void
-DmiChannel::startNext()
+DmiChannel::settle(Tick t, bool inclusive)
 {
-    ct_assert(!busy_ && !queue_.empty());
-    busy_ = true;
-    inFlight_ = queue_.front();
-    queue_.pop_front();
+    auto due = [t, inclusive](Tick when) {
+        return when < t || (inclusive && when == t);
+    };
+    // A frame ends after it starts, so every frame the second loop
+    // settles has already passed the first.
+    while (started_ != tail_ && due(slot(started_).start))
+        settleStart(slot(started_++));
+    while (ended_ != started_ && due(slot(ended_).end))
+        settleEnd(slot(ended_++));
+}
+
+void
+DmiChannel::settleStart(InFlight &f)
+{
+    std::uint8_t *bytes = f.wire.bytes.data();
+    const unsigned len = f.wire.len;
 
     // The transmitter PHY scrambles as bits leave the chip.
-    txScrambler_.apply(inFlight_.bytes.data(), inFlight_.len);
+    txScrambler_.apply(bytes, len);
 
     // Bit errors strike on the wire, after scrambling. A degraded
     // bundle (dead lane beyond the spare) damages every frame, since
@@ -80,45 +133,37 @@ DmiChannel::startNext()
         corrupt = rng_.chance(params_.frameErrorRate);
     }
     if (corrupt) {
-        std::uint64_t bit = rng_.below(std::uint64_t(inFlight_.len) * 8);
-        inFlight_.bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+        std::uint64_t bit = rng_.below(std::uint64_t(len) * 8);
+        bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
         ++stats_.framesCorrupted;
     }
 
     // A pending burst error flips contiguous bits; whatever does not
     // fit in this frame carries into the next one at bit 0.
     if (burstBitsLeft_ > 0) {
-        unsigned frameBits = unsigned(inFlight_.len) * 8;
+        unsigned frameBits = len * 8;
         unsigned start = std::min(burstStartBit_, frameBits);
         unsigned here = std::min(burstBitsLeft_, frameBits - start);
         for (unsigned bit = start; bit < start + here; ++bit)
-            inFlight_.bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+            bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
         burstBitsLeft_ -= here;
         burstStartBit_ = 0; // continuation resumes at the frame start
         if (here > 0 && !corrupt)
             ++stats_.framesCorrupted;
     }
 
-    Tick ser = serializationTime(inFlight_.len);
-    busyTicks_ += ser;
-    eventq().schedule(&serializeDone_, curTick() + ser);
+    busyTicks_ += f.end - f.start;
 }
 
 void
-DmiChannel::deliver()
+DmiChannel::settleEnd(InFlight &f)
 {
-    WireFrame arrived = inFlight_;
-
     // The receiver PHY descrambles every frame slot in order, which
     // keeps the keystreams aligned even across replays.
-    rxScrambler_.apply(arrived.bytes.data(), arrived.len);
+    rxScrambler_.apply(f.wire.bytes.data(), f.wire.len);
 
     ++stats_.framesCarried;
-    stats_.bytesCarried += double(arrived.len);
-
-    busy_ = false;
-    if (!queue_.empty())
-        startNext();
+    stats_.bytesCarried += double(f.wire.len);
 
     // A dropped frame vanishes after the descrambler advanced (the
     // keystream stays aligned for later frames); the sender's missing
@@ -126,32 +171,70 @@ DmiChannel::deliver()
     if (dropBudget_ > 0) {
         --dropBudget_;
         ++stats_.framesDropped;
-        return;
+        f.dropped = true;
     }
+}
 
-    // Flight time is pure wire delay; model it with a deferred
-    // delivery so back-to-back frames pipeline correctly.
-    if (sink_) {
-        if (params_.flightTime == 0) {
-            sink_(arrived);
-        } else {
-            OneShotEvent::schedule(
-                eventq(), curTick() + params_.flightTime,
-                [this, arrived] { sink_(arrived); });
-        }
-    }
+void
+DmiChannel::receive()
+{
+    const Tick now = curTick();
+    settle(now, false);
+    std::uint64_t due = head_;
+    while (due != tail_ && slot(due).rx == now)
+        ++due;
+    ct_assert(due != head_ && due <= started_);
+    // With no flight time and no receive pipeline a frame is
+    // received the tick it ends.
+    while (ended_ < due)
+        settleEnd(slot(ended_++));
+
+    if (due != tail_)
+        eventq().schedule(&rxEvent_, slot(due).rx);
+    for (; head_ != due; ++head_)
+        if (receiver_ && !slot(head_).dropped)
+            receiver_->processRx(slot(head_).wire);
+}
+
+void
+DmiChannel::grow()
+{
+    std::vector<InFlight> bigger(ring_.size() * 2);
+    const std::uint64_t mask = bigger.size() - 1;
+    for (std::uint64_t i = head_; i != tail_; ++i)
+        bigger[i & mask] = slot(i);
+    ring_.swap(bigger);
+    ringMask_ = mask;
+}
+
+void
+DmiChannel::desyncRxScrambler()
+{
+    settleNow();
+    rxScrambler_.skip(1);
 }
 
 void
 DmiChannel::reseedScramblers(std::uint16_t seed)
 {
+    // Frames already on the lanes keep the old transmit keystream and
+    // meet the new receive one.
+    settleNow();
     txScrambler_.reset(seed);
     rxScrambler_.reset(seed);
+}
+
+void
+DmiChannel::preRead() const
+{
+    // Channels are never const objects; reads only look const.
+    const_cast<DmiChannel *>(this)->settleNow();
 }
 
 double
 DmiChannel::utilization() const
 {
+    preRead();
     Tick elapsed = curTick() - createdAt_;
     return elapsed ? double(busyTicks_) / double(elapsed) : 0.0;
 }

@@ -10,13 +10,32 @@
  * the transmitter and descrambles at the receiver, and can inject
  * bit errors (random BER or forced) between the two, which the frame
  * CRC must catch.
+ *
+ * One event per frame. Serialization is FIFO and the flight time and
+ * the receiver's pipeline depth are fixed, so send() knows each
+ * frame's serialization start and end and the tick its receiver
+ * processes it. Frames wait in a FIFO ring, and one persistent event
+ * fires at the head's receive tick and hands every frame due then to
+ * the receiver (FrameReceiver::processRx).
+ *
+ * What happens on the wire is still decided per frame at the ticks
+ * the lanes would act, just lazily: scrambling, corruption and lane
+ * state at the frame's serialization start; descrambling, drop and
+ * the carried counters at its end. settle() applies these decisions,
+ * in FIFO order, up to a tick. It runs when frames are received, when
+ * a frame starts at send(), before every fault call and before every
+ * stats read (the StatGroup pre-read hook and channelStats()). Fault
+ * calls and reads therefore see the same frames as when each decision
+ * had its own event: a caller inside an event at tick T sees
+ * decisions before T only (the per-frame events at T were queued
+ * later than any fault or stats event scheduled in advance), and a
+ * caller between run() calls sees decisions at T too.
  */
 
 #ifndef CONTUTTO_DMI_CHANNEL_HH
 #define CONTUTTO_DMI_CHANNEL_HH
 
-#include <deque>
-#include <functional>
+#include <vector>
 
 #include "dmi/frame.hh"
 #include "dmi/scrambler.hh"
@@ -25,6 +44,21 @@
 
 namespace contutto::dmi
 {
+
+/** The receiving end of a channel (a link endpoint's RX logic). */
+class FrameReceiver
+{
+  public:
+    /**
+     * Gearbox capture and CRC check of one received frame. @p wire
+     * lives in the channel's ring: read it before anything that may
+     * send on the same channel.
+     */
+    virtual void processRx(const WireFrame &wire) = 0;
+
+  protected:
+    ~FrameReceiver() = default;
+};
 
 /** A unidirectional bundle of DMI lanes carrying WireFrames. */
 class DmiChannel : public SimObject
@@ -49,14 +83,14 @@ class DmiChannel : public SimObject
                const ClockDomain &domain, stats::StatGroup *parent,
                const Params &params);
 
-    ~DmiChannel() override
-    {
-        if (serializeDone_.scheduled())
-            eventq().deschedule(&serializeDone_);
-    }
+    ~DmiChannel() override;
 
-    /** Receiver-side hook; called once per delivered frame. */
-    void setSink(std::function<void(const WireFrame &)> sink);
+    /**
+     * Attach the receiver. It processes a frame on the edge of
+     * @p domain @p rxProcCycles cycles after the frame lands.
+     */
+    void setReceiver(FrameReceiver &receiver, const ClockDomain &domain,
+                     unsigned rxProcCycles);
 
     /** Queue a frame for transmission; the channel self-paces. */
     void send(const WireFrame &frame);
@@ -71,7 +105,12 @@ class DmiChannel : public SimObject
     }
 
     /** Force bit corruption of the next @p n frames (deterministic). */
-    void corruptNext(unsigned n) { forcedCorruptions_ += n; }
+    void
+    corruptNext(unsigned n)
+    {
+        settleNow();
+        forcedCorruptions_ += n;
+    }
 
     /**
      * Force a contiguous burst error of @p nbits starting at bit
@@ -80,8 +119,10 @@ class DmiChannel : public SimObject
      * event spanning a frame boundary; every touched frame counts as
      * corrupted.
      */
-    void corruptBurst(unsigned startBit, unsigned nbits)
+    void
+    corruptBurst(unsigned startBit, unsigned nbits)
     {
+        settleNow();
         burstStartBit_ = startBit;
         burstBitsLeft_ += nbits;
     }
@@ -92,10 +133,20 @@ class DmiChannel : public SimObject
      * the keystream stays aligned, as real per-slot descrambling
      * hardware would.
      */
-    void dropNext(unsigned n) { dropBudget_ += n; }
+    void
+    dropNext(unsigned n)
+    {
+        settleNow();
+        dropBudget_ += n;
+    }
 
     /** Adjust the random bit-error rate at run time (lane sparing). */
-    void setFrameErrorRate(double rate) { params_.frameErrorRate = rate; }
+    void
+    setFrameErrorRate(double rate)
+    {
+        settleNow();
+        params_.frameErrorRate = rate;
+    }
     double frameErrorRate() const { return params_.frameErrorRate; }
 
     /**
@@ -116,7 +167,7 @@ class DmiChannel : public SimObject
     void reseedScramblers(std::uint16_t seed = 0xFFFF);
 
     /** Desync the receive scrambler only (fault-injection tests). */
-    void desyncRxScrambler() { rxScrambler_.skip(1); }
+    void desyncRxScrambler();
 
     /** Raw payload bandwidth in bytes/second at 100% utilization. */
     double
@@ -138,21 +189,77 @@ class DmiChannel : public SimObject
         stats::Scalar spareActivations;
     };
 
-    const ChannelStats &channelStats() const { return stats_; }
+    /** The counters, settled to now. */
+    const ChannelStats &
+    channelStats() const
+    {
+        preRead();
+        return stats_;
+    }
 
     /** The error-injection RNG stream (checkpointed by campaigns so
-     *  a resumed run draws the same fault positions). */
-    Rng &rng() { return rng_; }
+     *  a resumed run draws the same fault positions), settled to
+     *  now. */
+    Rng &
+    rng()
+    {
+        settleNow();
+        return rng_;
+    }
+
+  protected:
+    void preRead() const override;
 
   private:
-    void startNext();
-    void deliver();
+    /** A frame between send() and its receiver. */
+    struct InFlight
+    {
+        WireFrame wire;
+        Tick start = 0; ///< Serialization starts.
+        Tick end = 0;   ///< Serialization ends.
+        Tick rx = 0;    ///< The receiver processes it.
+        bool dropped = false;
+    };
+
+    InFlight &slot(std::uint64_t i) { return ring_[i & ringMask_]; }
+
+    /**
+     * Apply the start decisions of frames starting before @p t and
+     * the end decisions of frames ending before it; with
+     * @p inclusive, also those at @p t.
+     */
+    void settle(Tick t, bool inclusive);
+    /** settle() as seen by a caller now; see the file comment. */
+    void
+    settleNow()
+    {
+        settle(curTick(), !eventq().dispatching());
+    }
+    void settleStart(InFlight &f);
+    void settleEnd(InFlight &f);
+    /** The rx event: deliver every frame due now. */
+    void receive();
+    void grow();
 
     Params params_;
-    std::function<void(const WireFrame &)> sink_;
-    std::deque<WireFrame> queue_;
-    bool busy_ = false;
-    WireFrame inFlight_;
+    FrameReceiver *receiver_ = nullptr;
+    const ClockDomain *rxDomain_ = nullptr;
+    unsigned rxProcCycles_ = 0;
+
+    /**
+     * FIFO ring of frames; the monotonic indices satisfy
+     * head_ <= ended_ <= started_ <= tail_. [head_, ended_) await
+     * delivery with every decision applied, [ended_, started_) are
+     * on the lanes, [started_, tail_) are queued.
+     */
+    std::vector<InFlight> ring_;
+    std::uint64_t ringMask_ = 0;
+    std::uint64_t head_ = 0;
+    std::uint64_t ended_ = 0;
+    std::uint64_t started_ = 0;
+    std::uint64_t tail_ = 0;
+    Tick busyUntil_ = 0;
+
     Tick busyTicks_ = 0;
     Tick createdAt_ = 0;
     Scrambler txScrambler_;
@@ -164,7 +271,7 @@ class DmiChannel : public SimObject
     unsigned dropBudget_ = 0;
     unsigned lanesFailed_ = 0;
     unsigned spareLanes_ = 1;
-    EventFunctionWrapper serializeDone_;
+    EventFunctionWrapper rxEvent_;
     ChannelStats stats_;
 };
 

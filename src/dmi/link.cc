@@ -30,7 +30,8 @@ LinkEndpoint<TxF, RxF>::LinkEndpoint(const std::string &name,
              {this, "idleAcksSent", "out-of-stream ACK frames sent"}}
 {
     ct_assert(params_.windowLimit > 0 && params_.windowLimit < 128);
-    rxChannel_.setSink([this](const WireFrame &w) { wireArrived(w); });
+    // Gearbox capture and CRC pipeline in this endpoint's domain.
+    rxChannel_.setReceiver(*this, domain, params_.rxProcCycles);
 }
 
 template <typename TxF, typename RxF>
@@ -103,15 +104,6 @@ LinkEndpoint<TxF, RxF>::pump()
     }
     if (sent_any)
         armTimeout();
-}
-
-template <typename TxF, typename RxF>
-void
-LinkEndpoint<TxF, RxF>::wireArrived(const WireFrame &wire)
-{
-    // Gearbox capture and CRC pipeline in this endpoint's domain.
-    OneShotEvent::schedule(eventq(), clockEdge(params_.rxProcCycles),
-                           [this, wire] { processRx(wire); });
 }
 
 template <typename TxF, typename RxF>

@@ -51,7 +51,7 @@ seqDistance(std::uint8_t a, std::uint8_t b)
  * @tparam RxF frame type this endpoint receives.
  */
 template <typename TxF, typename RxF>
-class LinkEndpoint : public SimObject
+class LinkEndpoint : public SimObject, private FrameReceiver
 {
   public:
     struct Params
@@ -147,8 +147,8 @@ class LinkEndpoint : public SimObject
     };
 
     void pump();             ///< Drain sendQueue_ into the channel.
-    void wireArrived(const WireFrame &wire);
-    void processRx(const WireFrame &wire);
+    /** rxChannel_ calls this rxProcCycles after a frame lands. */
+    void processRx(const WireFrame &wire) override;
     void handleAck(std::uint8_t ackSeq);
     void scheduleAckCarrier();
     void emitIdleAck();

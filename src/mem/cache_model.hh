@@ -13,8 +13,12 @@
 #define CONTUTTO_MEM_CACHE_MODEL_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <optional>
-#include <vector>
+#include <span>
+#include <type_traits>
 
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
@@ -35,12 +39,20 @@ class CacheModel
     CacheModel(std::uint64_t capacity, unsigned line_size,
                unsigned ways)
         : lineSize_(line_size), ways_(ways),
-          numSets_(unsigned(capacity / line_size / ways)),
-          sets_(std::size_t(numSets_) * ways)
+          numSets_(unsigned(capacity / line_size / ways))
     {
         ct_assert(line_size > 0 && ways > 0);
         ct_assert(capacity % (std::uint64_t(line_size) * ways) == 0);
         ct_assert(numSets_ > 0);
+        // Zero pages: an all-zero Way is an invalid line, so calloc
+        // gives an empty cache without touching the tag array (a
+        // 16 MiB eDRAM's is 3 MiB), and a page costs memory only
+        // once a fill writes it.
+        const std::size_t n = std::size_t(numSets_) * ways;
+        storage_.reset(static_cast<Way *>(std::calloc(n, sizeof(Way))));
+        if (!storage_)
+            throw std::bad_alloc();
+        sets_ = std::span<Way>(storage_.get(), n);
     }
 
     /** Result of a fill: the evicted dirty victim, if any. */
@@ -193,12 +205,19 @@ class CacheModel
     /** @} */
 
   private:
+    /** Plain data: all-zero bytes are the empty state. */
     struct Way
     {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;
+        bool valid;
+        bool dirty;
+        std::uint64_t tag;
+        std::uint64_t lru;
+    };
+    static_assert(std::is_trivial_v<Way>);
+
+    struct FreeDeleter
+    {
+        void operator()(Way *p) const { std::free(p); }
     };
 
     unsigned setOf(Addr addr) const
@@ -229,7 +248,8 @@ class CacheModel
     unsigned lineSize_;
     unsigned ways_;
     unsigned numSets_;
-    std::vector<Way> sets_;
+    std::unique_ptr<Way, FreeDeleter> storage_;
+    std::span<Way> sets_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -108,6 +108,21 @@ MemImage::write(Addr addr, std::size_t len, const std::uint8_t *in)
 }
 
 void
+MemImage::warmWrite(Addr addr, std::size_t len, const std::uint8_t *in)
+{
+    if (addr + len > capacity_)
+        panic("MemImage write past capacity (addr=%llx len=%zu)",
+              (unsigned long long)addr, len);
+    bool noop = std::all_of(in, in + len,
+                            [](std::uint8_t b) { return b == 0; });
+    for (Addr a = addr; noop && a < addr + len;
+         a = (a / pageSize + 1) * pageSize)
+        noop = pageFor(a) == nullptr;
+    if (!noop)
+        write(addr, len, in);
+}
+
+void
 MemImage::writeMasked(Addr addr, const dmi::CacheLine &data,
                       const dmi::ByteEnable &enables)
 {

@@ -46,6 +46,14 @@ class MemImage : public ckpt::Checkpointable
     void write(Addr addr, std::size_t len, const std::uint8_t *in);
 
     /**
+     * write() for functional warming: a zero store into pages never
+     * written is dropped, since they already read as zero. Contents
+     * end up exactly as after write(); only untouched pages stay
+     * unmaterialized.
+     */
+    void warmWrite(Addr addr, std::size_t len, const std::uint8_t *in);
+
+    /**
      * Byte-enabled write of one cache line (the RMW merge the
      * buffer's ALU performs).
      */

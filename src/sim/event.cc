@@ -326,7 +326,9 @@ EventQueue::fire(Event *ev)
     ev->_scheduled = false;
     --_live;
     ++_ctr.processed;
+    _dispatching = true;
     ev->process();
+    _dispatching = false;
 }
 
 bool

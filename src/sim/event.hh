@@ -243,6 +243,13 @@ class EventQueue : public ckpt::Checkpointable
      */
     Tick nextEventTick();
 
+    /**
+     * True while an event's process() runs: the caller reacts to
+     * simulated time at curTick(), and same-tick events queued
+     * behind it have not fired. False between run()/step() calls.
+     */
+    bool dispatching() const { return _dispatching; }
+
     /** Total number of events processed since construction. */
     std::uint64_t eventsProcessed() const { return _ctr.processed; }
 
@@ -396,6 +403,8 @@ class EventQueue : public ckpt::Checkpointable
     const std::atomic<bool> *_cancel = nullptr;
     /** True while a CounterFreeze (checkpoint refill) is active. */
     bool _freezeCtr = false;
+    /** True inside fire(); see dispatching(). */
+    bool _dispatching = false;
 
     /** @{ One-shot freelist pool. */
     struct OneShotSlot

@@ -197,8 +197,10 @@ class SamplingController
 
     /**
      * Optional functional-warming hook for stores: applied to
-     * fast-forwarded writes so the memory image holds exactly what
-     * a detailed run would have written.
+     * fast-forwarded writes so the memory image holds exactly the
+     * contents a detailed run would have written. The systems'
+     * hooks use mem::MemImage::warmWrite, which leaves pages that
+     * only ever received zeros unmaterialized.
      */
     using FunctionalWrite =
         std::function<void(Addr, const dmi::CacheLine &)>;

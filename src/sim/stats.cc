@@ -108,7 +108,7 @@ StatGroup::printStats(std::ostream &os, const std::string &prefix) const
     std::string leaf =
         dot == std::string::npos ? name_ : name_.substr(dot + 1);
     std::string p = prefix + leaf + ".";
-    for (const StatBase *s : stats_)
+    for (const StatBase *s : ownStats())
         s->print(os, p);
     for (const StatGroup *g : children_)
         g->printStats(os, p);
@@ -117,7 +117,9 @@ StatGroup::printStats(std::ostream &os, const std::string &prefix) const
 void
 StatGroup::resetStats()
 {
-    for (StatBase *s : stats_)
+    // Settle first, so work done before the reset is not counted
+    // after it.
+    for (StatBase *s : ownStats())
         s->reset();
     for (StatGroup *g : children_)
         g->resetStats();
@@ -126,7 +128,7 @@ StatGroup::resetStats()
 const StatBase *
 StatGroup::findStat(const std::string &name) const
 {
-    for (const StatBase *s : stats_)
+    for (const StatBase *s : ownStats())
         if (s->name() == name)
             return s;
     return nullptr;

@@ -355,8 +355,23 @@ class StatGroup
         return children_;
     }
 
-    /** Stats registered directly on this group. */
-    const std::vector<StatBase *> &ownStats() const { return stats_; }
+    /** Stats registered directly on this group, brought up to date
+     *  by preRead() first. Every reader of the tree comes here. */
+    const std::vector<StatBase *> &
+    ownStats() const
+    {
+        preRead();
+        return stats_;
+    }
+
+  protected:
+    /**
+     * Pre-read hook: a model whose counters settle lazily (see
+     * dmi::DmiChannel) overrides this to settle them before any
+     * read. Const because reading stats is; the default does
+     * nothing.
+     */
+    virtual void preRead() const {}
 
   private:
     friend class StatBase;

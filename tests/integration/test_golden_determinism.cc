@@ -12,6 +12,9 @@
  * just on synthetic op mixes but across the full model stack. If a
  * future change alters scheduling semantics deliberately, these
  * constants must be re-captured and the change called out in review.
+ * The one-event-per-frame DMI channel changed a tie rule (frame
+ * reception now fires at clock priority, ahead of other work at the
+ * same edge) and every constant here held unchanged.
  */
 
 #include <gtest/gtest.h>

@@ -48,6 +48,35 @@ TEST(MemImage, CrossPageAccess)
     EXPECT_EQ(m.pagesTouched(), 2u);
 }
 
+TEST(MemImage, WarmWriteOfZerosLeavesUntouchedPagesAlone)
+{
+    MemImage m(1 * MiB);
+    std::uint8_t zeros[256] = {};
+    std::uint8_t out[256];
+    // Across a page boundary, both pages untouched: nothing to do.
+    Addr addr = MemImage::pageSize - 100;
+    m.warmWrite(addr, 256, zeros);
+    EXPECT_EQ(m.pagesTouched(), 0u);
+
+    // One page under the range holds data: the store applies, and
+    // the contents are what write() leaves.
+    std::uint8_t in[8];
+    for (int i = 0; i < 8; ++i)
+        in[i] = std::uint8_t(i + 1);
+    m.write(MemImage::pageSize + 8, 8, in);
+    m.warmWrite(addr, 256, zeros);
+    m.read(addr, 256, out);
+    EXPECT_EQ(0, std::memcmp(zeros, out, 256));
+    EXPECT_EQ(m.pagesTouched(), 2u);
+    EXPECT_EQ(m.verify(0, 2 * MemImage::pageSize).corrected, 0u);
+
+    // Nonzero data always materializes its page.
+    m.warmWrite(8 * MemImage::pageSize, 8, in);
+    m.read(8 * MemImage::pageSize, 8, out);
+    EXPECT_EQ(0, std::memcmp(in, out, 8));
+    EXPECT_EQ(m.pagesTouched(), 3u);
+}
+
 TEST(MemImage, Typed64And32)
 {
     MemImage m(1 * MiB);
