@@ -20,13 +20,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "bench_util.hh"
-#include "cpu/trace_replay.hh"
 #include "trace/generate.hh"
 #include "trace/reader.hh"
-#include "trace/writer.hh"
+#include "trace/text.hh"
 
 using namespace contutto;
 
@@ -51,22 +49,6 @@ usage()
     return 2;
 }
 
-const char *
-opName(trace::Op op)
-{
-    switch (op) {
-      case trace::Op::read:
-        return "r";
-      case trace::Op::write:
-        return "w";
-      case trace::Op::depRead:
-        return "R";
-      case trace::Op::depWrite:
-        return "W";
-    }
-    return "?";
-}
-
 int
 inspect(const std::string &path, std::uint64_t show)
 {
@@ -87,10 +69,10 @@ inspect(const std::string &path, std::uint64_t show)
         else
             ++reads;
         if (i < show)
-            std::printf("  [%llu] t=%llu %s 0x%llx size=%u "
+            std::printf("  [%llu] t=%llu %c 0x%llx size=%u "
                         "thread=%u\n",
                         (unsigned long long)i,
-                        (unsigned long long)tick, opName(r.op),
+                        (unsigned long long)tick, trace::opChar(r.op),
                         (unsigned long long)r.addr,
                         1u << r.sizeLog2, r.threadId);
     }
@@ -120,14 +102,16 @@ convert(const std::string &in, const std::string &out,
 {
     if (to == "text") {
         trace::MappedTrace bin(in);
-        cpu::MemTrace mem = cpu::MemTrace::fromBinary(bin);
+        bin.validateAll();
         std::ofstream os(out);
+        trace::writeText(bin, os);
+        os.close();
         if (!os)
             throw trace::Error(trace::ErrorCode::ioError,
                                "cannot write '" + out + "'");
-        os << mem.format();
-        std::printf("%s: %zu records -> %s (text)\n", in.c_str(),
-                    mem.records.size(), out.c_str());
+        std::printf("%s: %llu records -> %s (text)\n", in.c_str(),
+                    (unsigned long long)bin.recordCount(),
+                    out.c_str());
         return 0;
     }
     if (to == "binary") {
@@ -135,18 +119,8 @@ convert(const std::string &in, const std::string &out,
         if (!is)
             throw trace::Error(trace::ErrorCode::ioError,
                                "cannot read '" + in + "'");
-        std::ostringstream text;
-        text << is.rdbuf();
-        cpu::MemTrace mem = cpu::MemTrace::parse(text.str());
         trace::TraceWriter writer(out);
-        for (const cpu::TraceRecord &r : mem.records) {
-            trace::Record rec;
-            rec.tickDelta = r.delay;
-            rec.addr = r.addr;
-            rec.op = trace::makeOp(r.isWrite, r.dependent);
-            writer.append(rec);
-        }
-        std::uint64_t n = writer.recordCount();
+        std::uint64_t n = trace::readText(is, writer);
         writer.close();
         std::printf("%s: %llu records -> %s (binary, checksum "
                     "%016llx)\n",

@@ -10,10 +10,12 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 
 #include "cpu/energy.hh"
 #include "cpu/system.hh"
 #include "cpu/trace_replay.hh"
+#include "trace/generate.hh"
 
 using namespace contutto;
 using namespace contutto::cpu;
@@ -33,10 +35,21 @@ struct Config
 int
 main()
 {
-    // One trace: mixed working set with a dependent component.
-    auto trace = MemTrace::synthesize(/*records=*/3000,
-                                      nanoseconds(20), 32 * MiB,
-                                      0.3, 0.35, 2026);
+    // One trace: a qsort over 32 MiB, whose pivot reads are
+    // dependent. The mapping outlives the file's name.
+    const std::string path =
+        (std::filesystem::temp_directory_path()
+         / "trace_sensitivity.bin")
+            .string();
+    trace::GenerateSpec spec;
+    spec.shape = trace::Shape::qsort;
+    spec.records = 3000;
+    spec.seed = 2026;
+    spec.footprint = 32 * MiB;
+    spec.meanDelay = nanoseconds(20);
+    trace::generate(spec, path);
+    trace::MappedTrace trace(path);
+    std::filesystem::remove(path);
 
     std::vector<Config> configs;
     {

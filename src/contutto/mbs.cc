@@ -1,7 +1,6 @@
 #include "contutto/mbs.hh"
 
 #include "sim/span.hh"
-#include "sim/trace.hh"
 
 #include <algorithm>
 #include <cstring>
@@ -237,9 +236,6 @@ Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
     e.cmd = cmd;
     ++activeEngines_;
     stats_.engineOccupancy.sample(double(activeEngines_));
-    CT_TRACE("MBS", *this, "dispatch tag %u type %d addr 0x%llx "
-             "(%u engines busy)", cmd.tag, int(cmd.type),
-             (unsigned long long)cmd.addr, activeEngines_);
 
     switch (cmd.type) {
       case CmdType::read128:
@@ -350,8 +346,6 @@ Mbs::engineTimeout(unsigned tag)
     }
     ++e.retries;
     ++stats_.cmdRetries;
-    CT_TRACE("MBS", *this, "tag %u timed out in phase %d; retry %u",
-             tag, int(e.phase), e.retries);
     if (e.phase == Phase::readIssued)
         issueRead(tag, tag & 1);
     else

@@ -1,96 +1,7 @@
 #include "cpu/trace_replay.hh"
 
-#include <sstream>
-
 namespace contutto::cpu
 {
-
-MemTrace
-MemTrace::parse(const std::string &text)
-{
-    MemTrace trace;
-    std::istringstream in(text);
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::istringstream ls(line);
-        double delay_ns;
-        std::string op;
-        std::string addr_s;
-        if (!(ls >> delay_ns))
-            continue; // blank
-        if (!(ls >> op >> addr_s))
-            fatal("trace line %u: expected '<delay> <r|w|R|W> "
-                  "<hex_addr>'", lineno);
-        if (op.size() != 1
-            || (op[0] != 'r' && op[0] != 'w' && op[0] != 'R'
-                && op[0] != 'W'))
-            fatal("trace line %u: bad op '%s'", lineno, op.c_str());
-        TraceRecord rec;
-        rec.delay = Tick(delay_ns * 1000.0);
-        rec.isWrite = (op[0] == 'w' || op[0] == 'W');
-        rec.dependent = (op[0] == 'R' || op[0] == 'W');
-        rec.addr = std::stoull(addr_s, nullptr, 16)
-            & ~Addr(dmi::cacheLineSize - 1);
-        trace.records.push_back(rec);
-    }
-    return trace;
-}
-
-std::string
-MemTrace::format() const
-{
-    std::ostringstream os;
-    for (const TraceRecord &r : records) {
-        char op = r.isWrite ? (r.dependent ? 'W' : 'w')
-                            : (r.dependent ? 'R' : 'r');
-        os << ticksToNs(r.delay) << " " << op << " " << std::hex
-           << r.addr << std::dec << "\n";
-    }
-    return os.str();
-}
-
-MemTrace
-MemTrace::fromBinary(const trace::MappedTrace &bin)
-{
-    MemTrace trace;
-    trace.records.reserve(bin.recordCount());
-    for (std::uint64_t i = 0; i < bin.recordCount(); ++i) {
-        trace::Record r = bin.record(i);
-        TraceRecord rec;
-        rec.delay = r.tickDelta;
-        rec.addr = r.addr & ~Addr(dmi::cacheLineSize - 1);
-        rec.isWrite = trace::opIsWrite(r.op);
-        rec.dependent = trace::opIsDependent(r.op);
-        trace.records.push_back(rec);
-    }
-    return trace;
-}
-
-MemTrace
-MemTrace::synthesize(std::size_t n, Tick mean_delay, Addr footprint,
-                     double write_fraction,
-                     double dependent_fraction, std::uint64_t seed)
-{
-    Rng rng(seed);
-    MemTrace trace;
-    trace.records.reserve(n);
-    std::uint64_t lines = footprint / dmi::cacheLineSize;
-    for (std::size_t i = 0; i < n; ++i) {
-        TraceRecord rec;
-        rec.delay = Tick(double(mean_delay)
-                         * (0.5 + rng.uniform()));
-        rec.addr = rng.below(lines) * dmi::cacheLineSize;
-        rec.isWrite = rng.chance(write_fraction);
-        rec.dependent = rng.chance(dependent_fraction);
-        trace.records.push_back(rec);
-    }
-    return trace;
-}
 
 TraceReplayer::TraceReplayer(const std::string &name, EventQueue &eq,
                              const ClockDomain &domain,
@@ -110,7 +21,7 @@ TraceReplayer::~TraceReplayer()
 }
 
 void
-TraceReplayer::start(const MemTrace &trace,
+TraceReplayer::start(const trace::MappedTrace &trace,
                      std::function<void(const Result &)> done)
 {
     ct_assert(!running_);
@@ -130,20 +41,19 @@ TraceReplayer::advance()
 {
     if (!running_ || waitingDrain_ || advanceEvent_.scheduled())
         return;
-    if (next_ >= trace_->records.size()) {
+    if (next_ >= trace_->recordCount()) {
         maybeFinish();
         return;
     }
-    const TraceRecord &rec = trace_->records[next_];
-    result_.computeTime += rec.delay;
-    eventq().schedule(&advanceEvent_, curTick() + rec.delay);
+    cur_ = trace_->record(next_);
+    result_.computeTime += cur_.tickDelta;
+    eventq().schedule(&advanceEvent_, curTick() + cur_.tickDelta);
 }
 
 void
 TraceReplayer::issueCurrent()
 {
-    const TraceRecord &rec = trace_->records[next_];
-    if (rec.dependent && outstanding_ > 0) {
+    if (trace::opIsDependent(cur_.op) && outstanding_ > 0) {
         // Drain before a dependent access.
         waitingDrain_ = true;
         return;
@@ -152,15 +62,17 @@ TraceReplayer::issueCurrent()
         waitingDrain_ = true; // window full: resume on completion
         return;
     }
+    const Addr addr = cur_.addr & ~Addr(dmi::cacheLineSize - 1);
+    const bool isWrite = trace::opIsWrite(cur_.op);
     ++next_;
     ++outstanding_;
-    if (rec.isWrite)
+    if (isWrite)
         ++result_.writes;
     else
         ++result_.reads;
 
     if (params_.caches) {
-        auto filtered = params_.caches->access(rec.addr, rec.isWrite);
+        auto filtered = params_.caches->access(addr, isWrite);
         if (filtered.writeback) {
             // Dirty L3 victim: fire-and-forget to memory, but it
             // occupies a window slot until it lands.
@@ -184,10 +96,8 @@ TraceReplayer::issueCurrent()
     }
 
     if (params_.capture)
-        params_.capture->record(
-            curTick(), rec.addr,
-            trace::makeOp(rec.isWrite, rec.dependent));
-    issueMemory(rec.addr, rec.isWrite, params_.nestOverhead);
+        params_.capture->record(curTick(), addr, cur_.op);
+    issueMemory(addr, isWrite, params_.nestOverhead);
     advance();
 }
 
@@ -239,10 +149,9 @@ TraceReplayer::accessDone()
     ct_assert(outstanding_ > 0);
     --outstanding_;
     if (waitingDrain_) {
-        const TraceRecord &rec = trace_->records[next_];
-        bool can_issue = rec.dependent ? outstanding_ == 0
-                                       : outstanding_
-                                             < params_.window;
+        bool can_issue = trace::opIsDependent(cur_.op)
+                             ? outstanding_ == 0
+                             : outstanding_ < params_.window;
         if (can_issue) {
             waitingDrain_ = false;
             issueCurrent();
@@ -254,12 +163,12 @@ TraceReplayer::accessDone()
 void
 TraceReplayer::maybeFinish()
 {
-    if (!running_ || next_ < trace_->records.size()
+    if (!running_ || next_ < trace_->recordCount()
         || outstanding_ > 0)
         return;
     running_ = false;
     if (params_.sampler)
-        params_.sampler->finishRun(trace_->records.size(), curTick(),
+        params_.sampler->finishRun(trace_->recordCount(), curTick(),
                                    next_);
     result_.runtime = curTick() - startedAt_;
     if (done_)

@@ -11,71 +11,23 @@
  * window, and dependent-access serialization — so a trace captured
  * once can be replayed against Centaur, ConTutto at any knob
  * setting, or any memory technology, and the runtime responds to
- * the modelled latency.
- *
- * The text format is one record per line:
- *
- *     <delay_ns> <r|w|R|W> <hex_addr>
- *
- * where uppercase marks a dependent access (must wait for all
- * earlier accesses to finish). '#' starts a comment.
+ * the modelled latency. Traces are binary files (trace/format.hh);
+ * trace/text.hh converts the hand-writable text form.
  */
 
 #ifndef CONTUTTO_CPU_TRACE_REPLAY_HH
 #define CONTUTTO_CPU_TRACE_REPLAY_HH
 
 #include <string>
-#include <vector>
 
 #include "cpu/cache_hierarchy.hh"
 #include "cpu/host_port.hh"
-#include "sim/random.hh"
 #include "sim/sampling.hh"
 #include "trace/capture.hh"
 #include "trace/reader.hh"
 
 namespace contutto::cpu
 {
-
-/** One trace record. */
-struct TraceRecord
-{
-    /** Compute time since the previous record. */
-    Tick delay = 0;
-    Addr addr = 0;
-    bool isWrite = false;
-    /** Dependent: drains all earlier accesses before issuing. */
-    bool dependent = false;
-};
-
-/** A parsed trace. */
-struct MemTrace
-{
-    std::vector<TraceRecord> records;
-
-    /** Parse the text format; @throw FatalError on syntax errors. */
-    static MemTrace parse(const std::string &text);
-
-    /** Render back to the text format. */
-    std::string format() const;
-
-    /**
-     * Synthesize a trace from workload-style parameters (handy for
-     * tests and demos without captured traces).
-     */
-    static MemTrace synthesize(std::size_t records, Tick mean_delay,
-                               Addr footprint, double write_fraction,
-                               double dependent_fraction,
-                               std::uint64_t seed);
-
-    /**
-     * Convert a validated binary trace (trace/reader.hh) to the
-     * in-memory form, so window-mode replay runs captured traces
-     * too: tickDelta maps to compute delay, dependent ops to the
-     * drain flag. Lossless, unlike the text round trip.
-     */
-    static MemTrace fromBinary(const trace::MappedTrace &bin);
-};
 
 /** Replays a trace through a host port. */
 class TraceReplayer : public SimObject
@@ -131,8 +83,12 @@ class TraceReplayer : public SimObject
 
     ~TraceReplayer() override;
 
-    /** Start replaying @p trace; @p done fires at completion. */
-    void start(const MemTrace &trace,
+    /**
+     * Start replaying @p trace; @p done fires at completion. Each
+     * record's tickDelta is its compute delay, its address is taken
+     * to the 128 B line, and dependent ops drain the window.
+     */
+    void start(const trace::MappedTrace &trace,
                std::function<void(const Result &)> done);
 
     bool running() const { return running_; }
@@ -149,8 +105,10 @@ class TraceReplayer : public SimObject
 
     Params params_;
     HostMemPort &port_;
-    const MemTrace *trace_ = nullptr;
-    std::size_t next_ = 0;
+    const trace::MappedTrace *trace_ = nullptr;
+    std::uint64_t next_ = 0;
+    /** Record next_, decoded (valid while next_ < recordCount). */
+    trace::Record cur_;
     unsigned outstanding_ = 0;
     bool waitingDrain_ = false;
     bool running_ = false;
@@ -221,7 +179,7 @@ class TimedTraceReplayer : public SimObject
     /** The rigid shift applied to recorded ticks this run. */
     Tick shift() const { return shift_; }
     /** Records issued so far (live, for progress boards). */
-    std::uint64_t replayedSoFar() const { return result_.replayed; }
+    std::uint64_t issuedSoFar() const { return result_.replayed; }
 
   private:
     void issueDue();

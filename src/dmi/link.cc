@@ -3,7 +3,6 @@
 #include <type_traits>
 
 #include "sim/span.hh"
-#include "sim/trace.hh"
 
 namespace contutto::dmi
 {
@@ -115,8 +114,6 @@ LinkEndpoint<TxF, RxF>::processRx(const WireFrame &wire)
         // Bad CRC: drop silently; the transmitter's missing-ACK
         // timeout will trigger a replay (paper §2.3).
         ++stats_.rxCrcErrors;
-        CT_TRACE("DMI", *this, "CRC drop (%llu total)",
-                 (unsigned long long)stats_.rxCrcErrors.value());
         return;
     }
 
@@ -232,11 +229,6 @@ LinkEndpoint<TxF, RxF>::triggerReplay()
     ++stats_.replaysTriggered;
     if (onReplay)
         onReplay();
-    CT_TRACE("DMI", *this,
-             "replay: resending seq %u..%u (freeze %u)",
-             unsigned(std::uint8_t(lastAcked_ + 1)),
-             unsigned(std::uint8_t(nextSeq_ - 1)),
-             params_.freezeRepeats);
 
     // ConTutto freeze workaround: repeat the last upstream frame so
     // the processor does not misidentify the start of replay while

@@ -1,7 +1,5 @@
 #include "dmi/training.hh"
 
-#include "sim/trace.hh"
-
 namespace contutto::dmi
 {
 
@@ -179,10 +177,6 @@ LinkTrainer::finish(bool success, const std::string &reason)
 {
     if (timeoutEvent_.scheduled())
         eventq().deschedule(&timeoutEvent_);
-    CT_TRACE("Training", *this, "%s (frtl %.1f ns, %u attempts)%s%s",
-             success ? "trained" : "failed",
-             ticksToNs(result_.frtl), result_.attempts,
-             reason.empty() ? "" : ": ", reason.c_str());
     result_.success = success;
     result_.failReason = reason;
     ++stats_.runs;

@@ -1,7 +1,5 @@
 #include "firmware/boot.hh"
 
-#include "sim/trace.hh"
-
 namespace contutto::firmware
 {
 
@@ -225,10 +223,6 @@ BootSequencer::stepBuildMap()
 void
 BootSequencer::finish(bool success, const std::string &reason)
 {
-    CT_TRACE("Boot", *this, "boot %s after %.1f ms%s%s",
-             success ? "succeeded" : "failed",
-             ticksToNs(curTick() - startedAt_) / 1e6,
-             reason.empty() ? "" : ": ", reason.c_str());
     report_.success = success;
     report_.failReason = reason;
     report_.bootTime = curTick() - startedAt_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hh"
-
 namespace contutto::firmware
 {
 
@@ -54,8 +52,6 @@ PowerDomain::powerCut()
         return; // already dark
     powered_ = false;
     ++stats_.cuts;
-    CT_TRACE("Power", *this, "power cut at %llu",
-             (unsigned long long)curTick());
 
     // A cut that lands mid-restore kills the ramp; the pending
     // restore reports failure through the sequencer's abort path
@@ -91,8 +87,6 @@ PowerDomain::brownout(Tick dip)
     }
     if (seq_.ridesThrough(dip)) {
         ++stats_.brownoutsRidden;
-        CT_TRACE("Power", *this, "dip of %llu ps ridden through",
-                 (unsigned long long)dip);
         return;
     }
     ++stats_.brownoutOutages;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "sim/trace.hh"
-
 namespace contutto::ras
 {
 
@@ -149,9 +147,6 @@ FaultInjector::inject(const FaultEvent &ev)
         break;
     }
     history_.push_back(ev);
-    CT_TRACE("RAS", *this, "injected %s target %u addr 0x%llx",
-             faultKindName(ev.kind), ev.target,
-             (unsigned long long)ev.addr);
 }
 
 void

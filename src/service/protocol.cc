@@ -477,24 +477,15 @@ CampaignJob::runTrace(const std::atomic<bool> &cancel,
             runtime = r.runtime;
             finished = true;
         });
-        struct Adapter
-        {
-            cpu::TimedTraceReplayer &rep;
-            std::uint64_t issuedSoFar() const
-            {
-                return rep.replayedSoFar();
-            }
-        } adapter{rep};
-        pump(adapter);
+        pump(rep);
     } else {
-        cpu::MemTrace mem = cpu::MemTrace::fromBinary(bin);
         cpu::TraceReplayer::Params tp;
         tp.window = trace_.window;
         tp.nestOverhead = sys.params().nestOverhead;
         tp.sampler = sampler;
         cpu::TraceReplayer rep("replay", sys.eventq(), core, &sys,
                                tp, sys.port());
-        rep.start(mem, [&](const auto &r) {
+        rep.start(bin, [&](const auto &r) {
             reads = r.reads;
             writes = r.writes;
             detailed = r.reads + r.writes;

@@ -135,8 +135,7 @@ Checkpoint::has(const std::string &name) const
 std::vector<std::uint8_t>
 Checkpoint::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+    std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
     appendU32(out, formatVersion);
     appendU32(out, std::uint32_t(sections_.size()));
     for (const Section &s : sections_) {

@@ -217,28 +217,17 @@ CampaignSupervisor::run(const std::vector<TaskSpec> &tasks)
     }
     std::thread watchdog([this] { watchdogLoop(); });
 
-    // Phase 1: the farm, same round-robin layout as runTasks (task
-    // i on shard i mod shards, each shard in increasing i).
-    auto shardBody = [&](unsigned s, unsigned stride) {
-        for (std::size_t i = s; i < n; i += stride) {
+    // Phase 1: the farm is runTasks itself (task i on shard
+    // i mod shards, each shard in increasing i). runAttempts catches
+    // everything, so runTasks never has a failure to rethrow.
+    std::vector<std::function<void()>> farm;
+    farm.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        farm.push_back([&, i] {
             if (!runAttempts(slots[i], tasks[i], false))
                 needSerial[i] = 1;
-        }
-    };
-    if (params_.mode == ShardedExecutor::Mode::serial
-        || params_.shards == 1) {
-        // The reference schedule: every task in order, one thread.
-        shardBody(0, 1);
-    } else {
-        std::vector<std::thread> workers;
-        workers.reserve(params_.shards);
-        for (unsigned s = 0; s < params_.shards; ++s)
-            workers.emplace_back([&shardBody, s, this] {
-                shardBody(s, params_.shards);
-            });
-        for (std::thread &t : workers)
-            t.join();
-    }
+        });
+    ShardedExecutor::runTasks(params_.shards, params_.mode, farm);
 
     // Phase 2: degradation — survivors re-run alone, in index
     // order, on this thread.

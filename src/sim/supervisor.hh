@@ -6,8 +6,8 @@
  * campaign — but a soak campaign that runs for hours meets unhealthy
  * tasks: a seed that trips a model bug and throws, a configuration
  * that live-locks and never returns, a host that stalls a worker.
- * CampaignSupervisor wraps the same deterministic round-robin task
- * farm with the machinery long-running campaigns need:
+ * CampaignSupervisor runs its tasks on runTasks itself and wraps
+ * each one in the machinery long-running campaigns need:
  *
  *  - *Per-task wall-clock deadlines.* Every task receives a cancel
  *    token (an atomic flag, the same one EventQueue::setCancelFlag /

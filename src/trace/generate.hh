@@ -9,7 +9,7 @@
  * trace directly, shaped like one of:
  *
  *  - uniform: independent uniform-random accesses over the
- *    footprint (the MemTrace::synthesize profile);
+ *    footprint;
  *  - qsort: recursive partition passes — two pointers sweeping
  *    toward each other over ever-smaller subranges, with dependent
  *    pivot reads between partitions;

@@ -4,6 +4,7 @@
 
 #include "cpu/system.hh"
 #include "cpu/trace_replay.hh"
+#include "synth_trace.hh"
 
 using namespace contutto;
 using namespace contutto::cpu;
@@ -104,8 +105,8 @@ TEST(CachedReplay, CachesAbsorbSmallFootprints)
         // Warm the hierarchy over the footprint first.
         for (Addr a = 0; a < footprint && a < 16 * MiB; a += 128)
             caches.access(a, false);
-        auto trace = MemTrace::synthesize(800, nanoseconds(10),
-                                          footprint, 0.3, 0.5, 23);
+        auto trace =
+            synthTrace(800, nanoseconds(10), footprint, 0.3, 0.5, 23);
         TraceReplayer::Params rp;
         rp.caches = &caches;
         TraceReplayer replayer("replay", sys.eventq(),
@@ -113,7 +114,7 @@ TEST(CachedReplay, CachesAbsorbSmallFootprints)
                                sys.port());
         bool finished = false;
         TraceReplayer::Result result;
-        replayer.start(trace, [&](const TraceReplayer::Result &r) {
+        replayer.start(*trace, [&](const TraceReplayer::Result &r) {
             result = r;
             finished = true;
         });

@@ -12,6 +12,7 @@
 #include "cpu/core_model.hh"
 #include "cpu/system.hh"
 #include "cpu/trace_replay.hh"
+#include "synth_trace.hh"
 #include "sim/parallel.hh"
 #include "workloads/spec.hh"
 
@@ -204,8 +205,8 @@ TEST(SampledReplay, CacheContentsStayExact)
     // The cache hierarchy is probed functionally in both regimes:
     // hit/miss/writeback counts must be identical detailed vs
     // sampled even though most channel trips are fast-forwarded.
-    auto trace = MemTrace::synthesize(6000, nanoseconds(10),
-                                      32 * MiB, 0.3, 0.1, 21);
+    auto trace = synthTrace(6000, nanoseconds(10),
+                            32 * MiB, 0.3, 0.1, 21);
 
     auto run = [&](bool sampledMode) {
         Power8System sys(smallCard());
@@ -225,7 +226,7 @@ TEST(SampledReplay, CacheContentsStayExact)
                                sys.port());
         bool finished = false;
         TraceReplayer::Result result;
-        replayer.start(trace, [&](const TraceReplayer::Result &r) {
+        replayer.start(*trace, [&](const TraceReplayer::Result &r) {
             result = r;
             finished = true;
         });
@@ -246,8 +247,8 @@ TEST(SampledReplay, CacheContentsStayExact)
 
 TEST(SampledReplay, SameSeedSameRuntime)
 {
-    auto trace = MemTrace::synthesize(4000, nanoseconds(10),
-                                      32 * MiB, 0.3, 0.1, 33);
+    auto trace = synthTrace(4000, nanoseconds(10),
+                            32 * MiB, 0.3, 0.1, 33);
     auto run = [&] {
         Power8System sys(smallCard());
         EXPECT_TRUE(sys.train());
@@ -263,7 +264,7 @@ TEST(SampledReplay, SameSeedSameRuntime)
                                sys.port());
         bool finished = false;
         TraceReplayer::Result result;
-        replayer.start(trace, [&](const TraceReplayer::Result &r) {
+        replayer.start(*trace, [&](const TraceReplayer::Result &r) {
             result = r;
             finished = true;
         });

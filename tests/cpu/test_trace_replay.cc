@@ -1,9 +1,13 @@
-/** @file Trace format and replay tests. */
+/** @file Window-mode trace replay tests. */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "cpu/trace_replay.hh"
 #include "cpu/system.hh"
+#include "synth_trace.hh"
+#include "trace/generate.hh"
 
 using namespace contutto;
 using namespace contutto::cpu;
@@ -21,7 +25,7 @@ smallCard()
 }
 
 TraceReplayer::Result
-replay(Power8System &sys, const MemTrace &trace,
+replay(Power8System &sys, const trace::MappedTrace &trace,
        TraceReplayer::Params rp = {})
 {
     TraceReplayer replayer("replay", sys.eventq(), sys.nestDomain(),
@@ -38,60 +42,20 @@ replay(Power8System &sys, const MemTrace &trace,
     return result;
 }
 
-TEST(MemTrace, ParsesTextFormat)
-{
-    auto trace = MemTrace::parse(R"(
-# comment line
-10.5 r 1000
-2 W 2080   # dependent write
-0 w 30ff
-)");
-    ASSERT_EQ(trace.records.size(), 3u);
-    EXPECT_EQ(trace.records[0].delay, 10500u);
-    EXPECT_FALSE(trace.records[0].isWrite);
-    EXPECT_FALSE(trace.records[0].dependent);
-    EXPECT_EQ(trace.records[0].addr, 0x1000u);
-    EXPECT_TRUE(trace.records[1].isWrite);
-    EXPECT_TRUE(trace.records[1].dependent);
-    EXPECT_EQ(trace.records[1].addr, 0x2080u);
-    // Addresses align down to the 128 B line.
-    EXPECT_EQ(trace.records[2].addr, 0x3080u & ~Addr(127));
-}
-
-TEST(MemTrace, RejectsGarbage)
-{
-    EXPECT_THROW(MemTrace::parse("10 x 1000"), FatalError);
-    EXPECT_THROW(MemTrace::parse("10 r"), FatalError);
-}
-
-TEST(MemTrace, FormatRoundTrips)
-{
-    auto t = MemTrace::synthesize(50, nanoseconds(20), 1 * MiB, 0.3,
-                                  0.2, 7);
-    auto back = MemTrace::parse(t.format());
-    ASSERT_EQ(back.records.size(), t.records.size());
-    for (std::size_t i = 0; i < t.records.size(); ++i) {
-        EXPECT_EQ(back.records[i].addr, t.records[i].addr);
-        EXPECT_EQ(back.records[i].isWrite, t.records[i].isWrite);
-        EXPECT_EQ(back.records[i].dependent,
-                  t.records[i].dependent);
-    }
-}
-
 TEST(TraceReplay, RuntimeRespondsToMemoryLatency)
 {
     // The point of the facility: one trace, two knob settings, the
     // dependent-heavy trace stretches with the latency.
-    auto trace = MemTrace::synthesize(400, nanoseconds(30), 16 * MiB,
-                                      0.3, 0.6, 11);
+    auto trace = synthTrace(400, nanoseconds(30), 16 * MiB,
+                            0.3, 0.6, 11);
     Power8System a(smallCard());
     ASSERT_TRUE(a.train());
-    auto r0 = replay(a, trace);
+    auto r0 = replay(a, *trace);
 
     Power8System b(smallCard());
     ASSERT_TRUE(b.train());
     b.card()->mbs().setKnobPosition(7);
-    auto r7 = replay(b, trace);
+    auto r7 = replay(b, *trace);
 
     EXPECT_EQ(r0.reads + r0.writes, 400u);
     EXPECT_GT(double(r7.runtime), double(r0.runtime) * 1.15);
@@ -103,11 +67,11 @@ TEST(TraceReplay, IndependentTraceOverlapsAccesses)
 {
     // With no dependent records and a wide window, the runtime sits
     // near the compute floor rather than latency * records.
-    auto trace = MemTrace::synthesize(300, nanoseconds(100),
-                                      16 * MiB, 0.3, 0.0, 13);
+    auto trace = synthTrace(300, nanoseconds(100),
+                            16 * MiB, 0.3, 0.0, 13);
     Power8System sys(smallCard());
     ASSERT_TRUE(sys.train());
-    auto r = replay(sys, trace);
+    auto r = replay(sys, *trace);
     double floor_ns = ticksToNs(r.computeTime);
     double runtime_ns = ticksToNs(r.runtime);
     EXPECT_LT(runtime_ns, floor_ns * 1.6);
@@ -116,15 +80,38 @@ TEST(TraceReplay, IndependentTraceOverlapsAccesses)
 TEST(TraceReplay, DependentRecordsDrainTheWindow)
 {
     // A fully dependent trace serializes: runtime ~ n * latency.
-    auto trace = MemTrace::synthesize(100, nanoseconds(5), 16 * MiB,
-                                      0.0, 1.0, 17);
+    auto trace = synthTrace(100, nanoseconds(5), 16 * MiB,
+                            0.0, 1.0, 17);
     Power8System sys(smallCard());
     ASSERT_TRUE(sys.train());
-    auto r = replay(sys, trace);
+    auto r = replay(sys, *trace);
     double per_access = ticksToNs(r.runtime) / 100.0;
     // ~388 ns memory + 44 ns nest overhead + trace delay.
     EXPECT_GT(per_access, 350.0);
     EXPECT_LT(per_access, 520.0);
+}
+
+TEST(TraceReplay, WindowModePinsGeneratedQsortTrace)
+{
+    // Window mode decodes records off the mapping as it goes; these
+    // are the figures of the former copy-everything-first path.
+    const std::string path = ::testing::TempDir() + "cpu_pin.bin";
+    trace::GenerateSpec spec;
+    spec.shape = trace::Shape::qsort;
+    spec.records = 2000;
+    spec.seed = 7;
+    spec.meanDelay = nanoseconds(20);
+    trace::generate(spec, path);
+    trace::MappedTrace bin(path);
+    std::filesystem::remove(path);
+
+    Power8System sys(smallCard());
+    ASSERT_TRUE(sys.train());
+    auto r = replay(sys, bin);
+    EXPECT_EQ(r.runtime, Tick(118056000));
+    EXPECT_EQ(r.reads, 1372u);
+    EXPECT_EQ(r.writes, 628u);
+    EXPECT_EQ(r.computeTime, Tick(40042919));
 }
 
 } // namespace

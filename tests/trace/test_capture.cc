@@ -2,8 +2,8 @@
  * @file
  * Capture-side tests: absolute-tick→delta encoding, the base shift,
  * sharded capture with a deterministic k-way merge (including under
- * the real sharded executor, for the TSan job), the seeded fake
- * generators, and the binary→MemTrace bridge.
+ * the real sharded executor, for the TSan job) and the seeded
+ * fake generators.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/trace_replay.hh"
 #include "sim/parallel.hh"
 #include "trace/capture.hh"
 #include "trace/generate.hh"
@@ -214,30 +213,6 @@ TEST(TraceGenerate, UnknownShapeNameIsTyped)
     EXPECT_EQ(shapeFromName("uniform"), Shape::uniform);
     EXPECT_EQ(shapeFromName("qsort"), Shape::qsort);
     EXPECT_EQ(shapeFromName("matmul"), Shape::matmul);
-}
-
-TEST(TraceGenerate, FromBinaryBridgesLosslessly)
-{
-    const std::string path = tmpPath("bridge.bin");
-    GenerateSpec spec;
-    spec.shape = Shape::qsort;
-    spec.records = 1000;
-    spec.seed = 9;
-    spec.meanDelay = nanoseconds(20);
-    generate(spec, path);
-
-    MappedTrace bin(path);
-    cpu::MemTrace mem = cpu::MemTrace::fromBinary(bin);
-    ASSERT_EQ(mem.records.size(), bin.recordCount());
-    for (std::uint64_t i = 0; i < bin.recordCount(); ++i) {
-        Record r = bin.record(i);
-        const cpu::TraceRecord &m = mem.records[i];
-        EXPECT_EQ(m.delay, r.tickDelta);
-        EXPECT_EQ(m.addr, r.addr & ~Addr(127));
-        EXPECT_EQ(m.isWrite, opIsWrite(r.op));
-        EXPECT_EQ(m.dependent, opIsDependent(r.op));
-    }
-    fs::remove(path);
 }
 
 } // namespace
