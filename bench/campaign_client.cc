@@ -16,7 +16,7 @@
  *                   [--id-prefix=S] [--jitter-seed=N]
  *                   [--call-timeout-ms=N] [--response-timeout-ms=N]
  *                   [--max-attempts=N]
- *                   [--wait-ready-ms=N] [--stats]
+ *                   [--wait-ready-ms=N]
  *                   [--stream=1] [--trace-id-base=N]
  *                   [--health=json|prometheus]
  *
@@ -31,6 +31,10 @@
  * otherwise, so harnesses can count frames). --trace-id-base=N
  * stamps request i with trace id N+i, which --trace-out on the
  * daemon then turns into per-request Perfetto rows.
+ *
+ * --health=json prints the daemon's metrics-registry snapshot, its
+ * only counter plane, as one JSON line and exits; --health=prometheus
+ * prints the same registry as Prometheus text.
  */
 
 #include <unistd.h>
@@ -95,16 +99,6 @@ main(int argc, char **argv)
                          "campaign_client: server not ready\n");
             return 2;
         }
-    }
-
-    if (bench::parseFlag(argc, argv, "--stats") == "1"
-        || bench::parseFlag(argc, argv, "--stats") == "true") {
-        CampaignClient c(cp);
-        CampaignClient::Reply r = c.stats();
-        if (r.outcome != CampaignClient::Outcome::ok)
-            return 2;
-        std::printf("%s\n", r.response.dump().c_str());
-        return 0;
     }
 
     const std::string healthFmt =

@@ -132,19 +132,23 @@ main(int argc, char **argv)
         }
     }
 
-    CampaignServer::Stats s = server.stats();
+    // The summary reads the registry, the one place the daemon
+    // counts anything, after the drain has settled every job.
+    const contutto::metrics::Snapshot s = server.metricsSnapshot();
+    auto n = [&s](const char *name) {
+        return (unsigned long long)s.counterValue(name);
+    };
     std::printf(
         "campaignd: drained %s — submitted %llu accepted %llu "
         "completed %llu shed %llu duplicates %llu memoHits %llu "
-        "executions %llu faultsInjected %llu queuePeak %zu\n",
+        "executions %llu faultsInjected %llu queuePeak %lld\n",
         clean ? "clean" : "DIRTY (stragglers cancelled)",
-        (unsigned long long)s.submitted,
-        (unsigned long long)s.accepted,
-        (unsigned long long)s.completed,
-        (unsigned long long)s.shed,
-        (unsigned long long)s.duplicates,
-        (unsigned long long)s.memoHits,
-        (unsigned long long)s.executions,
-        (unsigned long long)s.faultsInjected, s.queuePeak);
+        n("campaignd_submitted_total"), n("campaignd_accepted_total"),
+        n("campaignd_completed_total"), n("campaignd_shed_total"),
+        n("campaignd_duplicates_total"),
+        n("campaignd_memo_hits_total"),
+        n("campaignd_executions_total"),
+        n("campaignd_faults_injected_total"),
+        (long long)s.gauge("campaignd_queue_peak")->value);
     return clean ? 0 : 1;
 }

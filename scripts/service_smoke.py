@@ -11,12 +11,13 @@ suitable for CI:
    (config, seed) keys under fresh ids (must memoize). Assert every
    request is answered ok, answers for the same key are
    byte-identical, executions never exceed the distinct key count,
-   and the queue never grew past its cap.
+   and the queue never grew past its cap. The daemon's counters are
+   read from `health`, its only counter plane.
 3. Exercise the live telemetry plane on the same (still faulty)
-   daemon: the health endpoint must reconcile with the stats
-   endpoint, the Prometheus exposition must lint clean, and a
-   streaming submit must deliver progress frames before its result
-   even while the fault plan is mangling the wire.
+   daemon: the health histograms must be coherent, the Prometheus
+   exposition must lint clean, and a streaming submit must deliver
+   progress frames before its result even while the fault plan is
+   mangling the wire.
 4. Start a second burst and SIGTERM the daemon mid-burst. Health
    must answer *during* the burst. The drain must be clean (exit
    0): in-flight and queued work answered, new work shed with
@@ -103,11 +104,13 @@ def run_client(bench_dir, socket, extra):
     return proc.returncode, lines, proc.stderr
 
 
-def get_stats(bench_dir, socket):
-    rc, lines, _ = run_client(bench_dir, socket, ["--stats=1"])
-    if rc != 0 or len(lines) != 1:
-        fail("stats round-trip failed")
-    return lines[0]
+def get_counts(bench_dir, socket):
+    """Counters and gauges by name, from campaign_client --health."""
+    rc, lines, _ = run_client(bench_dir, socket, ["--health=json"])
+    if rc != 0 or len(lines) != 1 or lines[0].get("type") != "health":
+        fail("health round-trip failed")
+    metrics = lines[0]["metrics"]
+    return {**metrics["counters"], **metrics["gauges"]}
 
 
 def wire_request(socket_path, obj, timeout=5.0):
@@ -181,36 +184,30 @@ def main():
     if len(payloads) != 6:
         fail(f"burst 1 saw {len(payloads)} keys, expected 6")
 
-    stats = get_stats(args.bench_dir, socket)
-    if stats["executions"] > 6:
-        fail(f"{stats['executions']} executions for 6 keys: "
+    counts = get_counts(args.bench_dir, socket)
+    executions = counts["campaignd_executions_total"]
+    memo_hits = counts["campaignd_memo_hits_total"]
+    duplicates = counts["campaignd_duplicates_total"]
+    faults = counts["campaignd_faults_injected_total"]
+    if executions > 6:
+        fail(f"{executions} executions for 6 keys: "
              "a duplicate or retry re-executed")
-    if stats["memoHits"] < 1:
+    if memo_hits < 1:
         fail("no memo hits despite repeated (config, seed) keys")
-    if stats["duplicates"] < 1:
+    if duplicates < 1:
         fail("no coalesced/replayed duplicates despite same-id "
              "resubmissions")
-    if stats["queuePeak"] > 8:
-        fail(f"queue peak {stats['queuePeak']} exceeded cap 8")
-    if stats["faultsInjected"] < 1:
+    if counts["campaignd_queue_peak"] > 8:
+        fail(f"queue peak {counts['campaignd_queue_peak']} exceeded "
+             "cap 8")
+    if faults < 1:
         fail("fault plan never fired; the drill tested nothing")
-    log(f"burst 1 ok: {stats['executions']} executions, "
-        f"{stats['memoHits']} memo hits, "
-        f"{stats['duplicates']} duplicates, "
-        f"{stats['faultsInjected']} faults injected")
+    log(f"burst 1 ok: {executions} executions, {memo_hits} memo "
+        f"hits, {duplicates} duplicates, {faults} faults injected")
 
     # --- Phase 3: live telemetry plane. ---------------------------
-    # Health counters must reconcile with the stats endpoint: both
-    # views are fed by the same requests, so any drift is a bug.
     health = get_health(socket)
     counters = health["metrics"]["counters"]
-    for metric, stat in (("campaignd_executions_total", "executions"),
-                         ("campaignd_memo_hits_total", "memoHits"),
-                         ("campaignd_duplicates_total", "duplicates"),
-                         ("campaignd_completed_total", "completed")):
-        if counters[metric] != stats[stat]:
-            fail(f"{metric}={counters[metric]} disagrees with "
-                 f"stats {stat}={stats[stat]}")
     if counters["campaignd_submitted_total"] < 24:
         fail(f"submitted_total={counters['campaignd_submitted_total']}"
              " below the 24 burst-1 requests")
@@ -232,7 +229,7 @@ def main():
                    'campaignd_e2e_ms_bucket{le="+Inf"}'):
         if needle not in text:
             fail(f"prometheus exposition missing {needle!r}")
-    log(f"health reconciles with stats; prometheus exposition "
+    log(f"health histograms coherent; prometheus exposition "
         f"lints clean ({text.count('# TYPE ')} families)")
 
     # A streaming submit must deliver progress frames before its
@@ -321,8 +318,8 @@ def main():
             fail(f"restarted daemon recomputed {line['id']} "
                  f"(outcome {resp.get('outcome')})")
     check_byte_identity(lines, payloads)  # must match phase 2 bytes
-    stats = get_stats(args.bench_dir, socket)
-    if stats["executions"] != 0:
+    if get_counts(args.bench_dir, socket)[
+            "campaignd_executions_total"] != 0:
         fail("restarted daemon executed work it had memoized")
     code, _ = daemon.sigterm_and_wait()
     if code != 0:

@@ -307,14 +307,6 @@ CampaignClient::oneShot(const Json &request)
 }
 
 CampaignClient::Reply
-CampaignClient::stats()
-{
-    Json req = Json::object();
-    req.set("type", Json::string("stats"));
-    return oneShot(req);
-}
-
-CampaignClient::Reply
 CampaignClient::health(const std::string &format)
 {
     Json req = Json::object();

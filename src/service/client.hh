@@ -98,9 +98,6 @@ class CampaignClient
     /** Submit @p request, retrying until answered or exhausted. */
     Reply submit(const Request &request);
 
-    /** One stats round-trip (no retries beyond reconnects). */
-    Reply stats();
-
     /** One health round-trip; @p format "" for the JSON snapshot
      *  or "prometheus" for the text exposition. */
     Reply health(const std::string &format = "");

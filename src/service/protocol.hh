@@ -15,8 +15,8 @@
  *   {"type":"submit","id":"...","kind":"ras_soak|crash|spin|spec",
  *    "seed":N,"priority":N,"deadlineMs":N,"config":{...},
  *    "stream":bool,"traceId":N}
- *   {"type":"stats"}           server counters (admission, memo, ...)
- *   {"type":"health"}          full metrics-registry snapshot
+ *   {"type":"health"}          full metrics-registry snapshot: the
+ *                              server's only counter plane
  *   {"type":"health","format":"prometheus"}
  *                              same registry, text exposition
  *                              wrapped in {"text":"..."}
@@ -36,7 +36,7 @@
  *   {"type":"shed","id":"...","retryAfterMs":N,"reason":"..."}
  *                              admission refused; try again later
  *   {"type":"error","message":"..."}   malformed request
- *   {"type":"stats",...} / {"type":"health",...} / {"type":"pong"}
+ *   {"type":"health",...} / {"type":"pong"}
  *
  * The campaign kinds:
  *   ras_soak  ras::SoakCampaign       (multi-fault soak, §4 RAS)

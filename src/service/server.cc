@@ -137,6 +137,9 @@ CampaignServer::CampaignServer(const Params &params)
     gQueueDepth_ = &registry_.gauge("campaignd_queue_depth",
                                     "Requests waiting in the "
                                     "admission queue");
+    gQueuePeak_ = &registry_.gauge("campaignd_queue_peak",
+                                   "Deepest the admission queue "
+                                   "has been");
     gRunning_ = &registry_.gauge("campaignd_running",
                                  "Campaigns executing right now");
     gInFlight_ = &registry_.gauge("campaignd_inflight",
@@ -258,7 +261,7 @@ CampaignServer::samplerLoop()
         {
             std::lock_guard<std::mutex> g(mtx_);
             depth = queue_.size();
-            running = stats_.running;
+            running = running_;
         }
         // The gauges are also maintained at every mutation site;
         // the sampler's job is the *trajectory*: histograms of
@@ -282,9 +285,23 @@ CampaignServer::acceptLoop()
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
-        std::lock_guard<std::mutex> lk(connMtx_);
-        connections_.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        // An exited thread's stack stays mapped until it is joined:
+        // reap finished handlers so a daemon scraped forever does
+        // not grow without bound.
+        for (auto it = connections_.begin();
+             it != connections_.end();) {
+            if (it->done.load(std::memory_order_acquire)) {
+                it->thread.join();
+                it = connections_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        Connection &c = connections_.emplace_back();
+        c.thread = std::thread([this, fd, &c] {
+            handleConnection(fd);
+            c.done.store(true, std::memory_order_release);
+        });
     }
 }
 
@@ -340,18 +357,12 @@ CampaignServer::handleLine(int fd, const std::string &line)
             pong.set("type", Json::string("pong"));
             return respond(fd, pong, false);
         }
-        if (type == "stats")
-            return respond(fd, statsJson(), false);
         if (type == "health")
             return respond(fd, healthJson(doc), false);
         if (type == "submit")
             return handleSubmit(fd, doc);
         throw ProtocolError("unknown request type '" + type + "'");
     } catch (const ProtocolError &e) {
-        {
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.protocolErrors;
-        }
         mProtocolErrors_->inc();
         return respond(fd, makeError(e.what()), false);
     }
@@ -427,6 +438,22 @@ CampaignServer::resultFor(Job &job)
     return res;
 }
 
+Json
+CampaignServer::memoResult(const Request &req,
+                           std::shared_ptr<const CampaignJob> campaign,
+                           const std::string &payload)
+{
+    // Its trace attribution is (0, 0, measured serialization).
+    Job fast;
+    fast.req = req;
+    fast.campaign = std::move(campaign);
+    fast.status = "ok";
+    fast.outcome = "memo";
+    fast.payload = payload;
+    fast.traceId = traceIdFor(req.traceId);
+    return resultFor(fast);
+}
+
 bool
 CampaignServer::handleSubmit(int fd, const Json &doc)
 {
@@ -447,13 +474,11 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
     std::shared_ptr<Job> job;
     {
         std::unique_lock<std::mutex> lk(mtx_);
-        ++stats_.submitted;
         mSubmitted_->inc();
 
         // Idempotency: one execution per id, ever.
         auto inFlight = active_.find(req.id);
         if (inFlight != active_.end()) {
-            ++stats_.duplicates;
             mDuplicates_->inc();
             job = inFlight->second;
             if (!waitForJob(lk, fd, req, job, req.stream,
@@ -465,7 +490,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
         }
         auto replay = done_.find(req.id);
         if (replay != done_.end()) {
-            ++stats_.duplicates;
             mDuplicates_->inc();
             // Refresh the replay window.
             doneLru_.splice(doneLru_.end(), doneLru_,
@@ -483,30 +507,13 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
     std::string hit =
         memo_.lookup(campaign->configHash(), req.seed);
     if (!hit.empty()) {
-        {
-            // Scoped: respond() may take mtx_ to count an
-            // injected fault, so it must run unlocked.
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.memoHits;
-            ++stats_.completed;
-        }
         mMemoHits_->inc();
         mCompleted_->inc();
-        // A memo hit never queued and never executed: its trace
-        // attribution is (0, 0, measured serialization).
-        Job fast;
-        fast.req = req;
-        fast.campaign = campaign;
-        fast.status = "ok";
-        fast.outcome = "memo";
-        fast.payload = hit;
-        fast.traceId = traceIdFor(req.traceId);
-        return respond(fd, resultFor(fast), true);
+        return respond(fd, memoResult(req, campaign, hit), true);
     }
 
     {
         std::unique_lock<std::mutex> lk(mtx_);
-        ++stats_.memoMisses;
         mMemoMisses_->inc();
 
         // Single-flight per key: a fresh id whose (config hash,
@@ -525,19 +532,10 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
                             progressSeq))
                 return false;
             if (lead->status == "ok") {
-                ++stats_.memoHits;
-                ++stats_.completed;
                 mCoalesced_->inc();
                 mMemoHits_->inc();
                 mCompleted_->inc();
-                Job fast;
-                fast.req = req;
-                fast.campaign = campaign;
-                fast.status = "ok";
-                fast.outcome = "memo";
-                fast.payload = lead->payload;
-                fast.traceId = traceIdFor(req.traceId);
-                Json res = resultFor(fast);
+                Json res = memoResult(req, campaign, lead->payload);
                 lk.unlock();
                 return respond(fd, res, true);
             }
@@ -546,7 +544,6 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
         // Admission control: draining and overload both shed with
         // an explicit hint instead of queueing without bound.
         if (draining_) {
-            ++stats_.shed;
             mShed_->inc();
             std::uint64_t after = params_.shedRetryAfterMs * 4;
             lk.unlock();
@@ -554,12 +551,11 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
                 fd, makeShed(req.id, after, "draining"), false);
         }
         if (queue_.size() >= params_.queueCap) {
-            ++stats_.shed;
             mShed_->inc();
             // Deeper backlog, longer hint: crude but monotonic.
             std::uint64_t after =
                 params_.shedRetryAfterMs
-                + params_.shedRetryAfterMs * stats_.running;
+                + params_.shedRetryAfterMs * running_;
             lk.unlock();
             return respond(
                 fd, makeShed(req.id, after, "queue full"), false);
@@ -576,13 +572,12 @@ CampaignServer::handleSubmit(int fd, const Json &doc)
         keyActive_[key] = job;
         queue_.emplace(std::make_pair(-req.priority, job->seq),
                        job);
-        ++stats_.accepted;
         mAccepted_->inc();
         gInFlight_->add(1);
-        stats_.queueDepth = queue_.size();
-        gQueueDepth_->set(std::int64_t(queue_.size()));
-        stats_.queuePeak =
-            std::max(stats_.queuePeak, queue_.size());
+        const auto depth = std::int64_t(queue_.size());
+        gQueueDepth_->set(depth);
+        // Every write is under mtx_, so read-max-write is exact.
+        gQueuePeak_->set(std::max(gQueuePeak_->value(), depth));
         workAvail_.notify_one();
 
         if (!waitForJob(lk, fd, req, job, req.stream, progressSeq))
@@ -625,7 +620,7 @@ CampaignServer::waitForJob(std::unique_lock<std::mutex> &lk, int fd,
                 std::chrono::steady_clock::now() - t0)
                 .count());
         s.queueDepth = queue_.size();
-        s.running = stats_.running;
+        s.running = running_;
         s.workDone =
             watch->progress.workDone.load(std::memory_order_relaxed);
         s.workTotal = watch->progress.workTotal.load(
@@ -666,27 +661,20 @@ CampaignServer::respondProgress(int fd, const Json &frame)
     auto fires = [n](unsigned every) {
         return every != 0 && n % every == 0;
     };
-    auto countFault = [this] {
-        {
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.faultsInjected;
-        }
-        mFaults_->inc();
-    };
     // Progress is best-effort telemetry: an injected fault mangles
     // THIS frame (the client sees a seq gap or a torn line) but
     // never closes the stream — only the result frame owns the
     // connection's fate.
     if (fires(f.dropEveryN)) {
-        countFault();
+        mFaults_->inc();
         return true;
     }
     if (fires(f.truncateEveryN)) {
-        countFault();
+        mFaults_->inc();
         return writeAll(fd, line.data(), line.size() / 2);
     }
     if (fires(f.delayEveryN)) {
-        countFault();
+        mFaults_->inc();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(f.delayMs));
     }
@@ -712,11 +700,10 @@ CampaignServer::workerLoop(unsigned index)
             }
             job = queue_.begin()->second;
             queue_.erase(queue_.begin());
-            stats_.queueDepth = queue_.size();
             gQueueDepth_->set(std::int64_t(queue_.size()));
             job->state = Job::State::running;
-            ++stats_.running;
-            gRunning_->set(std::int64_t(stats_.running));
+            ++running_;
+            gRunning_->set(std::int64_t(running_));
             liveJobs_[index] = job;
             // Dispatch closes the queue stage of the trace: the
             // admission-to-here wait is the exact queueUs the
@@ -750,28 +737,10 @@ CampaignServer::workerLoop(unsigned index)
                     std::chrono::milliseconds>(finished
                                                - job->admitted)
                     .count()));
-            job->state = Job::State::done;
-            --stats_.running;
-            gRunning_->set(std::int64_t(stats_.running));
+            retire(job);
+            --running_;
+            gRunning_->set(std::int64_t(running_));
             liveJobs_[index] = nullptr;
-            ++stats_.completed;
-            mCompleted_->inc();
-            gInFlight_->sub(1);
-            if (job->status == "error") {
-                ++stats_.failed;
-                mFailed_->inc();
-            } else if (job->status == "timeout") {
-                ++stats_.timedOut;
-                mTimedOut_->inc();
-            } else if (job->status == "cancelled") {
-                ++stats_.cancelled;
-                mCancelled_->inc();
-            }
-            active_.erase(job->req.id);
-            auto ka = keyActive_.find(std::make_pair(
-                job->campaign->configHash(), job->req.seed));
-            if (ka != keyActive_.end() && ka->second == job)
-                keyActive_.erase(ka);
             doneLru_.push_back(job);
             done_[job->req.id] = std::prev(doneLru_.end());
             while (done_.size() > params_.completedCap) {
@@ -781,6 +750,25 @@ CampaignServer::workerLoop(unsigned index)
         }
         jobDone_.notify_all();
     }
+}
+
+void
+CampaignServer::retire(const std::shared_ptr<Job> &job)
+{
+    job->state = Job::State::done;
+    mCompleted_->inc();
+    if (job->status == "error")
+        mFailed_->inc();
+    else if (job->status == "timeout")
+        mTimedOut_->inc();
+    else if (job->status == "cancelled")
+        mCancelled_->inc();
+    gInFlight_->sub(1);
+    active_.erase(job->req.id);
+    auto ka = keyActive_.find(
+        std::make_pair(job->campaign->configHash(), job->req.seed));
+    if (ka != keyActive_.end() && ka->second == job)
+        keyActive_.erase(ka);
 }
 
 void
@@ -814,8 +802,6 @@ CampaignServer::runJob(const std::shared_ptr<Job> &job,
                                    job->req.seed);
     if (!hit.empty()) {
         mMemoHits_->inc();
-        std::lock_guard<std::mutex> lk(mtx_);
-        ++stats_.memoHits;
         job->status = "ok";
         job->outcome = "memo";
         job->payload = hit;
@@ -846,14 +832,11 @@ CampaignServer::runJob(const std::shared_ptr<Job> &job,
     CampaignSupervisor sup(sp);
     {
         std::lock_guard<std::mutex> lk(mtx_);
-        ++stats_.executions;
         mExecutions_->inc();
         if (job->campaign->sampled())
             mSampledJobs_->inc();
-        if (params_.faults.crashEveryN != 0 && injectCrash) {
-            ++stats_.faultsInjected;
+        if (injectCrash)
             mFaults_->inc();
-        }
         liveSupervisors_[worker] = &sup;
         if (stopping_.load(std::memory_order_relaxed))
             sup.cancelAll();
@@ -920,70 +903,23 @@ CampaignServer::respond(int fd, const Json &response,
             return every != 0 && n % every == 0;
         };
         if (fires(f.dropEveryN)) {
-            std::lock_guard<std::mutex> lk(mtx_);
-            ++stats_.faultsInjected;
+            mFaults_->inc();
             // Say nothing: the client's timeout + retry path (and
             // the server's idempotency) must cover this.
             return false;
         }
         if (fires(f.truncateEveryN)) {
-            {
-                std::lock_guard<std::mutex> lk(mtx_);
-                ++stats_.faultsInjected;
-            }
+            mFaults_->inc();
             writeAll(fd, line.data(), line.size() / 2);
             return false;
         }
         if (fires(f.delayEveryN)) {
-            {
-                std::lock_guard<std::mutex> lk(mtx_);
-                ++stats_.faultsInjected;
-            }
+            mFaults_->inc();
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(f.delayMs));
         }
     }
     return writeAll(fd, line.data(), line.size());
-}
-
-Json
-CampaignServer::statsJson()
-{
-    Stats s = stats();
-    Json j = Json::object();
-    j.set("type", Json::string("stats"));
-    j.set("submitted", Json::number(s.submitted));
-    j.set("accepted", Json::number(s.accepted));
-    j.set("completed", Json::number(s.completed));
-    j.set("failed", Json::number(s.failed));
-    j.set("timedOut", Json::number(s.timedOut));
-    j.set("cancelled", Json::number(s.cancelled));
-    j.set("shed", Json::number(s.shed));
-    j.set("duplicates", Json::number(s.duplicates));
-    j.set("memoHits", Json::number(s.memoHits));
-    j.set("memoMisses", Json::number(s.memoMisses));
-    j.set("memoSize", Json::number(std::uint64_t(memo_.size())));
-    j.set("memoEvictions", Json::number(memo_.evictions()));
-    j.set("protocolErrors", Json::number(s.protocolErrors));
-    j.set("faultsInjected", Json::number(s.faultsInjected));
-    j.set("executions", Json::number(s.executions));
-    j.set("queueDepth", Json::number(std::uint64_t(s.queueDepth)));
-    j.set("queuePeak", Json::number(std::uint64_t(s.queuePeak)));
-    j.set("running", Json::number(std::uint64_t(s.running)));
-    j.set("queueCap",
-          Json::number(std::uint64_t(params_.queueCap)));
-    j.set("draining", Json::boolean(s.draining));
-    return j;
-}
-
-CampaignServer::Stats
-CampaignServer::stats() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    Stats s = stats_;
-    s.queueDepth = queue_.size();
-    s.draining = draining_;
-    return s;
 }
 
 void
@@ -1033,7 +969,7 @@ CampaignServer::stop()
     {
         std::unique_lock<std::mutex> lk(mtx_);
         clean = jobDone_.wait_for(lk, params_.drainTimeout, [&] {
-            return queue_.empty() && stats_.running == 0;
+            return queue_.empty() && running_ == 0;
         });
         if (!clean) {
             // Budget blown. Jobs that never started are answered
@@ -1044,24 +980,12 @@ CampaignServer::stop()
             for (auto &entry : queue_) {
                 Job &job = *entry.second;
                 logDrainCancel(job, "queued");
-                job.state = Job::State::done;
                 job.status = "cancelled";
                 job.outcome = "cancelled";
                 job.error = "server shutting down";
-                ++stats_.completed;
-                ++stats_.cancelled;
-                mCompleted_->inc();
-                mCancelled_->inc();
-                gInFlight_->sub(1);
-                active_.erase(job.req.id);
-                auto ka = keyActive_.find(std::make_pair(
-                    job.campaign->configHash(), job.req.seed));
-                if (ka != keyActive_.end()
-                    && ka->second == entry.second)
-                    keyActive_.erase(ka);
+                retire(entry.second);
             }
             queue_.clear();
-            stats_.queueDepth = 0;
             gQueueDepth_->set(0);
             for (unsigned i = 0; i < params_.workers; ++i) {
                 if (liveSupervisors_[i] == nullptr)
@@ -1074,7 +998,7 @@ CampaignServer::stop()
             // Stragglers unwind within the cancel grace; their
             // waiters respond before we tear the threads down.
             jobDone_.wait_for(lk, params_.drainTimeout, [&] {
-                return stats_.running == 0;
+                return running_ == 0;
             });
         }
     }
@@ -1096,12 +1020,9 @@ CampaignServer::stop()
     workers_.clear();
     if (acceptThread_.joinable())
         acceptThread_.join();
-    {
-        std::lock_guard<std::mutex> lk(connMtx_);
-        for (std::thread &c : connections_)
-            c.join();
-        connections_.clear();
-    }
+    for (Connection &c : connections_)
+        c.thread.join();
+    connections_.clear();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;

@@ -44,14 +44,15 @@
  *    itself and assert the exactly-once contract end to end.
  *
  *  - *Live telemetry.* Every admission decision, queue wait, memo
- *    probe, execution and response is mirrored into a lock-cheap
- *    MetricsRegistry (sim/metrics.hh) that a `health` request can
- *    snapshot at any moment — JSON or Prometheus text — without
- *    perturbing the workload. A submit carrying `stream:true`
- *    additionally receives rate-limited, seq-numbered `progress`
- *    frames on its own connection while it waits (queued and
- *    running states, work counts, supervisor heartbeats), always
- *    strictly before its terminal `result` frame. Each request
+ *    probe, execution and response is counted once, in a lock-cheap
+ *    MetricsRegistry (sim/metrics.hh), and a `health` request — the
+ *    only counter plane on the wire — snapshots it at any moment,
+ *    JSON or Prometheus text, without perturbing the workload. A
+ *    submit carrying `stream:true` additionally receives
+ *    rate-limited, seq-numbered `progress` frames on its own
+ *    connection while it waits (queued and running states, work
+ *    counts, supervisor heartbeats), always strictly before its
+ *    terminal `result` frame. Each request
  *    carries a trace id; the server opens svc.queue / svc.exec /
  *    svc.serialize spans against it (sim/span.hh), reports the
  *    exact same microsecond attribution in the result frame, and
@@ -137,28 +138,6 @@ class CampaignServer
         FaultPlan faults;
     };
 
-    /** Monotonic counters; snapshot under one lock. */
-    struct Stats
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t timedOut = 0;
-        std::uint64_t cancelled = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t duplicates = 0;
-        std::uint64_t memoHits = 0;
-        std::uint64_t memoMisses = 0;
-        std::uint64_t protocolErrors = 0;
-        std::uint64_t faultsInjected = 0;
-        std::uint64_t executions = 0;
-        std::size_t queueDepth = 0;
-        std::size_t queuePeak = 0;
-        std::size_t running = 0;
-        bool draining = false;
-    };
-
     explicit CampaignServer(const Params &params);
     ~CampaignServer();
 
@@ -180,14 +159,14 @@ class CampaignServer
      *  (clean), false when stragglers had to be cancelled. */
     bool stop();
 
-    Stats stats() const;
     const std::string &socketPath() const
     {
         return params_.socketPath;
     }
     const MemoCache &memo() const { return memo_; }
 
-    /** Point-in-time read of the live metrics registry. */
+    /** Point-in-time read of the live metrics registry: the one
+     *  place every server event is counted. */
     metrics::Snapshot metricsSnapshot() const
     {
         return registry_.snapshot();
@@ -225,9 +204,16 @@ class CampaignServer
                     const Request &req,
                     const std::shared_ptr<Job> &watch,
                     bool streaming, std::uint64_t &seq);
-    Json statsJson();
     Json healthJson(const Json &doc);
     Json resultFor(Job &job);
+    /** The result frame of a request answered from a known payload
+     *  (memo hit or single-flight twin): never queued, never run. */
+    Json memoResult(const Request &req,
+                    std::shared_ptr<const CampaignJob> campaign,
+                    const std::string &payload);
+    /** Under mtx_: mark @p job done, count its verdict and drop it
+     *  from the in-flight indexes. */
+    void retire(const std::shared_ptr<Job> &job);
     /** Microseconds since the server epoch (span tick domain). */
     std::uint64_t nowUs() const;
     /** Assign/confirm a request trace id (0 -> fresh). */
@@ -241,8 +227,15 @@ class CampaignServer
     int listenFd_ = -1;
     std::thread acceptThread_;
     std::vector<std::thread> workers_;
-    std::mutex connMtx_;
-    std::vector<std::thread> connections_;
+    /** One per accepted connection; finished handlers are joined
+     *  by the accept loop, the rest by stop() after it. Only the
+     *  accept thread touches the list until stop() has joined it. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Connection> connections_;
 
     mutable std::mutex mtx_;
     std::condition_variable workAvail_;
@@ -266,7 +259,8 @@ class CampaignServer
     std::vector<sim::CampaignSupervisor *> liveSupervisors_;
     /** Per-worker job in execution, for drain straggler logging. */
     std::vector<std::shared_ptr<Job>> liveJobs_;
-    Stats stats_;
+    /** Jobs in execution (shed hint and drain predicates). */
+    std::size_t running_ = 0;
     std::uint64_t seq_ = 0;
     bool draining_ = false;
     /** Set only by stop(), after the queue has drained. */
@@ -299,6 +293,7 @@ class CampaignServer
     metrics::Counter *mSamplerTicks_ = nullptr;
     metrics::Counter *mSampledJobs_ = nullptr;
     metrics::Gauge *gQueueDepth_ = nullptr;
+    metrics::Gauge *gQueuePeak_ = nullptr;
     metrics::Gauge *gRunning_ = nullptr;
     metrics::Gauge *gInFlight_ = nullptr;
     metrics::Gauge *gDraining_ = nullptr;

@@ -166,7 +166,12 @@ escapeTo(const std::string &s, std::string &out)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
+            // Control bytes and bytes >= 0x80 both go out as \u00XX
+            // (which the parser maps back to the same byte): the
+            // writer emits ASCII only, so its output is valid UTF-8
+            // JSON whatever opaque bytes a string carries.
+            if (static_cast<unsigned char>(c) < 0x20
+                || static_cast<unsigned char>(c) >= 0x80) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x",
                               unsigned(c) & 0xff);

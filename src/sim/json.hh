@@ -10,7 +10,9 @@
  * only RFC 8259 documents (no leading zeros, no NaN/Infinity) and is
  * stricter still: duplicate keys and \u escapes beyond latin-1 are
  * rejected. Anything else becomes a JsonError, never UB. dump() is
- * a pure function of the value with no whitespace: object members
+ * a pure function of the value with no whitespace and emits ASCII
+ * only (string bytes below 0x20 or from 0x80 up go out as \u00XX,
+ * which the parser maps back to the same byte): object members
  * keep insertion order, and a parsed number keeps its exact decimal
  * token (a u64 seed must not detour through a double and come back
  * rounded). So for any text one of our writers produced,

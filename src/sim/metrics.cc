@@ -135,35 +135,6 @@ MetricsRegistry::snapshot() const
     return s;
 }
 
-Snapshot
-MetricsRegistry::delta(const Snapshot &from, const Snapshot &to)
-{
-    Snapshot d;
-    for (const CounterSample &c : to.counters) {
-        const CounterSample *base = from.counter(c.name);
-        std::uint64_t prev = base ? base->value : 0;
-        ct_assert(c.value >= prev);
-        d.counters.push_back({c.name, c.help, c.value - prev});
-    }
-    d.gauges = to.gauges;
-    for (const HistogramSample &h : to.histograms) {
-        const HistogramSample *base = from.histogram(h.name);
-        HistogramSample hd = h;
-        if (base) {
-            ct_assert(base->le == h.le);
-            hd.count = 0;
-            for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-                ct_assert(h.buckets[i] >= base->buckets[i]);
-                hd.buckets[i] = h.buckets[i] - base->buckets[i];
-                hd.count += hd.buckets[i];
-            }
-            hd.sum = h.sum - base->sum;
-        }
-        d.histograms.push_back(std::move(hd));
-    }
-    return d;
-}
-
 std::string
 MetricsRegistry::prometheusText() const
 {

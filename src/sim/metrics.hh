@@ -27,8 +27,8 @@
  *    consistency point across metrics — a snapshot taken during a
  *    burst may see counter A's increment but not B's — but every
  *    individual counter and histogram bucket is monotonically
- *    non-decreasing across snapshots, which is the property the
- *    delta() reader and the reconciliation tests rely on.
+ *    non-decreasing across snapshots, which is the property rate
+ *    readers and the reconciliation tests rely on.
  *
  *  - *Histogram buckets carry explicit upper bounds* (Prometheus
  *    `le` edges, the last bucket +Inf), so the JSON rendering and
@@ -204,12 +204,6 @@ class MetricsRegistry
     /** Per-metric-atomic capture of everything registered. */
     Snapshot snapshot() const;
 
-    /**
-     * What happened between @p from and @p to: counters and
-     * histogram buckets subtract (both snapshots must come from
-     * the same registry, @p from older), gauges report @p to.
-     */
-    static Snapshot delta(const Snapshot &from, const Snapshot &to);
 
     /**
      * Prometheus text exposition format 0.0.4: HELP/TYPE comments,

@@ -8,41 +8,23 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/client.hh"
 #include "service/server.hh"
+#include "harness.hh"
 
 using namespace contutto::service;
 using Clock = std::chrono::steady_clock;
 
 namespace
 {
-
-/** Self-cleaning socket/file path under the test temp dir. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::remove(path_.c_str());
-    }
-    ~TempPath() { std::remove(path_.c_str()); }
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 CampaignServer::Params
 fastServer(const std::string &socket)
@@ -97,6 +79,17 @@ payloadText(const Json &response)
     return response.at("payload").dump();
 }
 
+/** This process's virtual size, from /proc/self/status. */
+std::int64_t
+vmSizeKiB()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoll(line.substr(7));
+    return -1;
+}
+
 TEST(CampaignServer, ComputesThenMemoizes)
 {
     TempPath sock("srv_memo.sock");
@@ -125,9 +118,8 @@ TEST(CampaignServer, ComputesThenMemoizes)
     EXPECT_EQ(third.response.at("configHash").asString(),
               first.response.at("configHash").asString());
 
-    auto s = server.stats();
-    EXPECT_EQ(s.executions, 2u);
-    EXPECT_EQ(s.memoHits, 1u);
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), 2u);
+    EXPECT_EQ(counter(server, "campaignd_memo_hits_total"), 1u);
     EXPECT_TRUE(server.stop());
 }
 
@@ -154,9 +146,8 @@ TEST(CampaignServer, DuplicateInFlightIdsCoalesce)
         EXPECT_EQ(payloadText(r.response),
                   payloadText(replies[0].response));
     }
-    auto s = server.stats();
-    EXPECT_EQ(s.executions, 1u);
-    EXPECT_EQ(s.duplicates, 2u);
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), 1u);
+    EXPECT_EQ(counter(server, "campaignd_duplicates_total"), 2u);
 
     // A late duplicate replays the completed response.
     CampaignClient c(fastClient(sock.str()));
@@ -164,7 +155,7 @@ TEST(CampaignServer, DuplicateInFlightIdsCoalesce)
     ASSERT_EQ(replay.outcome, CampaignClient::Outcome::ok);
     EXPECT_EQ(payloadText(replay.response),
               payloadText(replies[0].response));
-    EXPECT_EQ(server.stats().executions, 1u);
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), 1u);
     EXPECT_TRUE(server.stop());
 }
 
@@ -195,10 +186,11 @@ TEST(CampaignServer, ConcurrentFreshIdsWithOneKeySingleFlight)
         EXPECT_EQ(payloadText(r.response),
                   payloadText(replies[0].response));
     }
-    auto s = server.stats();
-    EXPECT_EQ(s.executions, 1u);
-    EXPECT_EQ(s.memoHits, 2u); // the two followers
-    EXPECT_EQ(s.duplicates, 0u); // ids were all distinct
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), 1u);
+    // The two followers.
+    EXPECT_EQ(counter(server, "campaignd_memo_hits_total"), 2u);
+    // Ids were all distinct.
+    EXPECT_EQ(counter(server, "campaignd_duplicates_total"), 0u);
     EXPECT_TRUE(server.stop());
 }
 
@@ -246,9 +238,10 @@ TEST(CampaignServer, FullQueueShedsWithRetryAfter)
 
     blocker.join();
     filler.join();
-    auto s = server.stats();
-    EXPECT_GE(s.shed, 1u);
-    EXPECT_LE(s.queuePeak, p.queueCap);
+    EXPECT_GE(counter(server, "campaignd_shed_total"), 1u);
+    EXPECT_GE(gauge(server, "campaignd_queue_peak"), 1);
+    EXPECT_LE(gauge(server, "campaignd_queue_peak"),
+              std::int64_t(p.queueCap));
     EXPECT_TRUE(server.stop());
 }
 
@@ -363,26 +356,11 @@ TEST(CampaignServer, MalformedRequestsGetErrorResponses)
     ASSERT_TRUE(probe.waitReady(std::chrono::seconds(10)));
 
     // Raw garbage on the wire.
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, sock.str().c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    const char *garbage = "this is not json\n";
-    ASSERT_EQ(::send(fd, garbage, std::strlen(garbage), 0),
-              ssize_t(std::strlen(garbage)));
-    char buf[512];
-    ssize_t n = ::recv(fd, buf, sizeof(buf) - 1, 0);
-    ASSERT_GT(n, 0);
-    buf[n] = '\0';
-    Json err = Json::parse(
-        std::string(buf).substr(0, std::string(buf).find('\n')));
+    RawStream raw(sock.str());
+    ASSERT_TRUE(raw.ok());
+    ASSERT_TRUE(raw.send("this is not json"));
+    Json err = Json::parse(raw.nextLine(std::chrono::seconds(10)));
     EXPECT_EQ(err.at("type").asString(), "error");
-    ::close(fd);
 
     // Well-formed JSON, invalid request: unknown kind and unknown
     // knob both answered as protocol errors, not executions.
@@ -398,9 +376,16 @@ TEST(CampaignServer, MalformedRequestsGetErrorResponses)
     auto r2 = client.submit(typo);
     EXPECT_EQ(r2.outcome, CampaignClient::Outcome::error);
 
-    auto s = server.stats();
-    EXPECT_GE(s.protocolErrors, 3u);
-    EXPECT_EQ(s.executions, 0u);
+    // The counters are read through health alone: a stats request
+    // is an unknown type like any other.
+    ASSERT_TRUE(raw.send("{\"type\":\"stats\"}"));
+    Json gone = Json::parse(raw.nextLine(std::chrono::seconds(10)));
+    EXPECT_EQ(gone.at("type").asString(), "error");
+    EXPECT_EQ(gone.at("message").asString(),
+              "unknown request type 'stats'");
+
+    EXPECT_GE(counter(server, "campaignd_protocol_errors_total"), 4u);
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), 0u);
     EXPECT_TRUE(server.stop());
 }
 
@@ -430,9 +415,103 @@ TEST(CampaignServer, MemoSurvivesDrainAndRestart)
         ASSERT_EQ(r.outcome, CampaignClient::Outcome::ok);
         EXPECT_EQ(r.response.at("outcome").asString(), "memo");
         EXPECT_EQ(payloadText(r.response), firstPayload);
-        EXPECT_EQ(server.stats().executions, 0u);
+        EXPECT_EQ(counter(server, "campaignd_executions_total"),
+                  0u);
         EXPECT_TRUE(server.stop());
     }
+}
+
+TEST(CampaignServer, FinishedConnectionsAreReaped)
+{
+    TempPath sock("srv_reap.sock");
+    CampaignServer server(fastServer(sock.str()));
+    server.start();
+    CampaignClient probe(fastClient(sock.str()));
+    ASSERT_TRUE(probe.waitReady(std::chrono::seconds(10)));
+
+    // One handler thread per connection; an exited one keeps its
+    // stack mapped until joined, so a daemon scraped once a second
+    // must join finished handlers as it goes, not only at stop().
+    const std::int64_t before = vmSizeKiB();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 300; ++i) {
+        RawStream s(sock.str());
+        ASSERT_TRUE(s.ok());
+        ASSERT_TRUE(s.send("{\"type\":\"ping\"}"));
+        ASSERT_EQ(Json::parse(s.nextLine(std::chrono::seconds(10)))
+                      .at("type")
+                      .asString(),
+                  "pong");
+    }
+    const std::int64_t grownKiB = vmSizeKiB() - before;
+    EXPECT_LT(grownKiB, 64 * 1024)
+        << "300 one-shot connections grew VmSize by " << grownKiB
+        << " KiB";
+    EXPECT_TRUE(server.stop());
+}
+
+TEST(CampaignServer, FuzzedFramesGetOneAsciiAnswerEach)
+{
+    TempPath sock("srv_fuzz.sock");
+    CampaignServer server(fastServer(sock.str()));
+    server.start();
+    CampaignClient probe(fastClient(sock.str()));
+    ASSERT_TRUE(probe.waitReady(std::chrono::seconds(10)));
+
+    Request spin = spinRequest("fuzz", 1);
+    spin.deadlineMs = 200;
+    const std::vector<std::string> frames{
+        "{\"type\":\"ping\"}",
+        "{\"type\":\"health\"}",
+        "{\"type\":\"health\",\"format\":\"prometheus\"}",
+        spin.toJson().dump(),
+    };
+    // Every truncation and every single-bit flip that keeps the
+    // frame on one line.
+    std::vector<std::string> cases;
+    for (const std::string &f : frames) {
+        for (std::size_t n = 1; n < f.size(); ++n)
+            cases.push_back(f.substr(0, n));
+        for (std::size_t i = 0; i < f.size(); ++i)
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                std::string m = f;
+                m[i] = char(m[i] ^ (1u << bit));
+                if (m[i] != '\n')
+                    cases.push_back(std::move(m));
+            }
+    }
+
+    const std::set<std::string> answers{"error", "result", "shed",
+                                        "pong", "health"};
+    auto ascii = [](const std::string &line) {
+        return std::all_of(line.begin(), line.end(), [](char c) {
+            return static_cast<unsigned char>(c) < 0x80;
+        });
+    };
+    for (const std::string &c : cases) {
+        // The case itself may be binary: report it escaped.
+        const std::string shown = Json::string(c).dump();
+        RawStream s(sock.str());
+        ASSERT_TRUE(s.ok());
+        ASSERT_TRUE(s.send(c));
+        const std::string line =
+            s.nextLine(std::chrono::seconds(10));
+        ASSERT_FALSE(line.empty()) << "no answer to " << shown;
+        ASSERT_TRUE(ascii(line))
+            << "non-ASCII answer to " << shown << ": " << line;
+        Json j;
+        ASSERT_NO_THROW(j = Json::parse(line))
+            << "unparseable answer to " << shown << ": " << line;
+        ASSERT_EQ(answers.count(j.getString("type", "")), 1u)
+            << "answer to " << shown << ": " << line;
+        // Exactly one answer: the next line is the ping's.
+        ASSERT_TRUE(s.send("{\"type\":\"ping\"}"));
+        ASSERT_EQ(Json::parse(s.nextLine(std::chrono::seconds(10)))
+                      .getString("type", ""),
+                  "pong")
+            << "after " << shown;
+    }
+    EXPECT_TRUE(server.stop());
 }
 
 } // namespace

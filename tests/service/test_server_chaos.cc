@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
@@ -19,26 +18,12 @@
 
 #include "service/client.hh"
 #include "service/server.hh"
+#include "harness.hh"
 
 using namespace contutto::service;
 
 namespace
 {
-
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::remove(path_.c_str());
-    }
-    ~TempPath() { std::remove(path_.c_str()); }
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 CampaignClient::Params
 chaosClient(const std::string &socket, std::uint64_t jitterSeed)
@@ -120,12 +105,13 @@ TEST(CampaignServerChaos, FaultyWireStillAnswersExactlyOnce)
         }
     }
 
-    auto s = server.stats();
-    EXPECT_GT(s.faultsInjected, 0u);
+    EXPECT_GT(counter(server, "campaignd_faults_injected_total"), 0u);
     // At-most-one execution per distinct key, however many times
     // the wire forced a resubmit.
-    EXPECT_EQ(s.executions, kDistinct);
-    EXPECT_GE(s.duplicates + s.memoHits, kTotal - kDistinct);
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), kDistinct);
+    EXPECT_GE(counter(server, "campaignd_duplicates_total")
+                  + counter(server, "campaignd_memo_hits_total"),
+              kTotal - kDistinct);
     EXPECT_TRUE(server.stop());
 }
 
@@ -158,10 +144,48 @@ TEST(CampaignServerChaos, MemoHitSurvivesDroppedResponse)
     EXPECT_GT(second.attempts, 1u);
 
     // And the server is still responsive, not wedged.
-    auto s = server.stats();
-    EXPECT_GE(s.memoHits, 2u);
-    EXPECT_GT(s.faultsInjected, 0u);
+    EXPECT_GE(counter(server, "campaignd_memo_hits_total"), 2u);
+    EXPECT_GT(counter(server, "campaignd_faults_injected_total"), 0u);
     EXPECT_TRUE(server.stop());
+}
+
+TEST(CampaignServerChaos, ResultFrameFaultsAreCounted)
+{
+    // A fault on a result frame counts in the registry like any
+    // other, so health shows the torn answer the client saw.
+    using Plan = CampaignServer::FaultPlan;
+    struct Case
+    {
+        const char *name;
+        unsigned Plan::*every;
+        bool delivered; ///< the result line still arrives whole
+    };
+    for (const Case &c : {Case{"drop", &Plan::dropEveryN, false},
+                          Case{"truncate", &Plan::truncateEveryN,
+                               false},
+                          Case{"delay", &Plan::delayEveryN, true}}) {
+        SCOPED_TRACE(c.name);
+        TempPath sock(std::string("chaos_count_") + c.name + ".sock");
+        CampaignServer::Params p;
+        p.socketPath = sock.str();
+        p.workers = 1;
+        p.watchdogInterval = std::chrono::milliseconds(2);
+        p.faults.delayMs = 1;
+        p.faults.*c.every = 1;
+        CampaignServer server(p);
+        server.start();
+
+        RawStream s(sock.str());
+        ASSERT_TRUE(s.ok());
+        ASSERT_TRUE(
+            s.send(spinRequest("torn", 1, 1).toJson().dump()));
+        const std::string line =
+            s.nextLine(std::chrono::seconds(10));
+        EXPECT_EQ(!line.empty(), c.delivered);
+        EXPECT_EQ(
+            counter(server, "campaignd_faults_injected_total"), 1u);
+        EXPECT_TRUE(server.stop());
+    }
 }
 
 TEST(CampaignServerChaos, InjectedWorkerCrashesAreAbsorbed)
@@ -185,9 +209,8 @@ TEST(CampaignServerChaos, InjectedWorkerCrashesAreAbsorbed)
         EXPECT_EQ(r.response.at("outcome").asString(),
                   "okRetried");
     }
-    auto s = server.stats();
-    EXPECT_EQ(s.executions, 4u);
-    EXPECT_GE(s.faultsInjected, 4u);
+    EXPECT_EQ(counter(server, "campaignd_executions_total"), 4u);
+    EXPECT_GE(counter(server, "campaignd_faults_injected_total"), 4u);
     EXPECT_TRUE(server.stop());
 }
 
@@ -207,7 +230,7 @@ TEST(CampaignServerChaos, CrashRetryExhaustionIsAnExplicitError)
     ASSERT_EQ(r.outcome, CampaignClient::Outcome::ok);
     EXPECT_EQ(r.response.at("status").asString(), "error");
     EXPECT_EQ(r.response.at("outcome").asString(), "quarantined");
-    EXPECT_EQ(server.stats().failed, 1u);
+    EXPECT_EQ(counter(server, "campaignd_failed_total"), 1u);
     EXPECT_TRUE(server.stop());
 }
 
@@ -252,10 +275,11 @@ TEST(CampaignServerChaos, DrainUnderLoadAnswersEverything)
     EXPECT_GT(ok.load(), 0u); // the early ones got in
     EXPECT_TRUE(server.stop());
 
-    auto s = server.stats();
-    EXPECT_EQ(s.completed + s.shed, s.submitted);
-    EXPECT_EQ(s.running, 0u);
-    EXPECT_EQ(s.queueDepth, 0u);
+    EXPECT_EQ(counter(server, "campaignd_completed_total")
+                  + counter(server, "campaignd_shed_total"),
+              counter(server, "campaignd_submitted_total"));
+    EXPECT_EQ(gauge(server, "campaignd_running"), 0);
+    EXPECT_EQ(gauge(server, "campaignd_queue_depth"), 0);
 }
 
 TEST(CampaignServerChaos, BlownDrainBudgetCancelsButStillAnswers)
@@ -294,9 +318,9 @@ TEST(CampaignServerChaos, BlownDrainBudgetCancelsButStillAnswers)
         EXPECT_EQ(replies[i].response.at("status").asString(),
                   "cancelled");
     }
-    auto s = server.stats();
-    EXPECT_EQ(s.cancelled, 2u);
-    EXPECT_EQ(s.completed, s.submitted);
+    EXPECT_EQ(counter(server, "campaignd_cancelled_total"), 2u);
+    EXPECT_EQ(counter(server, "campaignd_completed_total"),
+              counter(server, "campaignd_submitted_total"));
 }
 
 } // namespace

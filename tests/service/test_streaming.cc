@@ -10,42 +10,20 @@
 
 #include <gtest/gtest.h>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/client.hh"
 #include "service/server.hh"
+#include "harness.hh"
 
 using namespace contutto::service;
 using Clock = std::chrono::steady_clock;
 
 namespace
 {
-
-/** Self-cleaning socket/file path under the test temp dir. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::remove(path_.c_str());
-    }
-    ~TempPath() { std::remove(path_.c_str()); }
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 CampaignServer::Params
 fastServer(const std::string &socket)
@@ -83,79 +61,6 @@ spinRequest(const std::string &id, std::uint64_t spinMs,
     r.config.set("spinMs", Json::number(spinMs));
     return r;
 }
-
-/**
- * Raw-socket observer: sends one request line and records every
- * response line verbatim, so frame ordering and "nothing after the
- * terminal result" can be asserted at the wire level (the client
- * library would hide both).
- */
-class RawStream
-{
-  public:
-    explicit RawStream(const std::string &path)
-    {
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr))
-            != 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-    ~RawStream()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    bool ok() const { return fd_ >= 0; }
-
-    bool
-    send(const std::string &line)
-    {
-        std::string out = line + "\n";
-        return ::send(fd_, out.data(), out.size(), MSG_NOSIGNAL)
-               == ssize_t(out.size());
-    }
-
-    /** One line within @p timeout; empty on timeout/EOF. */
-    std::string
-    nextLine(std::chrono::milliseconds timeout)
-    {
-        const auto deadline = Clock::now() + timeout;
-        for (;;) {
-            std::size_t nl = buf_.find('\n');
-            if (nl != std::string::npos) {
-                std::string line = buf_.substr(0, nl);
-                buf_.erase(0, nl + 1);
-                return line;
-            }
-            auto left = std::chrono::duration_cast<
-                std::chrono::milliseconds>(deadline
-                                           - Clock::now());
-            if (left.count() <= 0)
-                return {};
-            pollfd pfd{fd_, POLLIN, 0};
-            int r = ::poll(&pfd, 1, int(left.count()));
-            if (r <= 0)
-                continue;
-            char chunk[4096];
-            ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-            if (n <= 0)
-                return {};
-            buf_.append(chunk, std::size_t(n));
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string buf_;
-};
 
 /** Collected frames of one streamed submit. */
 struct StreamLog

@@ -159,6 +159,19 @@ TEST(Json, DoublesRoundTripThroughDumpAndParse)
     }
 }
 
+TEST(Json, HighBytesDumpAsAsciiEscapes)
+{
+    // Strings are opaque bytes; the writer must still emit valid
+    // UTF-8, so a lone 0xE9 goes out as an escape and comes back
+    // as the same byte.
+    const std::string dumped = Json::string("\xe9").dump();
+    EXPECT_EQ(dumped, "\"\\u00e9\"");
+    EXPECT_EQ(Json::parse(dumped).asString(), "\xe9");
+    EXPECT_EQ(Json::parse(dumped).dump(), dumped);
+    // Raw high bytes on input are accepted and re-emitted escaped.
+    EXPECT_EQ(Json::parse("\"\xf0ing\"").dump(), "\"\\u00f0ing\"");
+}
+
 TEST(Json, ObjectAccessors)
 {
     Json j = Json::parse("{\"a\":1,\"b\":\"two\"}");

@@ -92,37 +92,6 @@ TEST(Metrics, SnapshotCountMatchesBuckets)
     EXPECT_EQ(hs->buckets.size(), 2u);
 }
 
-TEST(Metrics, DeltaSubtractsCountersKeepsGauges)
-{
-    MetricsRegistry reg;
-    Counter &c = reg.counter("ops_total", "ops");
-    Gauge &g = reg.gauge("level", "level");
-    Histogram &h = reg.histogram("lat", "lat", {10, 100});
-
-    c.inc(5);
-    g.set(3);
-    h.observe(7);
-    Snapshot from = reg.snapshot();
-
-    c.inc(2);
-    g.set(11);
-    h.observe(50);
-    h.observe(5000);
-    Snapshot to = reg.snapshot();
-
-    Snapshot d = MetricsRegistry::delta(from, to);
-    EXPECT_EQ(d.counterValue("ops_total"), 2u);
-    ASSERT_NE(d.gauge("level"), nullptr);
-    EXPECT_EQ(d.gauge("level")->value, 11); // gauges report `to`
-    const HistogramSample *hs = d.histogram("lat");
-    ASSERT_NE(hs, nullptr);
-    EXPECT_EQ(hs->count, 2u);
-    EXPECT_EQ(hs->buckets[0], 0u);
-    EXPECT_EQ(hs->buckets[1], 1u); // the 50
-    EXPECT_EQ(hs->buckets[2], 1u); // the 5000 -> +Inf
-    EXPECT_EQ(hs->sum, 5050u);
-}
-
 TEST(Metrics, PrometheusTextFormat)
 {
     MetricsRegistry reg;
@@ -213,10 +182,6 @@ TEST(Metrics, ConcurrentHammerSnapshotsStayMonotone)
             EXPECT_EQ(ch->count, total);
             EXPECT_GE(ch->count, ph->count);
             EXPECT_GE(ch->sum, ph->sum);
-            // delta() accepts any ordered pair of snapshots.
-            Snapshot d = MetricsRegistry::delta(prev, cur);
-            EXPECT_EQ(d.counterValue("hammer_total"),
-                      cc->value - pc->value);
             prev = std::move(cur);
         }
     });
