@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate a bench --stats-json capture against its checked-in baseline.
 
-Usage: bench_gate.py STATS_JSON BASELINE [--write-baseline PATH]
+Usage: bench_gate.py STATS_JSON... BASELINE [--write-baseline PATH]
 
 The baseline (bench/baselines/BENCH_*.json, schema
 contutto-bench-gate-v1) decides what is kept and what is checked:
@@ -25,6 +25,10 @@ contutto-bench-gate-v1) decides what is kept and what is checked:
             and a vsBaseline rule is not armed when the baseline's
             own *.hostCores is below N.
   captures  the distilled baseline capture the rules compare against.
+
+Several STATS_JSON files are gated as one capture; each capture label
+is then qualified with the file's bench, as "BINARY:label" (from its
+meta.binary), since two benches may label their captures alike.
 
 The distilled fresh capture goes to stdout in the same schema, so it
 diffs directly against the baseline; verdicts go to stderr.  The exit
@@ -58,13 +62,14 @@ def walk(group, prefix, keep, out):
         walk(sub, prefix + "." + sub["name"], keep, out)
 
 
-def distill(doc, keep):
+def distill(doc, keep, qualify=False):
+    prefix = doc["meta"]["binary"] + ":" if qualify else ""
     captures = []
     for cap in doc.get("captures", []):
         stats = {}
         root = cap["stats"]
         walk(root, root.get("name", "root"), re.compile(keep), stats)
-        captures.append({"label": cap["label"],
+        captures.append({"label": prefix + cap["label"],
                          "stats": dict(sorted(stats.items()))})
     return captures
 
@@ -164,8 +169,8 @@ def write_baseline(gate, path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        usage="%(prog)s STATS_JSON BASELINE [--write-baseline PATH]")
-    parser.add_argument("stats_json")
+        usage="%(prog)s STATS_JSON... BASELINE [--write-baseline PATH]")
+    parser.add_argument("stats_json", nargs="+")
     parser.add_argument("baseline")
     parser.add_argument("--write-baseline", metavar="PATH")
     args = parser.parse_args(argv)
@@ -176,11 +181,13 @@ def main(argv=None):
         sys.stderr.write("%s: schema %r, want %r\n"
                          % (args.baseline, base.get("schema"), SCHEMA))
         return 2
-    with open(args.stats_json) as f:
-        doc = json.load(f)
-
     fresh = {k: base[k] for k in ("schema", "source", "keep", "rules")}
-    fresh["captures"] = distill(doc, base["keep"])
+    fresh["captures"] = []
+    for path in args.stats_json:
+        with open(path) as f:
+            doc = json.load(f)
+        fresh["captures"] += distill(doc, base["keep"],
+                                     len(args.stats_json) > 1)
     json.dump(fresh, sys.stdout, indent=2)
     sys.stdout.write("\n")
 

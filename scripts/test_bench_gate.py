@@ -184,6 +184,38 @@ class Distill(GateCase):
         self.assertEqual(out["keep"], "(?i)latency$")
 
 
+class SeveralCaptures(GateCase):
+
+    def test_labels_are_qualified_by_bench(self):
+        docs = []
+        for binary, value in (("bench_a", 1), ("bench_b", 2)):
+            doc = stats_doc({"cfg": {"g.x": value}})
+            doc["meta"]["binary"] = binary
+            docs.append(doc)
+        base = {"schema": bench_gate.SCHEMA, "source": "test",
+                "keep": ".",
+                "rules": [{"stat": "*", "sameAsBaseline": True}],
+                "captures": [
+                    {"label": "bench_a:cfg", "stats": {"g.x": 1}},
+                    {"label": "bench_b:cfg", "stats": {"g.x": 2}}]}
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(self.path("stats%d.json" % i))
+            with open(paths[-1], "w") as f:
+                json.dump(doc, f)
+        with open(self.path("base.json"), "w") as f:
+            json.dump(base, f)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = bench_gate.main(paths + [self.path("base.json")])
+        self.assertEqual(rc, 0, err.getvalue())
+        self.assertEqual(json.loads(out.getvalue())["captures"],
+                         base["captures"])
+        self.assertIn("ok   bench_b:cfg/g.x: same as baseline",
+                      err.getvalue())
+
+
 class WriteBaseline(GateCase):
 
     RULES = [{"stat": "*.speedup", "min": 1.0, "minCores": 2},
@@ -229,7 +261,7 @@ class CheckedInBaselines(GateCase):
 
     def baselines(self):
         paths = sorted(glob.glob(os.path.join(BASELINES, "BENCH_*.json")))
-        self.assertEqual(len(paths), 5)
+        self.assertEqual(len(paths), 6)
         for path in paths:
             with open(path) as f:
                 yield os.path.basename(path), json.load(f)

@@ -16,13 +16,11 @@
 #define CONTUTTO_CENTAUR_CENTAUR_HH
 
 #include <array>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "dmi/codec.hh"
+#include "dmi/command_tags.hh"
 #include "dmi/link.hh"
-#include "firmware/error_log.hh"
 #include "mem/cache_model.hh"
 #include "mem/ddr3_controller.hh"
 #include "mem/line_interleave.hh"
@@ -31,7 +29,9 @@ namespace contutto::centaur
 {
 
 /** The Centaur ASIC. */
-class CentaurModel : public SimObject, public ckpt::Checkpointable
+class CentaurModel : public SimObject,
+                     public ckpt::Checkpointable,
+                     private dmi::CommandTags::Client
 {
   public:
     struct Config
@@ -50,14 +50,6 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
         Tick extraLatency = 0;
         std::uint64_t cacheCapacity = 16 * MiB;
         unsigned cacheWays = 8;
-        /**
-         * Per-command watchdog for DDR accesses (0 disables): lost
-         * completions are re-issued with exponential backoff, then
-         * the tag is reclaimed so the host never hangs.
-         */
-        Tick cmdTimeout = microseconds(20);
-        /** Re-issues before a stuck tag is reclaimed. */
-        unsigned maxCmdRetries = 3;
     };
 
     /** @{ The Table 2 knob settings (latency-calibrated presets). */
@@ -67,19 +59,17 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     static Config slowest();       ///< cfg 4: 249 ns class.
     /** @} */
 
-    /** Cache and auxiliary functions disabled, handshakes padded to
-     *  mirror the feature set ConTutto implements (293 ns class). */
     /** The Table 3 system's latency-optimized Centaur (97 ns). */
     static Config table3Baseline();
 
+    /** Cache and auxiliary functions disabled, handshakes padded to
+     *  mirror the feature set ConTutto implements (293 ns class). */
     static Config contuttoMatched();
 
     CentaurModel(const std::string &name, EventQueue &eq,
                  const ClockDomain &domain, stats::StatGroup *parent,
                  const Config &config, dmi::BufferLink &link,
                  std::vector<mem::Ddr3Controller *> ports);
-
-    ~CentaurModel() override;
 
     const Config &config() const { return config_; }
 
@@ -90,13 +80,13 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     bool quiescent() const { return activeCommands_ == 0; }
 
     /** Route RAS events (reclaimed tags, poison) to the FSP log. */
-    void attachErrorLog(firmware::ErrorLog *log) { errorLog_ = log; }
+    void attachErrorLog(firmware::ErrorLog *log) { tags_.attachErrorLog(log); }
 
     /**
      * Fault injection: swallow the next @p n DDR completions as if
      * the controller lost them, exercising the tag watchdogs.
      */
-    void dropNextCompletions(unsigned n) { stallBudget_ += n; }
+    void stallNextCompletions(unsigned n) { tags_.stallNextCompletions(n); }
 
     struct CentaurStats
     {
@@ -117,65 +107,35 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
 
     const CentaurStats &centaurStats() const { return stats_; }
 
-    /** @{ ckpt::Checkpointable: the eDRAM cache tags, the issue
-     *  sequence counter, the stall budget and per-tag generation
-     *  guards. Only legal while quiescent with nothing deferred. */
+    /** @{ ckpt::Checkpointable: the eDRAM cache tags, then the tag
+     *  core's tail (issue-sequence counter, stall budget, per-tag
+     *  generation guards). Only legal while quiescent. */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
     /** @} */
 
   private:
-    /** Watchdog state for one in-flight DDR access. */
-    struct TagOp
-    {
-        bool active = false;
-        std::uint32_t seq = 0; ///< Issue generation (staleness gate).
-        unsigned retries = 0;
-        dmi::MemCommand cmd;   ///< Retained for re-issue.
-    };
-
-    /** A tag's DDR watchdog: armed at each issue, descheduled when
-     *  the access completes. */
-    struct Watchdog final : Event
-    {
-        CentaurModel *centaur = nullptr;
-        std::uint8_t tag = 0;
-        void process() override { centaur->tagTimeout(tag); }
-        const char *name() const override { return "centaur.watchdog"; }
-    };
-
-    /** One flush waiting for older writes to drain to DDR. */
-    struct FlushOp
-    {
-        std::uint8_t tag = 0;
-        TraceId traceId = noTraceId;
-        /** Tags of the write-class commands it must outwait. */
-        std::vector<std::uint8_t> waitingOn;
-    };
-
     void frameArrived(const dmi::DownFrame &frame);
-    void execute(const dmi::MemCommand &cmd, bool redispatch = false);
-    void retryDeferred(Addr addr);
-    void serveRead(const dmi::MemCommand &cmd);
-    void serveWrite(const dmi::MemCommand &cmd);
-    void serveFlush(const dmi::MemCommand &cmd);
-    void noteWriteDrained(std::uint8_t tag);
+    void dispatch(const dmi::MemCommand &cmd);
+    void serveRead(std::uint8_t tag);
+    void serveWrite(std::uint8_t tag);
     void issueReadAccess(std::uint8_t tag);
     void issueWriteAccess(std::uint8_t tag);
-    void finishRead(const dmi::MemCommand &cmd, bool poisoned);
-    void sendDone(std::uint8_t tag, TraceId traceId);
-    std::uint32_t armTagOp(std::uint8_t tag);
-    /** The access on @p tag is over: clear it, stop its watchdog. */
-    void retireTagOp(std::uint8_t tag);
-    void tagTimeout(std::uint8_t tag);
-    void reclaimTag(std::uint8_t tag);
-    bool consumeStall();
-    void releaseWrite(Addr line);
+    void finishRead(std::uint8_t tag, bool poisoned);
+    /** Answer the host with @p tag's done and retire the tag. */
+    void sendDone(std::uint8_t tag);
     mem::Ddr3Controller &portFor(Addr addr);
     Addr localAddr(Addr addr) const
     {
         return interleave_.localAddr(addr);
     }
+
+    /** @{ dmi::CommandTags::Client */
+    void execute(const dmi::MemCommand &cmd, unsigned) override;
+    void reissueAccess(unsigned tag) override;
+    void reclaimTag(unsigned tag) override;
+    void fenceDone(unsigned tag) override { sendDone(std::uint8_t(tag)); }
+    /** @} */
 
     Config config_;
     dmi::BufferLink &link_;
@@ -184,17 +144,10 @@ class CentaurModel : public SimObject, public ckpt::Checkpointable
     dmi::CommandAssembler assembler_;
     mem::CacheModel cache_;
     unsigned activeCommands_ = 0;
-    /** Outstanding write counts per line, for read-after-write
-     *  ordering (reads must not pass writes via the cache path). */
-    std::unordered_map<Addr, unsigned> pendingWrites_;
-    std::deque<dmi::MemCommand> deferred_;
-    std::vector<FlushOp> pendingFlushes_;
-    std::array<TagOp, dmi::numTags> tagOps_{};
-    std::array<Watchdog, dmi::numTags> watchdogs_{};
-    std::uint32_t seqCounter_ = 0;
-    unsigned stallBudget_ = 0;
-    firmware::ErrorLog *errorLog_ = nullptr;
+    /** The command each tag is executing, kept for re-issue. */
+    std::array<dmi::MemCommand, dmi::numTags> cmds_{};
     CentaurStats stats_;
+    dmi::CommandTags tags_;
 };
 
 } // namespace contutto::centaur

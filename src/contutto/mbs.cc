@@ -60,7 +60,11 @@ Mbs::Mbs(const std::string &name, EventQueue &eq,
              {this, "poisonedResponses",
               "read responses sent upstream poisoned"},
              {this, "engineOccupancy",
-              "active command engines at dispatch"}}
+              "active command engines at dispatch"}},
+      tags_(*this, *this,
+            {stats_.cmdTimeouts, stats_.cmdRetries, stats_.tagsReclaimed,
+             stats_.droppedCompletions},
+            params.cmdTimeout)
 {
     ct_assert(params_.knobPosition <= 7);
     readPorts_[0] = &bus_.createPort(name + ".rd0");
@@ -68,16 +72,10 @@ Mbs::Mbs(const std::string &name, EventQueue &eq,
     writePorts_[0] = &bus_.createPort(name + ".wr0");
     writePorts_[1] = &bus_.createPort(name + ".wr1");
     link_.onFrame = [this](const DownFrame &f) { frameArrived(f); };
-    for (unsigned t = 0; t < numTags; ++t) {
-        watchdogs_[t].mbs = this;
-        watchdogs_[t].tag = t;
-    }
 }
 
 Mbs::~Mbs()
 {
-    for (unsigned t = 0; t < numTags; ++t)
-        disarmCmdTimeout(t);
     for (auto &ev : writeArbEvent_)
         if (ev.scheduled())
             eventq().deschedule(&ev);
@@ -95,22 +93,16 @@ Mbs::setKnobPosition(unsigned pos)
 bool
 Mbs::quiescent() const
 {
-    return activeEngines_ == 0 && upQueue_.empty()
-        && pendingFlushes_.empty() && deferred_.empty();
+    return activeEngines_ == 0 && upQueue_.empty() && tags_.idle();
 }
 
 void
 Mbs::powerReset()
 {
     assembler_.reset();
-    for (unsigned t = 0; t < numTags; ++t) {
-        Engine &e = engines_[t];
-        e.active = false;
-        e.phase = Phase::idle;
-        e.retries = 0;
-        disarmCmdTimeout(t);
-    }
+    engines_.fill(Engine{});
     activeEngines_ = 0;
+    tags_.powerReset();
     for (unsigned p = 0; p < 2; ++p) {
         writeReady_[p].clear();
         if (writeArbEvent_[p].scheduled())
@@ -119,8 +111,6 @@ Mbs::powerReset()
     upQueue_.clear();
     if (upPumpEvent_.scheduled())
         eventq().deschedule(&upPumpEvent_);
-    pendingFlushes_.clear();
-    deferred_.clear();
 }
 
 void
@@ -130,11 +120,7 @@ Mbs::checkpointSave(ckpt::Section &out) const
         panic("%s: checkpoint while not quiescent", name().c_str());
     out.putU32(params_.knobPosition);
     out.putU32(frameCounter_);
-    out.putU32(issueSeqCounter_);
-    out.putU32(stallBudget_);
-    out.putU32(std::uint32_t(engines_.size()));
-    for (const Engine &e : engines_)
-        out.putU32(e.issueSeq);
+    tags_.checkpointSave(out);
 }
 
 void
@@ -144,56 +130,7 @@ Mbs::checkpointRestore(ckpt::Section &in)
         panic("%s: restore while not quiescent", name().c_str());
     params_.knobPosition = in.getU32();
     frameCounter_ = in.getU32();
-    issueSeqCounter_ = in.getU32();
-    stallBudget_ = in.getU32();
-    if (in.getU32() != engines_.size())
-        throw ckpt::Error("MBS engine count mismatch");
-    for (Engine &e : engines_)
-        e.issueSeq = in.getU32();
-}
-
-bool
-Mbs::addrConflictsWithActive(const MemCommand &cmd) const
-{
-    if (cmd.type == CmdType::flush)
-        return false; // flush carries no address
-    for (const Engine &e : engines_)
-        if (e.active && e.cmd.type != CmdType::flush
-            && e.cmd.addr == cmd.addr)
-            return true;
-    return false;
-}
-
-void
-Mbs::retryDeferred()
-{
-    // Dispatch deferred commands in arrival order; a command stays
-    // deferred while an active engine or an *earlier* deferred
-    // command targets the same line.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto it = deferred_.begin(); it != deferred_.end();
-             ++it) {
-            if (addrConflictsWithActive(it->cmd))
-                continue;
-            bool older_same_line = false;
-            for (auto jt = deferred_.begin(); jt != it; ++jt) {
-                if (jt->cmd.type != CmdType::flush
-                    && jt->cmd.addr == it->cmd.addr) {
-                    older_same_line = true;
-                    break;
-                }
-            }
-            if (older_same_line)
-                continue;
-            Deferred d = *it;
-            deferred_.erase(it);
-            dispatch(d.cmd, d.decoder, true);
-            progress = true;
-            break;
-        }
-    }
+    tags_.checkpointRestore(in);
 }
 
 void
@@ -209,26 +146,28 @@ Mbs::frameArrived(const DownFrame &frame)
 }
 
 void
-Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
-              bool deferredRetry)
+Mbs::dispatch(const MemCommand &cmd, unsigned decoder)
 {
     // The command has fully arrived and cleared the decode pipeline:
     // end the downstream-wire span, start the buffer-residency span
-    // (which includes any same-line deferral below). Re-dispatches
-    // of deferred commands keep the spans they already own.
-    if (!deferredRetry && cmd.traceId != noTraceId) {
+    // (which includes any same-line wait below).
+    if (cmd.traceId != noTraceId) {
         span::closeIfOpen(cmd.traceId, "dmi.down", curTick());
         span::open(cmd.traceId, "mbs", curTick());
     }
 
-    // Same-line ordering: a command to a line with an older command
-    // still in flight waits so reads cannot pass writes.
-    if (addrConflictsWithActive(cmd)) {
+    // Same-line ordering: every command but a flush holds its line
+    // until its engine finishes, so reads cannot pass writes.
+    if (!tags_.admit(cmd, cmd.type != CmdType::flush, decoder)) {
         ++stats_.addrOrderStalls;
-        deferred_.push_back(Deferred{cmd, decoder});
         return;
     }
+    execute(cmd, decoder);
+}
 
+void
+Mbs::execute(const MemCommand &cmd, unsigned decoder)
+{
     Engine &e = engines_[cmd.tag];
     if (e.active)
         panic("MBS: tag %u dispatched while engine busy", cmd.tag);
@@ -254,41 +193,14 @@ Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
         e.phase = Phase::readIssued;
         issueRead(cmd.tag, decoder);
         break;
-      case CmdType::flush: {
+      case CmdType::flush:
         ++stats_.flushes;
-        FlushOp op;
-        op.tag = cmd.tag;
-        for (unsigned t = 0; t < numTags; ++t) {
-            const Engine &other = engines_[t];
-            if (t != cmd.tag && other.active
-                && other.cmd.type != CmdType::read128
-                && other.cmd.type != CmdType::flush)
-                op.waitingOn.push_back(std::uint8_t(t));
-        }
-        // Writes held in the same-line ordering queue are older than
-        // this flush and must drain too.
-        for (const Deferred &d : deferred_)
-            if (d.cmd.type != CmdType::read128
-                && d.cmd.type != CmdType::flush)
-                op.waitingOn.push_back(d.cmd.tag);
-        if (op.waitingOn.empty()) {
-            respondDone(cmd.tag);
-            finishEngine(cmd.tag);
-        } else {
-            pendingFlushes_.push_back(std::move(op));
-        }
+        if (tags_.fence(cmd.tag))
+            fenceDone(cmd.tag);
         break;
-      }
       case CmdType::minStore:
       case CmdType::maxStore:
       case CmdType::condSwap:
-        if (!params_.inlineOpsEnabled) {
-            warn("MBS: in-line ops disabled; completing tag %u as "
-                 "no-op", cmd.tag);
-            respondDone(cmd.tag);
-            finishEngine(cmd.tag);
-            break;
-        }
         ++stats_.inlineOps;
         e.phase = Phase::readIssued;
         issueRead(cmd.tag, decoder);
@@ -296,57 +208,10 @@ Mbs::dispatch(const MemCommand &cmd, unsigned decoder,
     }
 }
 
-bool
-Mbs::consumeStall()
-{
-    if (stallBudget_ == 0)
-        return false;
-    --stallBudget_;
-    ++stats_.droppedCompletions;
-    return true;
-}
-
 void
-Mbs::armCmdTimeout(unsigned tag)
+Mbs::reissueAccess(unsigned tag)
 {
-    if (params_.cmdTimeout == 0)
-        return;
-    Engine &e = engines_[tag];
-    e.issueSeq = ++issueSeqCounter_;
-    // Exponential backoff: each retry waits twice as long, giving a
-    // congested memory system room to drain before giving up. The
-    // re-arm takes a fresh place among same-tick events, as a new
-    // watchdog would.
-    Tick wait = params_.cmdTimeout << e.retries;
-    disarmCmdTimeout(tag);
-    eventq().schedule(&watchdogs_[tag], curTick() + wait);
-}
-
-void
-Mbs::disarmCmdTimeout(unsigned tag)
-{
-    if (watchdogs_[tag].scheduled())
-        eventq().deschedule(&watchdogs_[tag]);
-}
-
-void
-Mbs::engineTimeout(unsigned tag)
-{
-    Engine &e = engines_[tag];
-    ct_assert(e.active);
-    // Between a read and the write that re-arms (RMW write
-    // arbitration, merge) nothing is outstanding.
-    if (e.phase != Phase::readIssued && e.phase != Phase::writeIssued)
-        return;
-
-    ++stats_.cmdTimeouts;
-    if (e.retries >= params_.maxCmdRetries) {
-        reclaimTag(tag);
-        return;
-    }
-    ++e.retries;
-    ++stats_.cmdRetries;
-    if (e.phase == Phase::readIssued)
+    if (engines_[tag].phase == Phase::readIssued)
         issueRead(tag, tag & 1);
     else
         issueWrite(tag, tag / (numTags / 2));
@@ -355,37 +220,29 @@ Mbs::engineTimeout(unsigned tag)
 void
 Mbs::reclaimTag(unsigned tag)
 {
-    Engine &e = engines_[tag];
-    ++stats_.tagsReclaimed;
-    warn("MBS: reclaiming tag %u after %u retries", tag, e.retries);
-    if (errorLog_)
-        errorLog_->record(curTick(), name(),
-                          firmware::Severity::unrecoverable,
-                          "command tag " + std::to_string(tag)
-                              + " reclaimed after retry exhaustion");
-
     // The host is owed a response for the tag; a read gets poisoned
     // data so it never consumes garbage, everything else gets a bare
-    // done. Write-class commands must also release any flush
-    // waiting on them.
-    bool write_class = e.cmd.type != CmdType::read128
-        && e.cmd.type != CmdType::flush;
-    if (e.cmd.type == CmdType::read128) {
+    // done.
+    if (engines_[tag].cmd.type == CmdType::read128) {
         ++stats_.poisonedResponses;
         respondReadData(tag, CacheLine{}, true);
     }
     respondDone(tag);
     finishEngine(tag);
-    if (write_class)
-        noteWriteDrained(std::uint8_t(tag));
+}
+
+void
+Mbs::fenceDone(unsigned tag)
+{
+    respondDone(tag);
+    finishEngine(tag);
 }
 
 void
 Mbs::issueRead(unsigned tag, unsigned decoder)
 {
     Engine &e = engines_[tag];
-    armCmdTimeout(tag);
-    std::uint32_t seq = e.issueSeq;
+    std::uint32_t seq = tags_.arm(tag);
     auto req = std::make_shared<MemRequest>();
     req->addr = e.cmd.addr;
     req->isWrite = false;
@@ -396,13 +253,8 @@ Mbs::issueRead(unsigned tag, unsigned decoder)
         OneShotEvent::schedule(
             eventq(), clockEdge(params_.readReturnCycles),
             [this, tag, seq, data, poisoned] {
-                Engine &eng = engines_[tag];
-                if (!eng.active || eng.issueSeq != seq
-                    || eng.phase != Phase::readIssued)
-                    return; // superseded by a retry or reclaim
-                if (consumeStall())
-                    return;
-                readReturned(tag, data, poisoned);
+                if (tags_.accept(tag, seq))
+                    readReturned(tag, data, poisoned);
             });
     };
     issueToBus(*readPorts_[decoder], req);
@@ -416,11 +268,9 @@ Mbs::readReturned(unsigned tag, const CacheLine &data, bool poisoned)
     if (e.cmd.type == CmdType::read128) {
         if (poisoned) {
             ++stats_.poisonedResponses;
-            if (errorLog_)
-                errorLog_->record(curTick(), name(),
-                                  firmware::Severity::recoverable,
-                                  "uncorrectable ECC on read tag "
-                                      + std::to_string(tag));
+            tags_.log(firmware::Severity::recoverable,
+                      "uncorrectable ECC on read tag "
+                          + std::to_string(tag));
         }
         respondReadData(tag, data, poisoned);
         respondDone(tag);
@@ -432,14 +282,11 @@ Mbs::readReturned(unsigned tag, const CacheLine &data, bool poisoned)
         // old data into memory. Drop the write, free the tag, and
         // let firmware know the line is suspect.
         ++stats_.poisonedResponses;
-        if (errorLog_)
-            errorLog_->record(curTick(), name(),
-                              firmware::Severity::recoverable,
-                              "RMW on poisoned line contained, tag "
-                                  + std::to_string(tag));
+        tags_.log(firmware::Severity::recoverable,
+                  "RMW on poisoned line contained, tag "
+                      + std::to_string(tag));
         respondDone(tag);
         finishEngine(tag);
-        noteWriteDrained(std::uint8_t(tag));
         return;
     }
     // RMW and in-line ops continue to the write path via the ALU.
@@ -522,7 +369,6 @@ Mbs::mergeAndWrite(unsigned tag, unsigned port)
             enqueueUpstream(encodeResponse(resp));
             respondDone(tag);
             finishEngine(tag);
-            noteWriteDrained(std::uint8_t(tag));
             return;
         }
         e.cmd.data = e.oldData;
@@ -540,21 +386,15 @@ void
 Mbs::issueWrite(unsigned tag, unsigned port)
 {
     Engine &e = engines_[tag];
-    armCmdTimeout(tag);
-    std::uint32_t seq = e.issueSeq;
+    std::uint32_t seq = tags_.arm(tag);
     auto req = std::make_shared<MemRequest>();
     req->addr = e.cmd.addr;
     req->isWrite = true;
     req->data = e.cmd.data;
     req->traceId = e.cmd.traceId;
     req->onDone = [this, tag, seq](MemRequest &) {
-        Engine &eng = engines_[tag];
-        if (!eng.active || eng.issueSeq != seq
-            || eng.phase != Phase::writeIssued)
-            return; // superseded by a retry or reclaim
-        if (consumeStall())
-            return;
-        writeCompleted(tag);
+        if (tags_.accept(tag, seq))
+            writeCompleted(tag);
     };
     issueToBus(*writePorts_[port], req);
 }
@@ -575,25 +415,6 @@ Mbs::writeCompleted(unsigned tag)
     }
     respondDone(tag);
     finishEngine(tag);
-    noteWriteDrained(std::uint8_t(tag));
-}
-
-void
-Mbs::noteWriteDrained(std::uint8_t tag)
-{
-    for (auto it = pendingFlushes_.begin();
-         it != pendingFlushes_.end();) {
-        auto &waiting = it->waitingOn;
-        waiting.erase(std::remove(waiting.begin(), waiting.end(), tag),
-                      waiting.end());
-        if (waiting.empty()) {
-            respondDone(it->tag);
-            finishEngine(it->tag);
-            it = pendingFlushes_.erase(it);
-        } else {
-            ++it;
-        }
-    }
 }
 
 void
@@ -663,12 +484,10 @@ Mbs::finishEngine(unsigned tag)
     ct_assert(e.active);
     if (e.cmd.traceId != noTraceId)
         span::closeIfOpen(e.cmd.traceId, "mbs", curTick());
-    disarmCmdTimeout(tag);
     e = Engine{};
     ct_assert(activeEngines_ > 0);
     --activeEngines_;
-    if (!deferred_.empty())
-        retryDeferred();
+    tags_.retire(tag);
 }
 
 void

@@ -31,15 +31,17 @@
 
 #include "bus/avalon.hh"
 #include "dmi/codec.hh"
+#include "dmi/command_tags.hh"
 #include "dmi/link.hh"
-#include "firmware/error_log.hh"
 #include "sim/checkpoint.hh"
 
 namespace contutto::fpga
 {
 
 /** The MBS command-processing logic. */
-class Mbs : public SimObject, public ckpt::Checkpointable
+class Mbs : public SimObject,
+            public ckpt::Checkpointable,
+            private dmi::CommandTags::Client
 {
   public:
     struct Params
@@ -60,19 +62,12 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         unsigned upstreamFramesPerCycle = 2;
         /** Done tags that may share one upstream frame. */
         unsigned doneTagsPerFrame = 2;
-        /** Enable the in-line accelerated ops (§4.3). */
-        bool inlineOpsEnabled = true;
         /**
-         * Per-command watchdog: if a memory access has not completed
-         * this long after issue the engine re-issues it (with
-         * exponential backoff) and eventually reclaims the tag. The
-         * default sits far above any legitimate access latency, even
-         * with a saturated 64-deep controller queue, so only genuine
-         * losses trip it. 0 disables the watchdog.
+         * Per-command watchdog: a memory access not completed this
+         * long after issue is re-issued with exponential backoff,
+         * then its tag is reclaimed (dmi::CommandTags).
          */
-        Tick cmdTimeout = microseconds(20);
-        /** Re-issues before a stuck tag is reclaimed. */
-        unsigned maxCmdRetries = 3;
+        Tick cmdTimeout = dmi::CommandTags::defaultTimeout;
     };
 
     Mbs(const std::string &name, EventQueue &eq,
@@ -101,7 +96,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     unsigned activeEngines() const { return activeEngines_; }
 
     /** Route RAS events (reclaimed tags, poison) to the FSP log. */
-    void attachErrorLog(firmware::ErrorLog *log) { errorLog_ = log; }
+    void attachErrorLog(firmware::ErrorLog *log) { tags_.attachErrorLog(log); }
 
     /**
      * Power-cut reset: drop every engine, partial command assembly,
@@ -116,7 +111,7 @@ class Mbs : public SimObject, public ckpt::Checkpointable
      * Fault injection: swallow the next @p n memory completions as
      * if the bus lost them, leaving the engines to their watchdogs.
      */
-    void stallNextCompletions(unsigned n) { stallBudget_ += n; }
+    void stallNextCompletions(unsigned n) { tags_.stallNextCompletions(n); }
 
     struct MbsStats
     {
@@ -141,8 +136,9 @@ class Mbs : public SimObject, public ckpt::Checkpointable
 
     /** @{ ckpt::Checkpointable: the state that survives powerReset
      *  and steers future behavior — knob position, decoder rotation,
-     *  issue-sequence counter, stall budget, per-engine generation
-     *  guards. Only legal while quiescent. */
+     *  then the tag core's tail (issue-sequence counter, stall
+     *  budget, per-tag generation guards). Only legal while
+     *  quiescent. */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
     /** @} */
@@ -163,37 +159,10 @@ class Mbs : public SimObject, public ckpt::Checkpointable
         Phase phase = Phase::idle;
         dmi::MemCommand cmd;
         dmi::CacheLine oldData{}; ///< Read data for RMW/inline ops.
-        unsigned retries = 0;     ///< Watchdog re-issues so far.
-        /**
-         * Generation counter for the outstanding memory access;
-         * completions for older issues of this tag carry a stale
-         * value and are ignored.
-         */
-        std::uint32_t issueSeq = 0;
-    };
-
-    /** An engine's command watchdog: armed at each memory issue,
-     *  descheduled when the engine finishes. */
-    struct Watchdog final : Event
-    {
-        Mbs *mbs = nullptr;
-        unsigned tag = 0;
-        void process() override { mbs->engineTimeout(tag); }
-        const char *name() const override { return "mbs.watchdog"; }
-    };
-
-    /** A pending flush: completes when its tag set drains. */
-    struct FlushOp
-    {
-        std::uint8_t tag;
-        std::vector<std::uint8_t> waitingOn;
     };
 
     void frameArrived(const dmi::DownFrame &frame);
-    void dispatch(const dmi::MemCommand &cmd, unsigned decoder,
-                  bool deferredRetry = false);
-    bool addrConflictsWithActive(const dmi::MemCommand &cmd) const;
-    void retryDeferred();
+    void dispatch(const dmi::MemCommand &cmd, unsigned decoder);
     void issueRead(unsigned tag, unsigned decoder);
     void readReturned(unsigned tag, const dmi::CacheLine &data,
                       bool poisoned);
@@ -201,11 +170,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     void writeArbPump(unsigned port);
     void issueWrite(unsigned tag, unsigned port);
     void writeCompleted(unsigned tag);
-    void armCmdTimeout(unsigned tag);
-    void disarmCmdTimeout(unsigned tag);
-    void engineTimeout(unsigned tag);
-    void reclaimTag(unsigned tag);
-    bool consumeStall();
     void mergeAndWrite(unsigned tag, unsigned port);
     void respondReadData(unsigned tag, const dmi::CacheLine &data,
                          bool poisoned);
@@ -213,7 +177,13 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     void enqueueUpstream(std::vector<dmi::UpFrame> frames);
     void upstreamPump();
     void finishEngine(unsigned tag);
-    void noteWriteDrained(std::uint8_t tag);
+
+    /** @{ dmi::CommandTags::Client */
+    void execute(const dmi::MemCommand &cmd, unsigned decoder) override;
+    void reissueAccess(unsigned tag) override;
+    void reclaimTag(unsigned tag) override;
+    void fenceDone(unsigned tag) override;
+    /** @} */
 
     /** Submit to the bus through the latency-knob delay modules. */
     void issueToBus(bus::AvalonBus::Port &port,
@@ -224,7 +194,6 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     bus::AvalonBus &bus_;
     dmi::CommandAssembler assembler_;
     std::array<Engine, dmi::numTags> engines_{};
-    std::array<Watchdog, dmi::numTags> watchdogs_{};
     unsigned activeEngines_ = 0;
     unsigned frameCounter_ = 0; ///< Alternates the two decoders.
 
@@ -238,21 +207,8 @@ class Mbs : public SimObject, public ckpt::Checkpointable
     std::deque<dmi::UpFrame> upQueue_;
     EventFunctionWrapper upPumpEvent_;
 
-    std::vector<FlushOp> pendingFlushes_;
-
-    /** Commands held back by same-line address ordering. */
-    struct Deferred
-    {
-        dmi::MemCommand cmd;
-        unsigned decoder;
-    };
-    std::deque<Deferred> deferred_;
-
-    std::uint32_t issueSeqCounter_ = 0;
-    unsigned stallBudget_ = 0;
-    firmware::ErrorLog *errorLog_ = nullptr;
-
     MbsStats stats_;
+    dmi::CommandTags tags_;
 };
 
 } // namespace contutto::fpga

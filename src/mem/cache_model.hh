@@ -13,12 +13,13 @@
 #define CONTUTTO_MEM_CACHE_MODEL_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <optional>
 #include <span>
 #include <type_traits>
+
+#include <sys/mman.h>
 
 #include "sim/checkpoint.hh"
 #include "sim/logging.hh"
@@ -44,14 +45,17 @@ class CacheModel
         ct_assert(line_size > 0 && ways > 0);
         ct_assert(capacity % (std::uint64_t(line_size) * ways) == 0);
         ct_assert(numSets_ > 0);
-        // Zero pages: an all-zero Way is an invalid line, so calloc
-        // gives an empty cache without touching the tag array (a
-        // 16 MiB eDRAM's is 3 MiB), and a page costs memory only
-        // once a fill writes it.
+        // Zero pages: an all-zero Way is an invalid line, so a fresh
+        // anonymous mapping is an empty cache without touching the
+        // tag array (a 16 MiB eDRAM's is 3 MiB), and a page costs
+        // memory only once a fill writes it. calloc would clear a
+        // chunk it reuses from the heap eagerly.
         const std::size_t n = std::size_t(numSets_) * ways;
-        storage_.reset(static_cast<Way *>(std::calloc(n, sizeof(Way))));
-        if (!storage_)
+        void *m = mmap(nullptr, n * sizeof(Way), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (m == MAP_FAILED)
             throw std::bad_alloc();
+        storage_ = {static_cast<Way *>(m), Unmap{n * sizeof(Way)}};
         sets_ = std::span<Way>(storage_.get(), n);
     }
 
@@ -215,9 +219,10 @@ class CacheModel
     };
     static_assert(std::is_trivial_v<Way>);
 
-    struct FreeDeleter
+    struct Unmap
     {
-        void operator()(Way *p) const { std::free(p); }
+        std::size_t bytes;
+        void operator()(Way *p) const { munmap(p, bytes); }
     };
 
     unsigned setOf(Addr addr) const
@@ -248,7 +253,7 @@ class CacheModel
     unsigned lineSize_;
     unsigned ways_;
     unsigned numSets_;
-    std::unique_ptr<Way, FreeDeleter> storage_;
+    std::unique_ptr<Way, Unmap> storage_;
     std::span<Way> sets_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
