@@ -22,12 +22,7 @@ main(int argc, char **argv)
     bench::header("Figure 6: SPEC CINT2006 ratios vs memory latency "
                   "on Centaur");
 
-    const CentaurModel::Config configs[] = {
-        CentaurModel::optimized(),
-        CentaurModel::balanced(),
-        CentaurModel::conservative(),
-        CentaurModel::slowest(),
-    };
+    const auto &configs = CentaurModel::table2Knobs();
 
     auto profiles = specCint2006();
     const std::uint64_t instructions =

@@ -21,12 +21,7 @@ main(int argc, char **argv)
     bench::header("Table 2: Centaur latency knobs vs DB2 BLU "
                   "query runtime");
 
-    const CentaurModel::Config configs[] = {
-        CentaurModel::optimized(),
-        CentaurModel::balanced(),
-        CentaurModel::conservative(),
-        CentaurModel::slowest(),
-    };
+    const auto &configs = CentaurModel::table2Knobs();
     const double paper_latency[] = {79, 83, 116, 249};
     const double paper_runtime[] = {5387, 5451, 5484, 5802};
 

@@ -21,7 +21,9 @@
  * trace (--shape/--records/--seed/--mean-delay-ns/--out control
  * it). The aggregate stats land under "traceBench" for
  * scripts/bench_gate.py to distill and gate against
- * bench/baselines/BENCH_trace.json.
+ * bench/baselines/BENCH_trace.json; each replayed system's simulated
+ * stat tree is captured as "sampled" and "detailed" and gated
+ * against bench/baselines/BENCH_trace_sim.json.
  */
 
 #include <chrono>
@@ -45,9 +47,10 @@ wallSec(std::chrono::steady_clock::time_point t0,
 
 /** Run one timed replay on a fresh ConTutto system; returns wall
  *  seconds and fills @p result and @p events, the events the replay
- *  processed. */
+ *  processed. The system's stat tree is captured under @p label. */
 double
-runTimed(const trace::MappedTrace &bin,
+runTimed(bench::Telemetry &tm, const std::string &label,
+         const trace::MappedTrace &bin,
          const sim::SamplingConfig &sampling, std::uint64_t seed,
          trace::CaptureSink *capture,
          cpu::TimedTraceReplayer::Result &result, std::uint64_t &events)
@@ -75,6 +78,7 @@ runTimed(const trace::MappedTrace &bin,
     auto t1 = std::chrono::steady_clock::now();
     ct_assert(finished);
     events = sys.eventq().eventsProcessed() - events0;
+    tm.capture(label, sys);
     return wallSec(t0, t1);
 }
 
@@ -130,7 +134,8 @@ main(int argc, char **argv)
     cpu::TimedTraceReplayer::Result sampledR;
     std::uint64_t sampledEvents = 0;
     const double sampledSec =
-        runTimed(bin, sampling, seed, nullptr, sampledR, sampledEvents);
+        runTimed(tm, "sampled", bin, sampling, seed, nullptr, sampledR,
+                 sampledEvents);
     const double sampledOps =
         sampledSec > 0 ? records / sampledSec : 0;
 
@@ -141,8 +146,9 @@ main(int argc, char **argv)
     sim::SamplingConfig detailed; // disabled
     cpu::TimedTraceReplayer::Result detailedR;
     std::uint64_t detailedEvents = 0;
-    const double detailedSec = runTimed(bin, detailed, seed, sink.get(),
-                                        detailedR, detailedEvents);
+    const double detailedSec =
+        runTimed(tm, "detailed", bin, detailed, seed, sink.get(),
+                 detailedR, detailedEvents);
     const double detailedOps =
         detailedSec > 0 ? records / detailedSec : 0;
     // Host-independent: the same trace always costs the same events.

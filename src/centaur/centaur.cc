@@ -47,6 +47,14 @@ CentaurModel::slowest()
     return c;
 }
 
+const std::array<CentaurModel::Config, 4> &
+CentaurModel::table2Knobs()
+{
+    static const std::array<Config, 4> knobs = {
+        optimized(), balanced(), conservative(), slowest()};
+    return knobs;
+}
+
 CentaurModel::Config
 CentaurModel::table3Baseline()
 {

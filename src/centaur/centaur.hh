@@ -59,6 +59,9 @@ class CentaurModel : public SimObject,
     static Config slowest();       ///< cfg 4: 249 ns class.
     /** @} */
 
+    /** The four Table 2 knob settings, cfg 1 to cfg 4. */
+    static const std::array<Config, 4> &table2Knobs();
+
     /** The Table 3 system's latency-optimized Centaur (97 ns). */
     static Config table3Baseline();
 

@@ -8,8 +8,9 @@ CoreModel::CoreModel(const std::string &name, EventQueue &eq,
                      stats::StatGroup *parent,
                      const WorkloadProfile &profile,
                      const Params &params, HostMemPort &port)
-    : SimObject(name, eq, domain, parent), profile_(profile),
-      params_(params), port_(port),
+    : SimObject(name, eq, domain, parent),
+      ChannelTrips(eq, port, params.nestOverhead, params.sampler),
+      profile_(profile), params_(params),
       rng_(params.seed ^ std::hash<std::string>{}(profile.name)),
       advanceEvent_([this] { missPoint(); }, name + ".advance")
 {
@@ -74,11 +75,6 @@ CoreModel::missPoint()
 {
     if (!running_)
         return;
-    if (instructionsDone_ >= params_.instructions
-        && profile_.missesPerKiloInstr <= 0.0) {
-        maybeFinish();
-        return;
-    }
     if (profile_.missesPerKiloInstr <= 0.0) {
         maybeFinish();
         return;
@@ -151,54 +147,21 @@ CoreModel::issueMiss(MissKind kind)
     }
     ++missesIssued_;
 
-    // Sampled mode: the controller decides whether this miss runs
-    // in detail. The RNG draws above happen unconditionally, so the
-    // address/kind/write streams are identical in both regimes.
-    bool detailed = true;
-    bool measured = false;
-    if (params_.sampler) {
-        detailed = params_.sampler->beginMiss(instructionsDone_,
-                                              curTick());
-        measured = detailed && params_.sampler->measuring();
-    }
+    // Every RNG draw happens before the trip, whose sampling
+    // decision draws from its own stream: the address/kind/write
+    // streams are identical in both regimes.
     bool isWrite = rng_.chance(profile_.writeFraction);
     if (params_.capture)
         params_.capture->record(
             curTick(), addr,
             trace::makeOp(isWrite, kind == MissKind::chase));
-
-    if (!detailed) {
-        // Fast-forward: charge the calibrated estimate; stores still
-        // land in the memory image through the functional hook.
-        if (isWrite)
-            params_.sampler->warmWrite(addr, dmi::CacheLine{});
-        Tick charged = params_.sampler->chargedLatency()
-            + params_.nestOverhead;
-        OneShotEvent::schedule(eventq(), curTick() + charged,
-                               [this, kind] { missCompleted(kind); });
-        return;
-    }
-
-    auto completion = [this, kind,
-                       measured](const HostOpResult &r) {
-        if (measured && !r.failed)
-            params_.sampler->observeLatency(r.doneAt - r.issuedAt);
-        // Processor-side miss handling outside the channel.
-        OneShotEvent::schedule(eventq(),
-                               curTick() + params_.nestOverhead,
-                               [this, kind] { missCompleted(kind); });
-    };
-    if (isWrite) {
-        dmi::CacheLine line{};
-        port_.write(addr, line, completion);
-    } else {
-        port_.read(addr, completion);
-    }
+    trip(instructionsDone_, addr, isWrite, std::uint32_t(kind));
 }
 
 void
-CoreModel::missCompleted(MissKind kind)
+CoreModel::tripDone(std::uint32_t token)
 {
+    const auto kind = MissKind(token);
     ++missesDone_;
     switch (kind) {
       case MissKind::chase:
@@ -244,16 +207,16 @@ CoreModel::maybeFinish()
     if (params_.sampler)
         params_.sampler->finishRun(instructionsDone_, curTick(),
                                    instructionsDone_);
-    result_.runtime = curTick() - startedAt_;
-    result_.instructions = instructionsDone_;
-    result_.misses = missesDone_;
-    double cycles =
-        double(result_.runtime) / double(clockPeriod());
-    result_.cpi = cycles / double(result_.instructions);
-    result_.ips = double(result_.instructions)
-        / ticksToSeconds(result_.runtime);
+    Result result;
+    result.runtime = curTick() - startedAt_;
+    result.instructions = instructionsDone_;
+    result.misses = missesDone_;
+    double cycles = double(result.runtime) / double(clockPeriod());
+    result.cpi = cycles / double(result.instructions);
+    result.ips =
+        double(result.instructions) / ticksToSeconds(result.runtime);
     if (done_)
-        done_(result_);
+        done_(result);
 }
 
 } // namespace contutto::cpu

@@ -20,9 +20,8 @@
 #include <functional>
 #include <string>
 
-#include "cpu/host_port.hh"
+#include "cpu/channel_trip.hh"
 #include "sim/random.hh"
-#include "sim/sampling.hh"
 #include "trace/capture.hh"
 
 namespace contutto::cpu
@@ -51,7 +50,7 @@ struct WorkloadProfile
 };
 
 /** Runs one profile to completion and reports the runtime. */
-class CoreModel : public SimObject
+class CoreModel : public SimObject, private ChannelTrips<CoreModel>
 {
   public:
     struct Params
@@ -99,9 +98,6 @@ class CoreModel : public SimObject
     /** Begin execution; @p done fires at completion. */
     void start(std::function<void(const Result &)> done);
 
-    bool running() const { return running_; }
-    const Result &result() const { return result_; }
-
     /** Instructions retired so far (live, for progress boards). */
     std::uint64_t instructionsDone() const
     {
@@ -119,12 +115,13 @@ class CoreModel : public SimObject
     void advance();
     void missPoint();
     void issueMiss(MissKind kind);
-    void missCompleted(MissKind kind);
+    friend class ChannelTrips<CoreModel>;
+    /** A miss of kind @p token has completed. */
+    void tripDone(std::uint32_t token);
     void maybeFinish();
 
     WorkloadProfile profile_;
     Params params_;
-    HostMemPort &port_;
     Rng rng_;
 
     bool running_ = false;
@@ -140,7 +137,6 @@ class CoreModel : public SimObject
     Addr streamCursor_ = 0;
     Tick startedAt_ = 0;
     std::function<void(const Result &)> done_;
-    Result result_;
     EventFunctionWrapper advanceEvent_;
 };
 

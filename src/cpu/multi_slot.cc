@@ -275,22 +275,6 @@ MultiSlotSystem::runUntilIdle(Tick timeout)
         timeout);
 }
 
-sim::SamplingController &
-MultiSlotSystem::enableSampling(const sim::SamplingConfig &cfg,
-                                std::uint64_t seed)
-{
-    ct_assert(!sampler_);
-    sampler_ = std::make_unique<sim::SamplingController>(cfg, seed);
-    sampler_->setFunctionalWrite(
-        [this](Addr addr, const dmi::CacheLine &line) {
-            channel(channelOf(addr))
-                .warmWrite(localAddr(addr), line.size(), line.data());
-        });
-    samplingStats_ =
-        std::make_unique<sim::SamplingStats>(this, *sampler_);
-    return *sampler_;
-}
-
 Tick
 MultiSlotSystem::curTick() const
 {

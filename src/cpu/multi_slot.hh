@@ -40,7 +40,6 @@
 #include "cpu/channel.hh"
 #include "sim/event_stats.hh"
 #include "sim/parallel.hh"
-#include "sim/sampling.hh"
 
 namespace contutto::cpu
 {
@@ -175,18 +174,6 @@ class MultiSlotSystem : public stats::StatGroup
     /** Max simulated time over all shard queues. */
     Tick curTick() const;
 
-    /**
-     * Sampled execution for workload drivers on this socket: the
-     * functional-write hook routes each store to the owning
-     * channel's memory image through the socket interleave, so
-     * fast-forwarded stores land exactly where detailed ones would.
-     */
-    sim::SamplingController &
-    enableSampling(const sim::SamplingConfig &cfg, std::uint64_t seed);
-
-    /** The sampling controller; null when never enabled. */
-    sim::SamplingController *sampler() { return sampler_.get(); }
-
   private:
     /** The executor's parameters; checks the plug rules first, as
      *  the window derivation needs a populated slot. */
@@ -213,8 +200,6 @@ class MultiSlotSystem : public stats::StatGroup
      *  happen on different shards; only its settled value at
      *  barriers is ever observed. */
     std::atomic<std::uint64_t> pendingOps_{0};
-    std::unique_ptr<sim::SamplingController> sampler_;
-    std::unique_ptr<sim::SamplingStats> samplingStats_;
 };
 
 } // namespace contutto::cpu

@@ -118,7 +118,6 @@ class Power8System : public stats::StatGroup
     /** Clock domain getters for attaching extra components. */
     const ClockDomain &nestDomain() const { return clocks_.nest; }
     const ClockDomain &fabricDomain() const { return clocks_.fabric; }
-    const ClockDomain &ddrDomain() const { return clocks_.ddr; }
 
   private:
     EventQueue eq_;

@@ -7,8 +7,9 @@ TraceReplayer::TraceReplayer(const std::string &name, EventQueue &eq,
                              const ClockDomain &domain,
                              stats::StatGroup *parent,
                              const Params &params, HostMemPort &port)
-    : SimObject(name, eq, domain, parent), params_(params),
-      port_(port),
+    : SimObject(name, eq, domain, parent),
+      ChannelTrips(eq, port, params.nestOverhead, params.sampler),
+      params_(params),
       advanceEvent_([this] { issueCurrent(); }, name + ".advance")
 {
     ct_assert(params_.window > 0);
@@ -82,7 +83,7 @@ TraceReplayer::issueCurrent()
                 params_.capture->record(curTick(),
                                         *filtered.writeback,
                                         trace::Op::write);
-            issueMemory(*filtered.writeback, true, 0);
+            trip(next_, *filtered.writeback, true, 0, false);
         }
         if (filtered.servedBy != CacheHierarchy::Level::memory) {
             // On-chip hit: completes after the level's latency.
@@ -97,50 +98,8 @@ TraceReplayer::issueCurrent()
 
     if (params_.capture)
         params_.capture->record(curTick(), addr, cur_.op);
-    issueMemory(addr, isWrite, params_.nestOverhead);
+    trip(next_, addr, isWrite);
     advance();
-}
-
-void
-TraceReplayer::issueMemory(Addr addr, bool isWrite,
-                           Tick nestOverhead)
-{
-    // Sampled mode: one decision per channel trip, keyed on trace
-    // progress so the time-per-record estimator has its work axis.
-    bool detailed = true;
-    bool measured = false;
-    if (params_.sampler) {
-        detailed = params_.sampler->beginMiss(next_, curTick());
-        measured = detailed && params_.sampler->measuring();
-    }
-
-    if (!detailed) {
-        if (isWrite)
-            params_.sampler->warmWrite(addr, dmi::CacheLine{});
-        Tick charged =
-            params_.sampler->chargedLatency() + nestOverhead;
-        OneShotEvent::schedule(eventq(), curTick() + charged,
-                               [this] { accessDone(); });
-        return;
-    }
-
-    auto completion = [this, measured,
-                       nestOverhead](const HostOpResult &r) {
-        if (measured && !r.failed)
-            params_.sampler->observeLatency(r.doneAt - r.issuedAt);
-        if (nestOverhead == 0) {
-            accessDone();
-            return;
-        }
-        OneShotEvent::schedule(eventq(), curTick() + nestOverhead,
-                               [this] { accessDone(); });
-    };
-    if (isWrite) {
-        dmi::CacheLine line{};
-        port_.write(addr, line, completion);
-    } else {
-        port_.read(addr, completion);
-    }
 }
 
 void
@@ -179,8 +138,9 @@ TimedTraceReplayer::TimedTraceReplayer(
     const std::string &name, EventQueue &eq,
     const ClockDomain &domain, stats::StatGroup *parent,
     const Params &params, HostMemPort &port)
-    : SimObject(name, eq, domain, parent), params_(params),
-      port_(port),
+    : SimObject(name, eq, domain, parent),
+      ChannelTrips(eq, port, params.nestOverhead, params.sampler),
+      params_(params),
       issueEvent_([this] { issueDue(); }, name + ".issue")
 {}
 
@@ -246,43 +206,8 @@ TimedTraceReplayer::issueDue()
             params_.capture->record(now, rec.addr, rec.op,
                                     rec.sizeLog2, rec.threadId);
 
-        bool detailed = true;
-        bool measured = false;
-        if (params_.sampler) {
-            detailed = params_.sampler->beginMiss(next_, now);
-            measured = detailed && params_.sampler->measuring();
-        }
-
-        if (!detailed) {
-            if (isWrite)
-                params_.sampler->warmWrite(rec.addr,
-                                           dmi::CacheLine{});
-            Tick charged = params_.sampler->chargedLatency()
-                + params_.nestOverhead;
-            OneShotEvent::schedule(eventq(), now + charged,
-                                   [this] { accessDone(); });
-        } else {
+        if (trip(next_, rec.addr, isWrite))
             ++result_.detailed;
-            auto completion = [this,
-                               measured](const HostOpResult &r) {
-                if (measured && !r.failed)
-                    params_.sampler->observeLatency(r.doneAt
-                                                    - r.issuedAt);
-                if (params_.nestOverhead == 0) {
-                    accessDone();
-                    return;
-                }
-                OneShotEvent::schedule(
-                    eventq(), curTick() + params_.nestOverhead,
-                    [this] { accessDone(); });
-            };
-            if (isWrite) {
-                dmi::CacheLine line{};
-                port_.write(rec.addr, line, completion);
-            } else {
-                port_.read(rec.addr, completion);
-            }
-        }
 
         ++next_;
         if (next_ < trace_->recordCount())
@@ -292,7 +217,7 @@ TimedTraceReplayer::issueDue()
 }
 
 void
-TimedTraceReplayer::accessDone()
+TimedTraceReplayer::tripDone(std::uint32_t)
 {
     ct_assert(outstanding_ > 0);
     --outstanding_;

@@ -21,8 +21,7 @@
 #include <string>
 
 #include "cpu/cache_hierarchy.hh"
-#include "cpu/host_port.hh"
-#include "sim/sampling.hh"
+#include "cpu/channel_trip.hh"
 #include "trace/capture.hh"
 #include "trace/reader.hh"
 
@@ -30,7 +29,8 @@ namespace contutto::cpu
 {
 
 /** Replays a trace through a host port. */
-class TraceReplayer : public SimObject
+class TraceReplayer : public SimObject,
+                      private ChannelTrips<TraceReplayer>
 {
   public:
     struct Params
@@ -91,20 +91,18 @@ class TraceReplayer : public SimObject
     void start(const trace::MappedTrace &trace,
                std::function<void(const Result &)> done);
 
-    bool running() const { return running_; }
-
     /** Records issued so far (live, for progress boards). */
     std::uint64_t issuedSoFar() const { return next_; }
 
   private:
     void advance();
     void issueCurrent();
-    void issueMemory(Addr addr, bool isWrite, Tick nestOverhead);
+    friend class ChannelTrips<TraceReplayer>;
+    void tripDone(std::uint32_t) { accessDone(); }
     void accessDone();
     void maybeFinish();
 
     Params params_;
-    HostMemPort &port_;
     const trace::MappedTrace *trace_ = nullptr;
     std::uint64_t next_ = 0;
     /** Record next_, decoded (valid while next_ < recordCount). */
@@ -137,7 +135,8 @@ class TraceReplayer : public SimObject
  * complete from the calibrated estimate without touching the
  * channel — the path that streams millions of records per second.
  */
-class TimedTraceReplayer : public SimObject
+class TimedTraceReplayer : public SimObject,
+                           private ChannelTrips<TimedTraceReplayer>
 {
   public:
     struct Params
@@ -175,24 +174,22 @@ class TimedTraceReplayer : public SimObject
     void start(const trace::MappedTrace &trace,
                std::function<void(const Result &)> done);
 
-    bool running() const { return running_; }
-    /** The rigid shift applied to recorded ticks this run. */
-    Tick shift() const { return shift_; }
     /** Records issued so far (live, for progress boards). */
     std::uint64_t issuedSoFar() const { return result_.replayed; }
 
   private:
     void issueDue();
     void scheduleNext();
-    void accessDone();
+    friend class ChannelTrips<TimedTraceReplayer>;
+    void tripDone(std::uint32_t);
     void maybeFinish();
 
     Params params_;
-    HostMemPort &port_;
     const trace::MappedTrace *trace_ = nullptr;
     std::uint64_t next_ = 0;
     /** Absolute (unshifted) tick of record next_. */
     Tick nextTick_ = 0;
+    /** The rigid shift applied to recorded ticks this run. */
     Tick shift_ = 0;
     std::uint64_t outstanding_ = 0;
     bool running_ = false;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <initializer_list>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -316,6 +317,34 @@ putCounter(Json &payload, const char *name, std::uint64_t v)
     payload.set(name, Json::number(v));
 }
 
+/**
+ * The trained system a spec or trace job runs on: buffer 0 is a
+ * Centaur at Table 2 knob @p knob, buffer 1 a ConTutto card with its
+ * MBS at knob position @p knob.
+ */
+std::unique_ptr<cpu::Power8System>
+campaignSystem(unsigned buffer, unsigned knob, const std::string &kind)
+{
+    cpu::Power8System::Params sp;
+    if (buffer == 0) {
+        sp.buffer = cpu::BufferKind::centaur;
+        sp.centaurConfig = centaur::CentaurModel::table2Knobs()[knob];
+        sp.dimms = {cpu::DimmSpec{mem::MemTech::dram, 1 * GiB, {},
+                                  {}}};
+    } else {
+        sp.buffer = cpu::BufferKind::contutto;
+        sp.dimms = {
+            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}},
+            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}}};
+    }
+    auto sys = std::make_unique<cpu::Power8System>(sp);
+    if (!sys->train())
+        throw std::runtime_error(kind + ": link training failed");
+    if (buffer == 1)
+        sys->card()->mbs().setKnobPosition(knob);
+    return sys;
+}
+
 } // namespace
 
 std::string
@@ -326,29 +355,8 @@ CampaignJob::runSpec(const std::atomic<bool> &cancel,
     const cpu::WorkloadProfile &prof =
         profiles.at(spec_.benchmark);
 
-    cpu::Power8System::Params sp;
-    if (spec_.buffer == 0) {
-        const centaur::CentaurModel::Config configs[] = {
-            centaur::CentaurModel::optimized(),
-            centaur::CentaurModel::balanced(),
-            centaur::CentaurModel::conservative(),
-            centaur::CentaurModel::slowest(),
-        };
-        sp.buffer = cpu::BufferKind::centaur;
-        sp.centaurConfig = configs[spec_.knob];
-        sp.dimms = {cpu::DimmSpec{mem::MemTech::dram, 1 * GiB, {},
-                                  {}}};
-    } else {
-        sp.buffer = cpu::BufferKind::contutto;
-        sp.dimms = {
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}},
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}}};
-    }
-    cpu::Power8System sys(sp);
-    if (!sys.train())
-        throw std::runtime_error("spec: link training failed");
-    if (spec_.buffer == 1)
-        sys.card()->mbs().setKnobPosition(spec_.knob);
+    auto sysOwner = campaignSystem(spec_.buffer, spec_.knob, "spec");
+    cpu::Power8System &sys = *sysOwner;
 
     ClockDomain core("core", 250); // 4 GHz POWER8 core
     cpu::CoreModel::Params cp;
@@ -417,29 +425,8 @@ CampaignJob::runTrace(const std::atomic<bool> &cancel,
             + hashHex(bin.checksum()) + " != admitted "
             + hashHex(trace_.checksum) + ")");
 
-    cpu::Power8System::Params sp;
-    if (trace_.buffer == 0) {
-        const centaur::CentaurModel::Config configs[] = {
-            centaur::CentaurModel::optimized(),
-            centaur::CentaurModel::balanced(),
-            centaur::CentaurModel::conservative(),
-            centaur::CentaurModel::slowest(),
-        };
-        sp.buffer = cpu::BufferKind::centaur;
-        sp.centaurConfig = configs[trace_.knob];
-        sp.dimms = {cpu::DimmSpec{mem::MemTech::dram, 1 * GiB, {},
-                                  {}}};
-    } else {
-        sp.buffer = cpu::BufferKind::contutto;
-        sp.dimms = {
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}},
-            cpu::DimmSpec{mem::MemTech::dram, 512 * MiB, {}, {}}};
-    }
-    cpu::Power8System sys(sp);
-    if (!sys.train())
-        throw std::runtime_error("trace: link training failed");
-    if (trace_.buffer == 1)
-        sys.card()->mbs().setKnobPosition(trace_.knob);
+    auto sysOwner = campaignSystem(trace_.buffer, trace_.knob, "trace");
+    cpu::Power8System &sys = *sysOwner;
 
     ClockDomain core("core", 250);
     sim::SamplingController *sampler = nullptr;

@@ -148,7 +148,8 @@ struct SamplingReport
 
 /**
  * The per-run sampling state machine. One controller per workload
- * run; the workload driver (cpu::CoreModel, cpu::TraceReplayer)
+ * run; the workload driver (cpu::CoreModel, cpu::TraceReplayer or
+ * cpu::TimedTraceReplayer, each through cpu::ChannelTrips::trip)
  * consults it once per off-chip miss and reports measured latencies
  * back. Single-threaded by construction: it lives entirely inside
  * one simulation's event loop.

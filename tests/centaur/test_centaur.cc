@@ -87,12 +87,7 @@ TEST(Centaur, ConfigsOrderLatencies)
     // The Table 2 knob presets must produce strictly increasing
     // memory latency.
     double lat[4];
-    centaur::CentaurModel::Config cfgs[4] = {
-        centaur::CentaurModel::optimized(),
-        centaur::CentaurModel::balanced(),
-        centaur::CentaurModel::conservative(),
-        centaur::CentaurModel::slowest(),
-    };
+    const auto &cfgs = centaur::CentaurModel::table2Knobs();
     for (int i = 0; i < 4; ++i) {
         Power8System sys(centaurSystem(cfgs[i]));
         ASSERT_TRUE(sys.train());

@@ -2,12 +2,15 @@
  * @file
  * Memo cache: LRU bounds and counters, recency refresh on both hit
  * and re-insert, and the persistence round-trip the drain/restart
- * cycle depends on.
+ * cycle depends on, including a persisted index that was truncated
+ * or had a bit flipped.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "service/memo_cache.hh"
@@ -133,6 +136,66 @@ TEST(MemoCache, CorruptIndexThrows)
     }
     MemoCache back(4);
     EXPECT_THROW(back.load(p.str()), contutto::ckpt::Error);
+}
+
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeAll(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), std::streamsize(bytes.size()));
+}
+
+TEST(MemoCache, EveryTruncationAndBitFlipIsATypedError)
+{
+    TempPath p("memo_fuzz.ckpt");
+    {
+        MemoCache m(8);
+        m.insert(0x1111, 1, "alpha");
+        m.insert(0x2222, 2, "{\"runtimeTicks\":12345}");
+        m.insert(0x1111, 3, "gamma");
+        m.save(p.str());
+    }
+    const std::string intact = readAll(p.str());
+    ASSERT_GT(intact.size(), 0u);
+
+    // A failed load must neither add entries nor drop the ones the
+    // cache already held.
+    MemoCache target(8);
+    target.insert(0x9999, 9, "kept");
+    auto expectRejected = [&](const std::string &bytes,
+                              const std::string &what) {
+        writeAll(p.str(), bytes);
+        EXPECT_THROW(target.load(p.str()), contutto::ckpt::Error)
+            << what;
+        EXPECT_EQ(target.size(), 1u) << what;
+    };
+    for (std::size_t len = 0; len < intact.size(); ++len)
+        expectRejected(intact.substr(0, len),
+                       "truncated to " + std::to_string(len));
+    for (std::size_t i = 0; i < intact.size(); ++i)
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bytes = intact;
+            bytes[i] = char(bytes[i] ^ (1 << bit));
+            expectRejected(bytes, "byte " + std::to_string(i)
+                                      + " bit " + std::to_string(bit));
+        }
+    EXPECT_EQ(target.lookup(0x9999, 9), "kept");
+
+    writeAll(p.str(), intact);
+    MemoCache back(8);
+    back.load(p.str());
+    EXPECT_EQ(back.size(), 3u);
+    EXPECT_EQ(back.lookup(0x1111, 1), "alpha");
+    EXPECT_EQ(back.lookup(0x2222, 2), "{\"runtimeTicks\":12345}");
+    EXPECT_EQ(back.lookup(0x1111, 3), "gamma");
 }
 
 } // namespace
