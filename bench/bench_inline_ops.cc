@@ -12,7 +12,6 @@
 #include "bench_util.hh"
 #include "storage/fio.hh"
 #include "storage/pmem.hh"
-#include "storage/slram.hh"
 
 #include <cstring>
 
@@ -118,7 +117,9 @@ main(int argc, char **argv)
         storage::PmemBlockDevice pmem("pmem", mram, &mram,
                                       storage::PmemBlockDevice::
                                           Params::forMram());
-        storage::SlramBlockDevice slram("slram", mram, &mram, {});
+        storage::PmemBlockDevice slram("slram", mram, &mram,
+                                       storage::PmemBlockDevice::
+                                           Params::forSlram());
         storage::FioEngine::Params fp;
         fp.ops = 300;
         fp.readFraction = 0.0;

@@ -9,6 +9,7 @@
  */
 
 #include "bench_util.hh"
+#include "storage/flat_latency.hh"
 #include "storage/gpfs.hh"
 #include "storage/pmem.hh"
 #include "storage/sas_devices.hh"
@@ -68,7 +69,8 @@ main(int argc, char **argv)
         ClockDomain d("d", 500);
         stats::StatGroup root("root");
         HddDevice hdd("hdd", eq, d, &root, {});
-        SsdDevice ssd("ssd", eq, d, &root, {});
+        FlatLatencyDevice ssd("ssd", eq, d, &root,
+                              FlatLatencyDevice::sasSsd());
         GpfsWriteCache gpfs("gpfs", eq, d, &root, {}, &ssd, hdd);
         double iops = runWrites(eq, gpfs, 1000000, 4000, 2);
         std::printf("%-28s %10s %12.0f %12s\n", "SSD (SAS)",

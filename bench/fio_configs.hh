@@ -18,7 +18,7 @@
 
 #include "bench_util.hh"
 #include "storage/fio.hh"
-#include "storage/pcie_devices.hh"
+#include "storage/flat_latency.hh"
 #include "storage/pmem.hh"
 
 namespace bench
@@ -92,19 +92,19 @@ runFioMatrix(Telemetry *tm = nullptr)
     // PCIe comparison points.
     struct PcieCase
     {
-        PcieDevice::Params params;
+        FlatLatencyDevice::Params params;
         Tick software;
     };
     const PcieCase cases[] = {
-        {PcieDevice::mramOnPcie(), nanoseconds(3200)},
-        {PcieDevice::nvramOnPcie(), nanoseconds(9300)},
-        {PcieDevice::flashOnPcie(), nanoseconds(9300)},
+        {FlatLatencyDevice::mramOnPcie(), nanoseconds(3200)},
+        {FlatLatencyDevice::nvramOnPcie(), nanoseconds(9300)},
+        {FlatLatencyDevice::flashOnPcie(), nanoseconds(9300)},
     };
     for (const PcieCase &c : cases) {
         EventQueue eq;
         ClockDomain d("d", 500);
         stats::StatGroup root("root");
-        PcieDevice dev("pcie", eq, d, &root, c.params);
+        FlatLatencyDevice dev("pcie", eq, d, &root, c.params);
         results.push_back(runFio(eq, dev, c.software));
         if (tm)
             tm->capture(results.back().name, root);

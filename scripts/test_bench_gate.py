@@ -261,7 +261,7 @@ class CheckedInBaselines(GateCase):
 
     def baselines(self):
         paths = sorted(glob.glob(os.path.join(BASELINES, "BENCH_*.json")))
-        self.assertEqual(len(paths), 7)
+        self.assertEqual(len(paths), 8)
         for path in paths:
             with open(path) as f:
                 yield os.path.basename(path), json.load(f)

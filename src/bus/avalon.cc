@@ -1,7 +1,5 @@
 #include "bus/avalon.hh"
 
-#include "mem/ddr3_controller.hh"
-
 namespace contutto::bus
 {
 
@@ -141,22 +139,6 @@ AvalonBus::dispatch(const mem::MemRequestPtr &req)
                            [slave, req_copy] {
                                slave->access(req_copy);
                            });
-}
-
-MemControllerSlave::MemControllerSlave(mem::Ddr3Controller &ctrl)
-    : ctrl_(ctrl)
-{}
-
-void
-MemControllerSlave::access(const mem::MemRequestPtr &req)
-{
-    ctrl_.submit(req);
-}
-
-std::string
-MemControllerSlave::slaveName() const
-{
-    return ctrl_.name();
 }
 
 } // namespace contutto::bus

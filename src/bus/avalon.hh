@@ -25,11 +25,6 @@
 #include "mem/request.hh"
 #include "sim/sim_object.hh"
 
-namespace contutto::mem
-{
-class Ddr3Controller;
-} // namespace contutto::mem
-
 namespace contutto::bus
 {
 
@@ -143,19 +138,6 @@ class AvalonBus : public SimObject
     std::vector<Mapping> mappings_;
     std::vector<std::unique_ptr<Port>> ports_;
     BusStats stats_;
-};
-
-/** Adapter exposing a memory controller as a bus slave. */
-class MemControllerSlave : public AvalonSlave
-{
-  public:
-    explicit MemControllerSlave(mem::Ddr3Controller &ctrl);
-
-    void access(const mem::MemRequestPtr &req) override;
-    std::string slaveName() const override;
-
-  private:
-    mem::Ddr3Controller &ctrl_;
 };
 
 } // namespace contutto::bus

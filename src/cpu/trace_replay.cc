@@ -83,7 +83,8 @@ TraceReplayer::issueCurrent()
                 params_.capture->record(curTick(),
                                         *filtered.writeback,
                                         trace::Op::write);
-            trip(next_, *filtered.writeback, true, 0, false);
+            if (trip(next_, *filtered.writeback, true, 0, false))
+                ++result_.detailed;
         }
         if (filtered.servedBy != CacheHierarchy::Level::memory) {
             // On-chip hit: completes after the level's latency.
@@ -98,7 +99,8 @@ TraceReplayer::issueCurrent()
 
     if (params_.capture)
         params_.capture->record(curTick(), addr, cur_.op);
-    trip(next_, addr, isWrite);
+    if (trip(next_, addr, isWrite))
+        ++result_.detailed;
     advance();
 }
 

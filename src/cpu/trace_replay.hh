@@ -75,6 +75,9 @@ class TraceReplayer : public SimObject,
         std::uint64_t cacheHits = 0;
         /** Dirty-victim writebacks sent to memory. */
         std::uint64_t writebacks = 0;
+        /** Channel trips (misses and writebacks) that travelled
+         *  the channel in detail rather than fast-forwarded. */
+        std::uint64_t detailed = 0;
     };
 
     TraceReplayer(const std::string &name, EventQueue &eq,

@@ -475,7 +475,7 @@ CampaignJob::runTrace(const std::atomic<bool> &cancel,
         rep.start(bin, [&](const auto &r) {
             reads = r.reads;
             writes = r.writes;
-            detailed = r.reads + r.writes;
+            detailed = r.detailed;
             runtime = r.runtime;
             finished = true;
         });

@@ -20,6 +20,15 @@
  * after recovery and classifies the image against the ledger, which
  * is how the crash campaign tells a legal pre-fence tear from a
  * genuine durability violation.
+ *
+ * The same driver without its fence is the raw slram block driver
+ * (paper §4: experiments ran "either the pmem.io driver stack or raw
+ * slram driver"; Params::forSlram()): block I/O straight onto the
+ * memory region through a thinner software path, acknowledged as
+ * soon as the line commands complete at the buffer. Faster, but such
+ * a write may still sit in the buffer pipeline when power fails and
+ * never advances the durability ledger; the pair makes the cost of
+ * the persistence guarantee measurable.
  */
 
 #ifndef CONTUTTO_STORAGE_PMEM_HH
@@ -62,7 +71,8 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
          *  side also pays the copy into the user buffer). */
         Tick driverReadCost = nanoseconds(2300);
         Tick driverWriteCost = nanoseconds(900);
-        /** Issue a flush command after each write burst. */
+        /** Issue a flush command after each write burst; without
+         *  it no write is ever fenced. */
         bool flushOnWrite = true;
 
         /** Preset for STT-MRAM DIMMs behind ConTutto. */
@@ -75,6 +85,18 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
             Params p;
             p.driverReadCost = nanoseconds(1950);
             p.driverWriteCost = nanoseconds(1400);
+            return p;
+        }
+
+        /** Preset for the raw slram driver: no fence, and a thin
+         *  driver cost per 4 KiB op in both directions. */
+        static Params
+        forSlram()
+        {
+            Params p;
+            p.driverReadCost = nanoseconds(600);
+            p.driverWriteCost = nanoseconds(600);
+            p.flushOnWrite = false;
             return p;
         }
     };
@@ -127,7 +149,8 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
     describe() const override
     {
         return std::string(mem::memTechName(sys_.dimm(0).tech()))
-            + " (DMI via ConTutto)";
+            + (params_.flushOnWrite ? " (DMI via ConTutto)"
+                                    : " (DMI, raw slram)");
     }
 
     const Params &params() const { return params_; }

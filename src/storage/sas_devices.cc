@@ -87,44 +87,4 @@ HddDevice::startNext()
     eventq().schedule(&doneEvent_, curTick() + service);
 }
 
-SsdDevice::SsdDevice(const std::string &name, EventQueue &eq,
-                     const ClockDomain &domain,
-                     stats::StatGroup *parent, const Params &params)
-    : BlockDevice(name, eq, domain, parent, params.capacityBlocks),
-      params_(params)
-{}
-
-void
-SsdDevice::submit(BlockRequest req)
-{
-    req.issuedAt = curTick();
-    if (inFlight_ >= params_.parallelism) {
-        queue_.push_back(std::move(req));
-        return;
-    }
-    startOne(std::move(req));
-}
-
-void
-SsdDevice::startOne(BlockRequest req)
-{
-    ++inFlight_;
-    Tick media = req.isWrite ? params_.writeLatency
-                             : params_.readLatency;
-    double bytes = double(req.blocks) * blockSize;
-    Tick transfer = Tick(bytes / params_.linkRate * 1e12);
-    Tick service = params_.commandOverhead + media + transfer;
-    BlockRequest r = std::move(req);
-    OneShotEvent::schedule(
-        eventq(), curTick() + service, [this, r]() mutable {
-            complete(r);
-            --inFlight_;
-            if (!queue_.empty()) {
-                BlockRequest next = std::move(queue_.front());
-                queue_.pop_front();
-                startOne(std::move(next));
-            }
-        });
-}
-
 } // namespace contutto::storage

@@ -1,9 +1,11 @@
 /**
  * @file
- * SAS-attached devices: the rotating disk and the enterprise SSD.
+ * The SAS-attached rotating disk.
  *
  * Table 4's comparison points: a 1.1 TB SAS HDD (~75 IOPS on small
- * random writes) and a 400 GB SAS SSD (~15K IOPS).
+ * random writes) and a 400 GB SAS SSD (~15K IOPS). The SSD's
+ * service time does not depend on head position, so it is a preset
+ * of the flat-latency device (FlatLatencyDevice::sasSsd()).
  */
 
 #ifndef CONTUTTO_STORAGE_SAS_DEVICES_HH
@@ -59,39 +61,6 @@ class HddDevice : public BlockDevice
     BlockRequest current_;
     stats::Scalar seeks_;
     stats::Scalar sequentialHits_;
-};
-
-/** An enterprise SAS SSD with a flat latency profile. */
-class SsdDevice : public BlockDevice
-{
-  public:
-    struct Params
-    {
-        std::uint64_t capacityBlocks =
-            400ull * 1000 * 1000 * 1000 / blockSize; // 400 GB
-        Tick readLatency = microseconds(95);
-        /** Writes land in the drive's capacitor-backed cache. */
-        Tick writeLatency = microseconds(43);
-        /** SAS link + controller overhead per command. */
-        Tick commandOverhead = microseconds(10);
-        /** Interface transfer rate, bytes/second (SAS 6G). */
-        double linkRate = 550e6;
-        /** Concurrent internal operations (channels). */
-        unsigned parallelism = 8;
-    };
-
-    SsdDevice(const std::string &name, EventQueue &eq,
-              const ClockDomain &domain, stats::StatGroup *parent,
-              const Params &params);
-
-    void submit(BlockRequest req) override;
-    std::string describe() const override { return "SSD (SAS)"; }
-
-  private:
-    Params params_;
-    unsigned inFlight_ = 0;
-    std::deque<BlockRequest> queue_;
-    void startOne(BlockRequest req);
 };
 
 } // namespace contutto::storage

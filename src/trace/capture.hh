@@ -9,20 +9,12 @@
  * an optional rigid base shift so a trace replayed mid-run (after
  * link training) can be re-captured byte-identically — the shift
  * puts the recapture back on the original time origin.
- *
- * ShardCapture fans one logical capture across the sharded
- * executor: shard i writes `<path>.shard<i>` with threadId = i and
- * no cross-shard state (so parallel capture is race-free by
- * construction); finish() closes every shard and k-way merges them
- * into the final time-ordered trace at `<path>`.
  */
 
 #ifndef CONTUTTO_TRACE_CAPTURE_HH
 #define CONTUTTO_TRACE_CAPTURE_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "trace/writer.hh"
@@ -92,31 +84,6 @@ class CaptureSink
     TraceWriter writer_;
     Tick base_ = 0;
     Tick lastTick_ = 0;
-};
-
-/** Sharded capture fan-out; see the file comment. */
-class ShardCapture
-{
-  public:
-    ShardCapture(std::string path, unsigned shards);
-
-    /** The sink shard @p i must use — and only shard @p i. */
-    CaptureSink &shard(unsigned i) { return *sinks_.at(i); }
-
-    unsigned shards() const { return unsigned(sinks_.size()); }
-
-    /**
-     * Close every shard file, merge them time-ordered into the
-     * final path, and remove the shard files.
-     * @return the merged record count.
-     */
-    std::uint64_t finish();
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-    std::vector<std::unique_ptr<CaptureSink>> sinks_;
 };
 
 } // namespace contutto::trace

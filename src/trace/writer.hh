@@ -13,9 +13,8 @@
  * raises trace::Error(shortWrite) and removes the temp file.
  *
  * One writer per capturing shard; writers are not thread-safe (each
- * shard appends only to its own), and ShardCapture (capture.hh)
- * wires one per shard with trace::mergeShards stitching the shard
- * files back into one time-ordered trace.
+ * shard appends only to its own), and trace::mergeShards stitches
+ * the shard files back into one time-ordered trace.
  */
 
 #ifndef CONTUTTO_TRACE_WRITER_HH

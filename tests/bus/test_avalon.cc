@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bus/avalon.hh"
+#include "contutto/contutto_card.hh"
 #include "mem/ddr3_controller.hh"
 
 using namespace contutto;
@@ -152,38 +153,51 @@ TEST(AvalonBus, OverlappingMappingIsFatal)
         FatalError);
 }
 
-TEST(AvalonBus, MemControllerSlaveEndToEnd)
+TEST(AvalonBus, InterleavedMemSlaveEndToEnd)
 {
+    // The card's slave: consecutive lines alternate between two
+    // DIMM ports, each behind its own controller.
     BusRig rig;
-    DramDevice dev("dimm", rig.eq, rig.ddr, &rig.root, 64 * MiB);
-    Ddr3Controller ctrl("mc", rig.eq, rig.ddr, &rig.root, {}, dev);
-    MemControllerSlave slave(ctrl);
+    DramDevice dev0("dimm0", rig.eq, rig.ddr, &rig.root, 32 * MiB);
+    DramDevice dev1("dimm1", rig.eq, rig.ddr, &rig.root, 32 * MiB);
+    Ddr3Controller mc0("mc0", rig.eq, rig.ddr, &rig.root, {}, dev0);
+    Ddr3Controller mc1("mc1", rig.eq, rig.ddr, &rig.root, {}, dev1);
+    fpga::InterleavedMemSlave slave({&mc0, &mc1}, LineInterleave{2});
     rig.bus.attach(slave, AddressRange{0x40000000, 64 * MiB});
 
     auto &wr = rig.bus.createPort("wr");
     auto &rd = rig.bus.createPort("rd");
 
-    auto wreq = std::make_shared<MemRequest>();
-    wreq->addr = 0x40000000 + 0x1000;
-    wreq->isWrite = true;
-    wreq->data.fill(0x66);
-    bool wrote = false;
-    wreq->onDone = [&](MemRequest &) { wrote = true; };
-    wr.submit(wreq);
+    // Two neighbouring lines: one per port.
+    const Addr lines[] = {0x40000000 + 0x1000, 0x40000000 + 0x1080};
+    const std::uint8_t fills[] = {0x66, 0x77};
+    int wrote = 0;
+    for (int i = 0; i < 2; ++i) {
+        auto wreq = std::make_shared<MemRequest>();
+        wreq->addr = lines[i];
+        wreq->isWrite = true;
+        wreq->data.fill(fills[i]);
+        wreq->onDone = [&](MemRequest &) { ++wrote; };
+        wr.submit(wreq);
+    }
     rig.eq.run(rig.eq.curTick() + microseconds(1));
-    ASSERT_TRUE(wrote);
+    ASSERT_EQ(wrote, 2);
+    EXPECT_EQ(mc0.ctrlStats().writes.value(), 1.0);
+    EXPECT_EQ(mc1.ctrlStats().writes.value(), 1.0);
 
-    auto rreq = std::make_shared<MemRequest>();
-    rreq->addr = 0x40000000 + 0x1000;
-    bool read_ok = false;
-    rreq->onDone = [&](MemRequest &r) {
-        read_ok = true;
-        for (auto b : r.data)
-            EXPECT_EQ(b, 0x66);
-    };
-    rd.submit(rreq);
+    int read_ok = 0;
+    for (int i = 0; i < 2; ++i) {
+        auto rreq = std::make_shared<MemRequest>();
+        rreq->addr = lines[i];
+        rreq->onDone = [&, fill = fills[i]](MemRequest &r) {
+            ++read_ok;
+            for (auto b : r.data)
+                EXPECT_EQ(b, fill);
+        };
+        rd.submit(rreq);
+    }
     rig.eq.run(rig.eq.curTick() + microseconds(1));
-    EXPECT_TRUE(read_ok);
+    EXPECT_EQ(read_ok, 2);
 }
 
 } // namespace

@@ -353,16 +353,15 @@ TEST(Protocol, TracePayloadDeterministicBothReplayModes)
     CampaignJob b("trace", 11, traceConfig(path));
     std::string pa = a.run(cancel);
     EXPECT_EQ(pa, b.run(cancel));
-
-    Json p = Json::parse(pa);
-    EXPECT_EQ(p.at("kind").asString(), "trace");
-    EXPECT_EQ(p.at("replayMode").asString(), "timed");
-    EXPECT_EQ(p.at("simMode").asString(), "detailed");
-    EXPECT_EQ(p.at("records").asU64(), 2000u);
-    EXPECT_EQ(p.at("reads").asU64() + p.at("writes").asU64(),
-              2000u);
-    EXPECT_EQ(p.at("detailedTrips").asU64(), 2000u);
-    EXPECT_GT(p.at("runtimeTicks").asU64(), 0u);
+    // detailedTrips counts the trips that travelled the channel:
+    // every record in detail, only the measured windows' trips when
+    // sampled. The timed payloads are pinned whole.
+    EXPECT_EQ(pa, "{\"kind\":\"trace\",\"seed\":11,"
+                  "\"configHash\":\"d17a3defaee51064\","
+                  "\"traceChecksum\":\"2262c7a598e45b7f\","
+                  "\"records\":2000,\"reads\":1330,\"writes\":670,"
+                  "\"detailedTrips\":2000,\"runtimeTicks\":100996000,"
+                  "\"replayMode\":\"timed\",\"simMode\":\"detailed\"}");
 
     // Window mode replays the same records through the MLP-window
     // model instead.
@@ -371,21 +370,34 @@ TEST(Protocol, TracePayloadDeterministicBothReplayModes)
     Json pw = Json::parse(w.run(cancel));
     EXPECT_EQ(pw.at("replayMode").asString(), "window");
     EXPECT_EQ(pw.at("records").asU64(), 2000u);
-    EXPECT_GT(pw.at("runtimeTicks").asU64(), 0u);
+    EXPECT_EQ(pw.at("detailedTrips").asU64(), 2000u);
+    EXPECT_EQ(pw.at("runtimeTicks").asU64(), 101375000u);
 
-    // Sampled timed replay reports its window counters.
+    // Sampled replay, in both modes, reports its window counters.
+    const std::string sampled = "\"sampleMode\":1,"
+                                "\"sampleWarmup\":8,"
+                                "\"sampleWindow\":32,"
+                                "\"samplePeriod\":256";
     CampaignJob s("trace", 11,
-                  traceConfig(path, "{\"sampleMode\":1,"
-                                    "\"sampleWarmup\":8,"
-                                    "\"sampleWindow\":32,"
-                                    "\"samplePeriod\":256}"));
-    Json ps = Json::parse(s.run(cancel));
-    EXPECT_EQ(ps.at("simMode").asString(), "sampled");
-    EXPECT_EQ(ps.at("traceChecksum").asString(),
-              p.at("traceChecksum").asString());
-    EXPECT_GT(ps.at("windows").asU64(), 0u);
-    EXPECT_GT(ps.at("fastForwardMisses").asU64(), 0u);
-    EXPECT_LT(ps.at("detailedTrips").asU64(), 2000u);
+                  traceConfig(path, ("{" + sampled + "}").c_str()));
+    EXPECT_EQ(s.run(cancel),
+              "{\"kind\":\"trace\",\"seed\":11,"
+              "\"configHash\":\"e227300d476cfaf2\","
+              "\"traceChecksum\":\"2262c7a598e45b7f\","
+              "\"records\":2000,\"reads\":1330,\"writes\":670,"
+              "\"detailedTrips\":320,\"runtimeTicks\":101028514,"
+              "\"replayMode\":\"timed\",\"simMode\":\"sampled\","
+              "\"windows\":8,\"detailedMisses\":320,"
+              "\"fastForwardMisses\":1680}");
+    CampaignJob sw("trace", 11,
+                   traceConfig(path, ("{\"timed\":0,\"window\":4,"
+                                      + sampled + "}")
+                                         .c_str()));
+    Json psw = Json::parse(sw.run(cancel));
+    EXPECT_EQ(psw.at("simMode").asString(), "sampled");
+    EXPECT_EQ(psw.at("detailedMisses").asU64(), 320u);
+    EXPECT_EQ(psw.at("detailedTrips").asU64(), 320u);
+    EXPECT_EQ(psw.at("runtimeTicks").asU64(), 101204106u);
 }
 
 TEST(Protocol, TraceFileChangedAfterAdmissionIsRejected)

@@ -4,11 +4,10 @@
 
 #include "cpu/system.hh"
 #include "storage/fio.hh"
+#include "storage/flat_latency.hh"
 #include "storage/gpfs.hh"
-#include "storage/pcie_devices.hh"
 #include "storage/pmem.hh"
 #include "storage/sas_devices.hh"
-#include "storage/slram.hh"
 
 using namespace contutto;
 using namespace contutto::cpu;
@@ -78,7 +77,8 @@ TEST(Hdd, SequentialIsFarFasterThanRandom)
 TEST(Ssd, HitsFifteenKIopsClass)
 {
     DevRig rig;
-    SsdDevice ssd("ssd", rig.eq, rig.d, &rig.root, {});
+    FlatLatencyDevice ssd("ssd", rig.eq, rig.d, &rig.root,
+                          FlatLatencyDevice::sasSsd());
     FioEngine::Params fp;
     fp.ops = 500;
     fp.readFraction = 0.0;
@@ -91,8 +91,8 @@ TEST(Ssd, HitsFifteenKIopsClass)
 TEST(Pcie, ProtocolOverheadSetsLatencyFloor)
 {
     DevRig rig;
-    auto params = PcieDevice::mramOnPcie();
-    PcieDevice dev("pcie", rig.eq, rig.d, &rig.root, params);
+    auto params = FlatLatencyDevice::mramOnPcie();
+    FlatLatencyDevice dev("pcie", rig.eq, rig.d, &rig.root, params);
     FioEngine::Params fp;
     fp.ops = 200;
     fp.readFraction = 1.0;
@@ -100,16 +100,16 @@ TEST(Pcie, ProtocolOverheadSetsLatencyFloor)
     auto r = FioEngine(fp).run(rig.eq, dev);
     // Even with instant media, a PCIe op cannot beat the protocol.
     EXPECT_GT(r.meanReadLatencyUs,
-              ticksToNs(params.protocolOverhead) / 1000.0);
+              ticksToNs(params.commandOverhead) / 1000.0);
 }
 
 TEST(Pcie, NvramFasterThanFlash)
 {
     DevRig rig;
-    PcieDevice nvram("nvram", rig.eq, rig.d, &rig.root,
-                     PcieDevice::nvramOnPcie());
-    PcieDevice flash("flash", rig.eq, rig.d, &rig.root,
-                     PcieDevice::flashOnPcie());
+    FlatLatencyDevice nvram("nvram", rig.eq, rig.d, &rig.root,
+                            FlatLatencyDevice::nvramOnPcie());
+    FlatLatencyDevice flash("flash", rig.eq, rig.d, &rig.root,
+                            FlatLatencyDevice::flashOnPcie());
     FioEngine::Params fp;
     fp.ops = 200;
     fp.softwareOverhead = microseconds(9);
@@ -172,8 +172,8 @@ TEST(Pmem, DmiAttachBeatsPcieOnLatency)
     auto r_dmi = FioEngine(fp).run(sys.eventq(), pmem);
 
     DevRig rig;
-    PcieDevice mram_pcie("mp", rig.eq, rig.d, &rig.root,
-                         PcieDevice::mramOnPcie());
+    FlatLatencyDevice mram_pcie("mp", rig.eq, rig.d, &rig.root,
+                                FlatLatencyDevice::mramOnPcie());
     auto r_pcie = FioEngine(fp).run(rig.eq, mram_pcie);
 
     // Paper Figure 10: ~2.4x lower read, ~5x lower write latency.
@@ -216,7 +216,8 @@ TEST(Gpfs, CacheAggregatesIntoSequentialDestages)
 {
     DevRig rig;
     HddDevice hdd("hdd", rig.eq, rig.d, &rig.root, {});
-    SsdDevice ssd("ssd", rig.eq, rig.d, &rig.root, {});
+    FlatLatencyDevice ssd("ssd", rig.eq, rig.d, &rig.root,
+                          FlatLatencyDevice::sasSsd());
     GpfsWriteCache gpfs("gpfs", rig.eq, rig.d, &rig.root, {}, &ssd,
                         hdd);
     Rng rng(2);
@@ -273,7 +274,8 @@ TEST(Slram, FasterThanPmemButNoFlush)
     Power8System sys(mramSystem());
     ASSERT_TRUE(sys.train());
     PmemBlockDevice pmem("pmem", sys, &sys, {});
-    SlramBlockDevice slram("slram", sys, &sys, {});
+    PmemBlockDevice slram("slram", sys, &sys,
+                          PmemBlockDevice::Params::forSlram());
 
     FioEngine::Params fp;
     fp.ops = 120;
@@ -285,14 +287,152 @@ TEST(Slram, FasterThanPmemButNoFlush)
     // The raw path skips the flush barrier and the thicker driver.
     EXPECT_LT(rs.meanWriteLatencyUs, rp.meanWriteLatencyUs);
     // And it issues no flush commands at all.
+    EXPECT_EQ(slram.pmemStats().flushesIssued.value(), 0.0);
     EXPECT_EQ(sys.card()->mbs().mbsStats().flushes.value(),
               double(rp.writesDone));
+}
+
+/** One FIO run's exact outcome. */
+struct FioPin
+{
+    double readIops;
+    double writeIops;
+    double meanReadLatencyUs;
+    double meanWriteLatencyUs;
+    unsigned readsDone;
+    unsigned writesDone;
+};
+
+/** The pinned stream's queue depths; the deepest one overflows the
+ *  SAS SSD's 8 internal channels. */
+constexpr unsigned pinDepths[] = {1, 4, 12};
+
+/**
+ * Run the pinned stream on @p dev: 200 mixed ops per queue depth,
+ * each depth with its own seed, and check every report and the
+ * device's request counters exactly.
+ */
+void
+expectPinnedFio(EventQueue &eq, BlockDevice &dev,
+                const FioPin (&want)[3])
+{
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    for (unsigned i = 0; i < 3; ++i) {
+        SCOPED_TRACE("queue depth " + std::to_string(pinDepths[i]));
+        FioEngine::Params fp;
+        fp.ops = 200;
+        fp.readFraction = 0.5;
+        fp.softwareOverhead = microseconds(2);
+        fp.queueDepth = pinDepths[i];
+        fp.seed = 70 + pinDepths[i];
+        auto r = FioEngine(fp).run(eq, dev);
+        EXPECT_DOUBLE_EQ(r.readIops, want[i].readIops);
+        EXPECT_DOUBLE_EQ(r.writeIops, want[i].writeIops);
+        EXPECT_DOUBLE_EQ(r.meanReadLatencyUs,
+                         want[i].meanReadLatencyUs);
+        EXPECT_DOUBLE_EQ(r.meanWriteLatencyUs,
+                         want[i].meanWriteLatencyUs);
+        EXPECT_EQ(r.readsDone, want[i].readsDone);
+        EXPECT_EQ(r.writesDone, want[i].writesDone);
+        reads += want[i].readsDone;
+        writes += want[i].writesDone;
+    }
+    EXPECT_EQ(dev.ioStats().readOps.value(), double(reads));
+    EXPECT_EQ(dev.ioStats().writeOps.value(), double(writes));
+    EXPECT_EQ(dev.ioStats().failedOps.value(), 0.0);
+    EXPECT_EQ(dev.ioStats().readLatency.count(), reads);
+    EXPECT_EQ(dev.ioStats().writeLatency.count(), writes);
+}
+
+// FioPin: {readIops, writeIops, meanReadLatencyUs,
+// meanWriteLatencyUs, readsDone, writesDone} at QD 1, 4 and 12.
+// The figures predate the SAS SSD and raw slram becoming presets of
+// the flat-latency device and the pmem driver.
+
+TEST(StorageTimings, FlatLatencyPresetsExact)
+{
+    struct Case
+    {
+        FlatLatencyDevice::Params params;
+        FioPin want[3];
+    };
+    const Case cases[] = {
+        {FlatLatencyDevice::sasSsd(),
+         {{5965.0532714605606, 5081.3416756886263,
+           112.4472719999999, 60.447272000000069, 108, 92},
+          {21882.278040036355, 23235.821011584994,
+           112.44727199999996, 60.447272000000098, 97, 103},
+          {45503.584419272731, 45503.584419272731,
+           153.34196256000004, 99.570908000000017, 100, 100}}},
+        {FlatLatencyDevice::nvramOnPcie(),
+         {{20865.533230293662, 17774.343122102007,
+           19.27999999999998, 29.280000000000033, 108, 92},
+          {73192.080164191721, 77719.425328987083,
+           19.279999999999976, 29.280000000000051, 97, 103},
+          {220731.06127494262, 220731.06127494262,
+           19.279999999999976, 29.280000000000044, 100, 100}}},
+        {FlatLatencyDevice::flashOnPcie(),
+         {{7450.3311258278145, 6346.5783664459159,
+           84.279999999999987, 54.28000000000003, 108, 92},
+          {27045.413990007139, 28718.326195574591,
+           84.279999999999916, 54.280000000000001, 97, 103},
+          {81515.536861325774, 81515.536861325774,
+           84.27999999999993, 54.280000000000008, 100, 100}}},
+        {FlatLatencyDevice::mramOnPcie(),
+         {{51097.653292959883, 43527.630582891754,
+           7.2799999999999825, 10.080000000000016, 108, 92},
+          {179762.78724981469, 190882.13491475166,
+           7.2799999999999834, 10.080000000000018, 97, 103},
+          {540891.389009087, 540891.389009087,
+           7.2799999999999834, 10.080000000000018, 100, 100}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.params.description);
+        DevRig rig;
+        FlatLatencyDevice dev("dev", rig.eq, rig.d, &rig.root,
+                              c.params);
+        expectPinnedFio(rig.eq, dev, c.want);
+    }
+}
+
+TEST(StorageTimings, DmiDriversExact)
+{
+    {
+        Power8System sys(mramSystem());
+        ASSERT_TRUE(sys.train());
+        PmemBlockDevice slram("slram", sys, &sys,
+                              PmemBlockDevice::Params::forSlram());
+        expectPinnedFio(sys.eventq(), slram,
+                        {{159474.56085431113, 135848.69998700576,
+           1.2831481481481486, 1.5070000000000001, 108, 92},
+          {344379.51332429191, 365681.33889074298,
+           3.4420206185566991, 3.7365631067961131, 97, 103},
+          {355823.7676043809, 355823.7676043809,
+           14.229959999999998, 14.537940000000003, 100, 100}});
+        EXPECT_EQ(slram.pmemStats().flushesIssued.value(), 0.0);
+    }
+    {
+        Power8System sys(mramSystem());
+        ASSERT_TRUE(sys.train());
+        PmemBlockDevice pmem("pmem", sys, &sys,
+                             PmemBlockDevice::Params::forMram());
+        expectPinnedFio(sys.eventq(), pmem,
+                        {{121012.19982251545, 103084.46651547612,
+           2.9831481481481483, 1.8509999999999989, 108, 92},
+          {201245.64832219222, 213693.83275449276,
+           8.1517938144329882, 6.9951650485436918, 97, 103},
+          {205999.53032107087, 205999.53032107087,
+           27.156599999999973, 25.681739999999976, 100, 100}});
+        EXPECT_EQ(pmem.pmemStats().flushesIssued.value(), 295.0);
+    }
 }
 
 TEST(Fio, ReadFractionRespected)
 {
     DevRig rig;
-    SsdDevice ssd("ssd", rig.eq, rig.d, &rig.root, {});
+    FlatLatencyDevice ssd("ssd", rig.eq, rig.d, &rig.root,
+                          FlatLatencyDevice::sasSsd());
     FioEngine::Params fp;
     fp.ops = 1000;
     fp.readFraction = 0.7;
@@ -304,7 +444,8 @@ TEST(Fio, ReadFractionRespected)
 TEST(Fio, QueueDepthRaisesThroughput)
 {
     DevRig rig;
-    SsdDevice ssd("ssd", rig.eq, rig.d, &rig.root, {});
+    FlatLatencyDevice ssd("ssd", rig.eq, rig.d, &rig.root,
+                          FlatLatencyDevice::sasSsd());
     FioEngine::Params qd1;
     qd1.ops = 500;
     FioEngine::Params qd4 = qd1;

@@ -1,15 +1,16 @@
 /**
  * @file
  * Capture-side tests: absolute-tick→delta encoding, the base shift,
- * sharded capture with a deterministic k-way merge (including under
- * the real sharded executor, for the TSan job) and the seeded
- * fake generators.
+ * the deterministic k-way merge of per-shard captures (including
+ * shards written under the real sharded executor, for the TSan job)
+ * and the seeded fake generators.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,25 +80,53 @@ TEST(CaptureSink, BaseShiftRestoresOrigin)
     fs::remove(b);
 }
 
-TEST(ShardCapture, MergeIsTimeOrderedAndCleansUp)
+/** One capture sink per shard at `<path>.shard<i>`, with threadId
+ *  i: the per-shard files mergeShards stitches together. */
+struct ShardFiles
+{
+    ShardFiles(const std::string &path, unsigned shards)
+    {
+        for (unsigned i = 0; i < shards; ++i) {
+            TraceWriter::Options options;
+            options.threadId = std::uint16_t(i);
+            paths.push_back(path + ".shard" + std::to_string(i));
+            fs::remove(paths.back());
+            sinks.push_back(
+                std::make_unique<CaptureSink>(paths.back(), options));
+        }
+    }
+
+    /** Close every shard and merge them into @p out. */
+    std::uint64_t
+    merge(const std::string &out)
+    {
+        for (auto &sink : sinks)
+            sink->close();
+        std::uint64_t n = mergeShards(paths, out);
+        for (const auto &p : paths)
+            fs::remove(p);
+        return n;
+    }
+
+    std::vector<std::string> paths;
+    std::vector<std::unique_ptr<CaptureSink>> sinks;
+};
+
+TEST(MergeShards, TimeOrderedWithThreadIdTieBreak)
 {
     const std::string path = tmpPath("sharded.bin");
     fs::remove(path);
-    ShardCapture cap(path, 3);
-    ASSERT_EQ(cap.shards(), 3u);
+    ShardFiles shards(path, 3);
 
     // Interleaved in time across shards, including a tick collision
     // between shards 0 and 2 (ordered by threadId).
-    cap.shard(0).record(100, 0xa0, Op::read);
-    cap.shard(1).record(50, 0xb0, Op::write);
-    cap.shard(2).record(100, 0xc0, Op::read);
-    cap.shard(0).record(300, 0xa1, Op::read);
-    cap.shard(1).record(200, 0xb1, Op::depRead);
+    shards.sinks[0]->record(100, 0xa0, Op::read);
+    shards.sinks[1]->record(50, 0xb0, Op::write);
+    shards.sinks[2]->record(100, 0xc0, Op::read);
+    shards.sinks[0]->record(300, 0xa1, Op::read);
+    shards.sinks[1]->record(200, 0xb1, Op::depRead);
 
-    EXPECT_EQ(cap.finish(), 5u);
-    for (unsigned i = 0; i < 3; ++i)
-        EXPECT_FALSE(
-            fs::exists(path + ".shard" + std::to_string(i)));
+    EXPECT_EQ(shards.merge(path), 5u);
 
     MappedTrace bin(path);
     ASSERT_EQ(bin.recordCount(), 5u);
@@ -105,52 +134,54 @@ TEST(ShardCapture, MergeIsTimeOrderedAndCleansUp)
     {
         Tick tick;
         Addr addr;
+        Op op;
         std::uint16_t thread;
     };
-    const Expect want[] = {{50, 0xb0, 1},
-                           {100, 0xa0, 0},
-                           {100, 0xc0, 2},
-                           {200, 0xb1, 1},
-                           {300, 0xa1, 0}};
+    const Expect want[] = {{50, 0xb0, Op::write, 1},
+                           {100, 0xa0, Op::read, 0},
+                           {100, 0xc0, Op::read, 2},
+                           {200, 0xb1, Op::depRead, 1},
+                           {300, 0xa1, Op::read, 0}};
     Tick tick = 0;
     for (std::uint64_t i = 0; i < bin.recordCount(); ++i) {
         Record r = bin.record(i);
         tick += r.tickDelta;
         EXPECT_EQ(tick, want[i].tick) << "record " << i;
         EXPECT_EQ(r.addr, want[i].addr) << "record " << i;
+        EXPECT_EQ(r.op, want[i].op) << "record " << i;
         EXPECT_EQ(r.threadId, want[i].thread) << "record " << i;
     }
     fs::remove(path);
 }
 
-TEST(ShardCapture, ParallelCaptureMatchesSerial)
+TEST(MergeShards, ParallelShardWritesMatchSerial)
 {
     // Same per-shard streams written serially and under the real
     // task farm: the merged file must be byte-identical (and the
     // parallel run gives TSan a real multi-writer workload).
-    auto fill = [](ShardCapture &cap, unsigned shard) {
+    auto fill = [](ShardFiles &files, unsigned shard) {
         for (int i = 0; i < 200; ++i)
-            cap.shard(shard).record(
+            files.sinks[shard]->record(
                 Tick(10 * i + shard), 0x1000 * shard + 128 * i,
                 i % 2 ? Op::write : Op::read);
     };
 
     const std::string serialPath = tmpPath("serial.bin");
     fs::remove(serialPath);
-    ShardCapture serial(serialPath, 4);
+    ShardFiles serial(serialPath, 4);
     for (unsigned s = 0; s < 4; ++s)
         fill(serial, s);
-    serial.finish();
+    serial.merge(serialPath);
 
     const std::string parPath = tmpPath("parallel.bin");
     fs::remove(parPath);
-    ShardCapture par(parPath, 4);
+    ShardFiles par(parPath, 4);
     std::vector<std::function<void()>> tasks;
     for (unsigned s = 0; s < 4; ++s)
         tasks.push_back([&par, &fill, s] { fill(par, s); });
     sim::ShardedExecutor::runTasks(
         4, sim::ShardedExecutor::Mode::parallel, tasks);
-    par.finish();
+    par.merge(parPath);
 
     MappedTrace a(serialPath), b(parPath);
     EXPECT_EQ(a.recordCount(), 800u);
