@@ -23,7 +23,9 @@
  * scripts/bench_gate.py to distill and gate against
  * bench/baselines/BENCH_trace.json; each replayed system's simulated
  * stat tree is captured as "sampled" and "detailed" and gated
- * against bench/baselines/BENCH_trace_sim.json.
+ * against bench/baselines/BENCH_trace_sim.json. The stats-JSON's
+ * configHash covers the trace's content checksum and the flags that
+ * do not name files, so one trace gives one hash wherever it lies.
  */
 
 #include <chrono>
@@ -115,6 +117,7 @@ main(int argc, char **argv)
     }
 
     trace::MappedTrace bin(path);
+    tm.setConfigHash(bench::traceConfigHash(argc, argv, bin.checksum()));
     const double records = double(bin.recordCount());
     std::printf("trace %s: %llu records, checksum %016llx\n\n",
                 path.c_str(), (unsigned long long)bin.recordCount(),
@@ -154,6 +157,8 @@ main(int argc, char **argv)
     // Host-independent: the same trace always costs the same events.
     const double eventsPerRecord =
         records > 0 ? double(detailedEvents) / records : 0;
+    const double sampledEventsPerRecord =
+        records > 0 ? double(sampledEvents) / records : 0;
 
     double recaptureMatch = -1;
     if (sink) {
@@ -171,9 +176,11 @@ main(int argc, char **argv)
     bench::rule();
     std::printf("%-10s %10.3fs %12.0f\n", "decode", decodeSec,
                 decodeOps);
-    std::printf("%-10s %10.3fs %12.0f  (detailed trips: %llu)\n",
+    std::printf("%-10s %10.3fs %12.0f  (detailed trips: %llu, %.3f "
+                "events/record)\n",
                 "sampled", sampledSec, sampledOps,
-                (unsigned long long)sampledR.detailed);
+                (unsigned long long)sampledR.detailed,
+                sampledEventsPerRecord);
     std::printf("%-10s %10.3fs %12.0f  (%.3f events/record)\n",
                 "detailed", detailedSec, detailedOps, eventsPerRecord);
     std::printf("\ntrace span %llu ps | sampled runtime %llu ps | "
@@ -198,6 +205,10 @@ main(int argc, char **argv)
                          "events processed per record in the "
                          "full-detail replay",
                          [&] { return eventsPerRecord; });
+    stats::Value sampledEventsV(&root, "sampledEventsPerRecord",
+                                "events processed per record in the "
+                                "sampled replay",
+                                [&] { return sampledEventsPerRecord; });
     stats::Value matchV(
         &root, "recaptureMatch",
         "1 when the recaptured trace matched the input byte for "

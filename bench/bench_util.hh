@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -111,6 +112,63 @@ parseUnsigned(int argc, char **argv, const char *name,
 }
 
 /**
+ * A stable FNV-1a hash of the simulation-relevant command line: the
+ * binary's base name and every argument but the telemetry output
+ * flags and the @p pathFlags (`--name=VALUE` or `--name VALUE`),
+ * whose values name files. A bench that reads a file hashes its
+ * content in their place, so one input gives one hash wherever it
+ * lies.
+ */
+inline std::uint64_t
+commandLineHash(int argc, char **argv,
+                std::initializer_list<const char *> pathFlags = {})
+{
+    std::string canon;
+    if (argc > 0) {
+        const char *base = std::strrchr(argv[0], '/');
+        canon = base ? base + 1 : argv[0];
+    }
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        // Where the stats are *written* cannot change what was
+        // *simulated*.
+        if (std::strncmp(arg, "--stats-json=", 13) == 0
+            || std::strncmp(arg, "--trace-out=", 12) == 0
+            || std::strncmp(arg, "--trace-sample=", 15) == 0
+            || std::strncmp(arg, "--stats-interval=", 17) == 0)
+            continue;
+        bool isPath = false;
+        for (const char *name : pathFlags) {
+            const std::size_t n = std::strlen(name);
+            if (std::strncmp(arg, name, n) == 0
+                && (arg[n] == '=' || arg[n] == '\0')) {
+                isPath = true;
+                i += arg[n] == '\0'; // `--name VALUE`: skip VALUE
+            }
+        }
+        if (isPath)
+            continue;
+        canon += ' ';
+        canon += arg;
+    }
+    return contutto::ckpt::fnv1a(canon.data(), canon.size());
+}
+
+/**
+ * The configHash of bench_trace_replay over trace content
+ * @p checksum: its command line without the flags that name files
+ * (--trace, --out, --recapture), then the checksum.
+ */
+inline std::uint64_t
+traceConfigHash(int argc, char **argv, std::uint64_t checksum)
+{
+    return contutto::ckpt::fnv1a(
+        &checksum, sizeof(checksum),
+        commandLineHash(argc, argv,
+                        {"--trace", "--out", "--recapture"}));
+}
+
+/**
  * Parse the sampled-execution knobs shared by every bench binary:
  *
  *   --sample-mode         run in SMARTS-style sampled mode
@@ -173,32 +231,18 @@ class Telemetry
         if (sample_ == 0)
             sample_ = 1;
         // Self-describing stats: every stats-JSON leads with a meta
-        // header carrying the binary name, the seed, and a stable
-        // FNV-1a hash of the simulation-relevant command line (the
-        // telemetry output flags are excluded — where the stats are
-        // *written* cannot change what was *simulated*). Campaign
-        // binaries with a real Spec override the hash with
-        // setConfigHash(spec.hash()): that pair (configHash, seed)
-        // is exactly the campaign service's memo key.
+        // header carrying the binary name, the seed, and
+        // commandLineHash(). Campaign binaries with a real Spec
+        // override the hash with setConfigHash(spec.hash()): that
+        // pair (configHash, seed) is exactly the campaign service's
+        // memo key.
         seed_ = parseSeed(argc, argv);
         sampling_ = parseSamplingConfig(argc, argv);
         if (argc > 0) {
             const char *base = std::strrchr(argv[0], '/');
             binary_ = base ? base + 1 : argv[0];
         }
-        std::string canon = binary_;
-        for (int i = 1; i < argc; ++i) {
-            const char *arg = argv[i];
-            if (std::strncmp(arg, "--stats-json=", 13) == 0
-                || std::strncmp(arg, "--trace-out=", 12) == 0
-                || std::strncmp(arg, "--trace-sample=", 15) == 0
-                || std::strncmp(arg, "--stats-interval=", 17) == 0)
-                continue;
-            canon += ' ';
-            canon += arg;
-        }
-        configHash_ =
-            contutto::ckpt::fnv1a(canon.data(), canon.size());
+        configHash_ = commandLineHash(argc, argv);
         if (!tracePath_.empty()) {
             span::reset();
             span::setSampleInterval(sample_);

@@ -20,10 +20,13 @@ contutto-bench-gate-v1) decides what is kept and what is checked:
               "sameAsBaseline": true   fresh == baseline, exactly
             The glob is matched against the baseline's keys; a glob
             matching nothing, or a matched stat absent from the fresh
-            capture, is MISSING and fails.  A rule with minCores is
-            SKIPped when the fresh capture's *.hostCores is below N,
-            and a vsBaseline rule is not armed when the baseline's
-            own *.hostCores is below N.
+            capture, is MISSING and fails.  A sameAsBaseline rule's
+            glob is also matched against the fresh capture's keys: a
+            stat (or capture label) found only there is NEW and
+            fails, so the baseline cannot lag the capture.  A rule
+            with minCores is SKIPped when the fresh capture's
+            *.hostCores is below N, and a vsBaseline rule is not
+            armed when the baseline's own *.hostCores is below N.
   captures  the distilled baseline capture the rules compare against.
 
 Several STATS_JSON files are gated as one capture; each capture label
@@ -32,7 +35,7 @@ meta.binary), since two benches may label their captures alike.
 
 The distilled fresh capture goes to stdout in the same schema, so it
 diffs directly against the baseline; verdicts go to stderr.  The exit
-status is 1 when any check FAILs or is MISSING.  --write-baseline
+status is 1 when any check FAILs or is MISSING or NEW.  --write-baseline
 PATH also writes the distilled capture to PATH, refusing (and failing)
 when its hostCores is below the smallest minCores of any rule.
 """
@@ -121,7 +124,7 @@ def check(fresh, base):
 
     def say(verdict, key, detail):
         nonlocal failed
-        failed = failed or verdict in ("FAIL", "MISSING")
+        failed = failed or verdict in ("FAIL", "MISSING", "NEW")
         sys.stderr.write("%-4s %s: %s\n" % (verdict, key, detail))
 
     for rule in base["rules"]:
@@ -143,6 +146,10 @@ def check(fresh, base):
             else:
                 passed, detail = judge(rule, got, was[key])
                 say("ok" if passed else "FAIL", key, detail)
+        if rule.get("sameAsBaseline"):
+            for key in sorted(k for k in now if k not in was
+                              and fnmatch.fnmatchcase(k, rule["stat"])):
+                say("NEW", key, "absent from the baseline")
     return failed
 
 

@@ -158,6 +158,26 @@ class CoresAndMissing(GateCase):
         self.assertEqual(rc, 1)
         self.assertIn("MISSING cap/g.x: absent from the fresh capture", err)
 
+    def test_stat_new_in_fresh_capture(self):
+        base = baseline([{"stat": "*", "sameAsBaseline": True},
+                         {"stat": "cap/g.x", "equals": 1}],
+                        {"g.x": 1})
+        rc, _, err = self.gate(base, {"g.x": 1, "g.y": 0})
+        self.assertEqual(rc, 1)
+        self.assertIn("NEW  cap/g.y: absent from the baseline", err)
+        self.assertEqual(err.count("NEW"), 1)
+        # Only a sameAsBaseline rule looks for new stats.
+        base["rules"] = base["rules"][1:]
+        self.assertEqual(self.gate(base, {"g.x": 1, "g.y": 0})[0], 0)
+
+    def test_capture_label_new_in_fresh_capture(self):
+        base = baseline([{"stat": "*", "sameAsBaseline": True}],
+                        {"g.x": 1})
+        fresh = stats_doc({"cap": {"g.x": 1}, "cap2": {"g.x": 1}})
+        rc, _, err = self.gate(base, fresh)
+        self.assertEqual(rc, 1)
+        self.assertIn("NEW  cap2/g.x: absent from the baseline", err)
+
     def test_glob_matching_nothing(self):
         base = baseline([{"stat": "*.nope", "min": 0}], {"g.x": 1})
         rc, _, err = self.gate(base, {"g.x": 1})

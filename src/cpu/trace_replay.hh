@@ -184,6 +184,8 @@ class TimedTraceReplayer : public SimObject,
     void issueDue();
     void scheduleNext();
     friend class ChannelTrips<TimedTraceReplayer>;
+    /** Issues at recorded ticks and waits on no completion. */
+    static constexpr bool openLoop = true;
     void tripDone(std::uint32_t);
     void maybeFinish();
 

@@ -15,6 +15,13 @@ namespace
 constexpr std::size_t pageAlloc =
     MemImage::pageSize + MemImage::checkBytesPerPage;
 
+/** The first address past @p addr's page. */
+Addr
+pageEnd(Addr addr)
+{
+    return (addr / MemImage::pageSize + 1) * MemImage::pageSize;
+}
+
 std::uint64_t
 loadWord(const std::uint8_t *p)
 {
@@ -113,10 +120,18 @@ MemImage::warmWrite(Addr addr, std::size_t len, const std::uint8_t *in)
     if (addr + len > capacity_)
         panic("MemImage write past capacity (addr=%llx len=%zu)",
               (unsigned long long)addr, len);
-    bool noop = std::all_of(in, in + len,
-                            [](std::uint8_t b) { return b == 0; });
-    for (Addr a = addr; noop && a < addr + len;
-         a = (a / pageSize + 1) * pageSize)
+    // Every driver stores zero lines: test them a word at a time.
+    std::uint64_t bits = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, in + i, 8);
+        bits |= w;
+    }
+    for (; i < len; ++i)
+        bits |= in[i];
+    bool noop = bits == 0;
+    for (Addr a = addr; noop && a < addr + len; a = pageEnd(a))
         noop = pageFor(a) == nullptr;
     if (!noop)
         write(addr, len, in);
@@ -185,15 +200,19 @@ MemImage::copyFrom(const MemImage &other)
 void
 MemImage::refreshCheck(Addr addr, std::size_t len)
 {
-    // Cover every 8 B word the byte range overlaps.
+    // Cover every 8 B word the byte range overlaps, looking each
+    // page up once.
     Addr word = addr & ~Addr(7);
-    Addr end = addr + len;
-    for (; word < end; word += 8) {
+    const Addr end = addr + len;
+    while (word < end) {
         std::uint8_t *page = pageFor(word, false);
         ct_assert(page != nullptr); // write() materialized it
-        std::size_t off = word % pageSize;
-        page[pageSize + off / 8] =
-            ras::eccEncode(loadWord(page + off));
+        const Addr spanEnd = std::min(end, pageEnd(word));
+        for (; word < spanEnd; word += 8) {
+            std::size_t off = word % pageSize;
+            page[pageSize + off / 8] =
+                ras::eccEncode(loadWord(page + off));
+        }
     }
 }
 
@@ -205,34 +224,36 @@ MemImage::verify(Addr addr, std::size_t len)
               (unsigned long long)addr, len);
     EccScan scan;
     Addr word = addr & ~Addr(7);
-    Addr end = addr + len;
+    const Addr end = addr + len;
     while (word < end) {
         std::uint8_t *page = pageFor(word, false);
         if (!page) {
             // Untouched pages read as zero and are clean by
             // construction; skip to the next page boundary.
-            word = (word / pageSize + 1) * pageSize;
+            word = pageEnd(word);
             continue;
         }
-        std::size_t off = word % pageSize;
-        std::uint64_t data = loadWord(page + off);
-        std::uint8_t check = page[pageSize + off / 8];
-        ras::EccDecode dec = ras::eccDecode(data, check);
-        switch (dec.status) {
-          case ras::EccStatus::clean:
-            break;
-          case ras::EccStatus::corrected:
-            storeWord(page + off, dec.data);
-            page[pageSize + off / 8] = dec.check;
-            ++scan.corrected;
-            ++correctedTotal_;
-            break;
-          case ras::EccStatus::uncorrectable:
-            ++scan.uncorrectable;
-            ++uncorrectableTotal_;
-            break;
+        const Addr spanEnd = std::min(end, pageEnd(word));
+        for (; word < spanEnd; word += 8) {
+            std::size_t off = word % pageSize;
+            std::uint64_t data = loadWord(page + off);
+            std::uint8_t check = page[pageSize + off / 8];
+            ras::EccDecode dec = ras::eccDecode(data, check);
+            switch (dec.status) {
+              case ras::EccStatus::clean:
+                break;
+              case ras::EccStatus::corrected:
+                storeWord(page + off, dec.data);
+                page[pageSize + off / 8] = dec.check;
+                ++scan.corrected;
+                ++correctedTotal_;
+                break;
+              case ras::EccStatus::uncorrectable:
+                ++scan.uncorrectable;
+                ++uncorrectableTotal_;
+                break;
+            }
         }
-        word += 8;
     }
     return scan;
 }

@@ -8,8 +8,10 @@
  *
  * Same-seed equality and error bounds cannot see a fast-forward
  * charge that moved by a constant or a trip that lost its
- * processor-side hop; these exact figures can. A last test checks
- * that fast-forwarded stores still reach the memory image.
+ * processor-side hop; these exact figures can. A trace of bursts
+ * and gaps pins the timed replayer's one completion event for its
+ * fast-forwarded trips (cpu/channel_trip.hh), and a last test
+ * checks that fast-forwarded stores still reach the memory image.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "cpu/trace_replay.hh"
 #include "synth_trace.hh"
 #include "trace/generate.hh"
+#include "trace/writer.hh"
 #include "workloads/spec.hh"
 
 using namespace contutto;
@@ -239,6 +242,64 @@ TEST(DriverTrips, TimedReplayOfQsortTrace)
     expectPin(timedRun(true),
               {4007231498, 13311, 6689, 1600, 1039, 360.06112897016413,
                20, 1600, 18400, 3996853687.5});
+}
+
+/**
+ * A timed trace of groups: a burst of records at one tick, records
+ * closer together than a fast-forwarded trip's charge (about
+ * 400 ns), then a gap longer than it. Fast-forwarded trips of one
+ * group share the open-loop tail, which moves with each of them and
+ * fires in each gap; the trace ends on closely spaced records, so a
+ * run that ends anywhere but the last completion shows in the
+ * runtime.
+ */
+std::unique_ptr<trace::MappedTrace>
+burstTrace()
+{
+    const std::string path = ::testing::TempDir() + "trip_bursts.bin";
+    Rng rng(17);
+    trace::TraceWriter writer(path);
+    for (int group = 0; group < 600; ++group) {
+        for (int i = 0; i < 8; ++i) {
+            trace::Record rec;
+            rec.tickDelta = i == 0   ? nanoseconds(3000)
+                            : i < 4 ? 0
+                                     : nanoseconds(40 + 20 * i);
+            rec.addr = rng.below(32768) * 128;
+            rec.op = trace::makeOp(rng.chance(0.3), false);
+            writer.append(rec);
+        }
+    }
+    writer.close();
+    auto bin = std::make_unique<trace::MappedTrace>(path);
+    std::filesystem::remove(path);
+    return bin;
+}
+
+TEST(DriverTrips, TimedReplayFoldsFastForwardedTrips)
+{
+    auto bin = burstTrace();
+    Power8System sys(smallCard());
+    ASSERT_TRUE(sys.train());
+    TimedTraceReplayer::Params tp;
+    tp.nestOverhead = sys.params().nestOverhead;
+    tp.sampler = &sys.enableSampling(pinSampling(), 3);
+    TimedTraceReplayer rep("replay", sys.eventq(), sys.nestDomain(),
+                           &sys, tp, sys.port());
+    const std::uint64_t events0 = sys.eventq().eventsProcessed();
+    auto r = runToEnd<TimedTraceReplayer::Result>(
+        sys, [&](auto done) { rep.start(*bin, done); });
+    ASSERT_EQ(r.replayed, 4800u);
+    Pin pin;
+    pin.runtime = r.runtime;
+    pin.reads = r.reads;
+    pin.writes = r.writes;
+    pin.detailed = r.detailed;
+    fillPort(sys, pin, tp.sampler);
+    expectPin(pin, {2160246643, 3340, 1460, 400, 281, 369.95017793594309,
+                    5, 400, 4400, 2160000000});
+    // One one-shot per fast-forwarded trip took 18996 events.
+    EXPECT_EQ(sys.eventq().eventsProcessed() - events0, 15149u);
 }
 
 TEST(DriverTrips, FastForwardedStoresReachMemory)
