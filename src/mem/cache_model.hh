@@ -7,17 +7,25 @@
  * lives in the MemImage (there is a single coherent requester per
  * image in this system), so the cache tracks presence and dirtiness
  * to decide timing, fills and writebacks.
+ *
+ * Host layout: each way is one 8-byte word holding the tag, a valid
+ * bit, a dirty bit and the way's LRU age within its set (0 = most
+ * recently used). The ages of a set's valid ways are always a
+ * permutation of 0..k-1, so replacement follows exact LRU order
+ * without a global clock, and an 8-way set fills one 64-byte host
+ * line.
  */
 
 #ifndef CONTUTTO_MEM_CACHE_MODEL_HH
 #define CONTUTTO_MEM_CACHE_MODEL_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <new>
 #include <optional>
 #include <span>
-#include <type_traits>
 
 #include <sys/mman.h>
 
@@ -40,23 +48,31 @@ class CacheModel
     CacheModel(std::uint64_t capacity, unsigned line_size,
                unsigned ways)
         : lineSize_(line_size), ways_(ways),
-          numSets_(unsigned(capacity / line_size / ways))
+          numSets_(unsigned(capacity / line_size / ways)),
+          tagShift_(ageShift + unsigned(std::bit_width(ways - 1u))),
+          ageMask_(((Word(1) << tagShift_) - 1) & ~flagMask)
     {
-        ct_assert(line_size > 0 && ways > 0);
+        // Restore checks a set's ages with a 64-bit mask.
+        ct_assert(line_size > 0 && ways > 0 && ways <= 64);
         ct_assert(capacity % (std::uint64_t(line_size) * ways) == 0);
         ct_assert(numSets_ > 0);
-        // Zero pages: an all-zero Way is an invalid line, so a fresh
+        // The tag of the highest address, the age field and the two
+        // flags share one word.
+        ct_assert(unsigned(std::bit_width(~Addr(0) / line_size / numSets_))
+                  <= 64 - tagShift_);
+        // Zero pages: an all-zero Word is an invalid way, so a fresh
         // anonymous mapping is an empty cache without touching the
-        // tag array (a 16 MiB eDRAM's is 3 MiB), and a page costs
+        // tag array (a 16 MiB eDRAM's is 1 MiB), and a page costs
         // memory only once a fill writes it. calloc would clear a
-        // chunk it reuses from the heap eagerly.
+        // chunk it reuses from the heap eagerly. The mapping is page
+        // aligned, so an 8-way set never straddles a host line.
         const std::size_t n = std::size_t(numSets_) * ways;
-        void *m = mmap(nullptr, n * sizeof(Way), PROT_READ | PROT_WRITE,
+        void *m = mmap(nullptr, n * sizeof(Word), PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
         if (m == MAP_FAILED)
             throw std::bad_alloc();
-        storage_ = {static_cast<Way *>(m), Unmap{n * sizeof(Way)}};
-        sets_ = std::span<Way>(storage_.get(), n);
+        storage_ = {static_cast<Word *>(m), Unmap{n * sizeof(Word)}};
+        sets_ = std::span<Word>(storage_.get(), n);
     }
 
     /** Result of a fill: the evicted dirty victim, if any. */
@@ -70,9 +86,10 @@ class CacheModel
     bool
     lookup(Addr addr)
     {
-        Way *w = find(addr);
+        Word *set = setFor(addr);
+        Word *w = find(set, addr);
         if (w) {
-            touch(*w);
+            touch(set, *w);
             ++hits_;
             return true;
         }
@@ -84,7 +101,8 @@ class CacheModel
     bool
     probe(Addr addr) const
     {
-        return const_cast<CacheModel *>(this)->find(addr) != nullptr;
+        auto *self = const_cast<CacheModel *>(this);
+        return self->find(self->setFor(addr), addr) != nullptr;
     }
 
     /**
@@ -94,35 +112,37 @@ class CacheModel
     std::optional<Victim>
     fill(Addr addr, bool dirty = false)
     {
-        Way *w = find(addr);
+        Word *set = setFor(addr);
+        Word *w = find(set, addr);
         if (w) {
-            w->dirty = w->dirty || dirty;
-            touch(*w);
+            if (dirty)
+                *w |= dirtyBit;
+            touch(set, *w);
             return std::nullopt;
         }
-        unsigned set = setOf(addr);
-        Way *victim = nullptr;
+        // The first invalid way, else the oldest valid one.
+        const Word oldest = Word(ways_ - 1) << ageShift;
+        Word *victim = nullptr;
         for (unsigned i = 0; i < ways_; ++i) {
-            Way &cand = sets_[std::size_t(set) * ways_ + i];
-            if (!cand.valid) {
-                victim = &cand;
+            if (!(set[i] & validBit)) {
+                victim = &set[i];
                 break;
             }
-            if (!victim || cand.lru < victim->lru)
-                victim = &cand;
+            if ((set[i] & ageMask_) == oldest)
+                victim = &set[i];
         }
         std::optional<Victim> out;
-        if (victim->valid) {
-            out = Victim{victim->tag * std::uint64_t(numSets_)
-                                 * lineSize_
-                             + Addr(set) * lineSize_,
-                         victim->dirty};
+        if (*victim & validBit) {
+            const Addr setNo =
+                Addr(set - sets_.data()) / ways_;
+            out = Victim{((*victim >> tagShift_) * numSets_ + setNo)
+                             * lineSize_,
+                         (*victim & dirtyBit) != 0};
             ++evictions_;
         }
-        victim->valid = true;
-        victim->tag = tagOf(addr);
-        victim->dirty = dirty;
-        touch(*victim);
+        touch(set, *victim);
+        *victim = (tagOf(addr) << tagShift_) | validBit
+            | (dirty ? dirtyBit : 0);
         return out;
     }
 
@@ -130,13 +150,14 @@ class CacheModel
     bool
     writeHit(Addr addr)
     {
-        Way *w = find(addr);
+        Word *set = setFor(addr);
+        Word *w = find(set, addr);
         if (!w) {
             ++misses_;
             return false;
         }
-        w->dirty = true;
-        touch(*w);
+        *w |= dirtyBit;
+        touch(set, *w);
         ++hits_;
         return true;
     }
@@ -145,17 +166,23 @@ class CacheModel
     void
     invalidate(Addr addr)
     {
-        Way *w = find(addr);
-        if (w)
-            w->valid = false;
+        Word *set = setFor(addr);
+        Word *w = find(set, addr);
+        if (!w)
+            return;
+        // Close the gap the line leaves in its set's ages.
+        const Word age = *w & ageMask_;
+        *w = 0;
+        for (unsigned i = 0; i < ways_; ++i)
+            if ((set[i] & validBit) && (set[i] & ageMask_) > age)
+                set[i] -= ageOne;
     }
 
     /** Drop everything. */
     void
     invalidateAll()
     {
-        for (Way &w : sets_)
-            w.valid = false;
+        std::ranges::fill(sets_, Word(0));
     }
 
     std::uint64_t hits() const { return hits_; }
@@ -170,92 +197,117 @@ class CacheModel
         return total ? double(hits_) / double(total) : 0.0;
     }
 
-    /** @{ Checkpoint the full tag array, LRU clock and counters.
+    /** @{ Checkpoint the full tag array and counters.
      *  Plain methods (not ckpt::Checkpointable) so the model keeps
      *  no vtable; owners embed this in their own sections. Geometry
-     *  must match at restore. */
+     *  must match at restore, and every restored set must be one a
+     *  run could reach: invalid ways all-zero, valid ways' ages a
+     *  permutation of 0..k-1. */
     void
     checkpointSave(ckpt::Section &out) const
     {
-        out.putU64(lruClock_);
         out.putU64(hits_);
         out.putU64(misses_);
         out.putU64(evictions_);
         out.putU64(sets_.size());
-        for (const Way &w : sets_) {
-            out.putU8(w.valid ? 1 : 0);
-            out.putU8(w.dirty ? 1 : 0);
-            out.putU64(w.tag);
-            out.putU64(w.lru);
-        }
+        out.putBytes(sets_.data(), sets_.size_bytes());
     }
 
     void
     checkpointRestore(ckpt::Section &in)
     {
-        lruClock_ = in.getU64();
         hits_ = in.getU64();
         misses_ = in.getU64();
         evictions_ = in.getU64();
         if (in.getU64() != sets_.size())
             throw ckpt::Error("cache geometry mismatch");
-        for (Way &w : sets_) {
-            w.valid = in.getU8() != 0;
-            w.dirty = in.getU8() != 0;
-            w.tag = in.getU64();
-            w.lru = in.getU64();
+        in.getBytes(sets_.data(), sets_.size_bytes());
+        for (std::size_t s = 0; s < numSets_; ++s) {
+            const Word *set = &sets_[s * ways_];
+            std::uint64_t ages = 0;
+            unsigned valid = 0;
+            for (unsigned i = 0; i < ways_; ++i) {
+                if (!(set[i] & validBit)) {
+                    if (set[i] != 0)
+                        throw ckpt::Error("cache invalid way not zero");
+                    continue;
+                }
+                ++valid;
+                ages |= std::uint64_t(1) << ageOf(set[i]);
+            }
+            if (unsigned(std::popcount(ages)) != valid
+                || unsigned(std::bit_width(ages)) != valid)
+                throw ckpt::Error("cache set ages corrupt");
         }
     }
     /** @} */
 
   private:
-    /** Plain data: all-zero bytes are the empty state. */
-    struct Way
-    {
-        bool valid;
-        bool dirty;
-        std::uint64_t tag;
-        std::uint64_t lru;
-    };
-    static_assert(std::is_trivial_v<Way>);
+    /** One way: tag << tagShift_ | age << ageShift | dirty | valid.
+     *  All-zero bytes are the empty state. */
+    using Word = std::uint64_t;
+    static constexpr Word validBit = 1;
+    static constexpr Word dirtyBit = 2;
+    static constexpr Word flagMask = validBit | dirtyBit;
+    static constexpr unsigned ageShift = 2;
+    static constexpr Word ageOne = Word(1) << ageShift;
+    static_assert(8 * sizeof(Word) == 64,
+                  "an 8-way set must fill one 64-byte host line");
 
     struct Unmap
     {
         std::size_t bytes;
-        void operator()(Way *p) const { munmap(p, bytes); }
+        void operator()(Word *p) const { munmap(p, bytes); }
     };
 
-    unsigned setOf(Addr addr) const
+    unsigned ageOf(Word w) const
     {
-        return unsigned((addr / lineSize_) % numSets_);
+        return unsigned((w & ageMask_) >> ageShift);
     }
 
-    std::uint64_t tagOf(Addr addr) const
+    Word *
+    setFor(Addr addr)
     {
-        return addr / lineSize_ / numSets_;
+        const Addr line = addr / lineSize_;
+        return &sets_[std::size_t(line % numSets_) * ways_];
     }
 
-    Way *
-    find(Addr addr)
+    Word tagOf(Addr addr) const { return addr / lineSize_ / numSets_; }
+
+    Word *
+    find(Word *set, Addr addr)
     {
-        unsigned set = setOf(addr);
-        std::uint64_t tag = tagOf(addr);
-        for (unsigned i = 0; i < ways_; ++i) {
-            Way &w = sets_[std::size_t(set) * ways_ + i];
-            if (w.valid && w.tag == tag)
-                return &w;
-        }
+        // Compare tag and valid bit in one go; age and dirty are
+        // masked off.
+        const Word key = (tagOf(addr) << tagShift_) | validBit;
+        const Word mask = ~(ageMask_ | dirtyBit);
+        for (unsigned i = 0; i < ways_; ++i)
+            if ((set[i] & mask) == key)
+                return &set[i];
         return nullptr;
     }
 
-    void touch(Way &w) { w.lru = ++lruClock_; }
+    /** Make @p w its set's most recently used way: every valid way
+     *  younger than it ages by one, and @p w's age becomes 0. An
+     *  invalid @p w is older than every valid way. */
+    void
+    touch(Word *set, Word &w)
+    {
+        const Word age = (w & validBit) ? (w & ageMask_)
+                                        : ageMask_ + ageOne;
+        for (unsigned i = 0; i < ways_; ++i)
+            if ((set[i] & validBit) && (set[i] & ageMask_) < age)
+                set[i] += ageOne;
+        w &= ~ageMask_;
+    }
 
     unsigned lineSize_;
     unsigned ways_;
     unsigned numSets_;
-    std::unique_ptr<Way, Unmap> storage_;
-    std::span<Way> sets_;
-    std::uint64_t lruClock_ = 0;
+    unsigned tagShift_;
+    Word ageMask_;
+    std::unique_ptr<Word, Unmap> storage_;
+    std::span<Word> sets_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;

@@ -45,15 +45,18 @@ void
 MemoryDevice::noteWrite(Addr addr, std::size_t len)
 {
     devStats_.bytesWritten += double(len);
+    // Only an endurance-limited device has wear to report.
+    const std::uint64_t limit = enduranceLimit();
+    if (limit == 0)
+        return;
     Addr first = addr / dmi::cacheLineSize;
     Addr last = (addr + len - 1) / dmi::cacheLineSize;
-    std::uint64_t limit = enduranceLimit();
     for (Addr blk = first; blk <= last; ++blk) {
         std::uint64_t &count = blockWrites_[blk];
         ++count;
         if (count > maxBlockWrites_)
             maxBlockWrites_ = count;
-        if (limit && count == limit + 1)
+        if (count == limit + 1)
             ++wornBlocks_;
     }
 }

@@ -81,7 +81,8 @@ class MemoryDevice : public SimObject, public ckpt::Checkpointable
     /** Write-endurance limit per cell block; 0 means unlimited. */
     virtual std::uint64_t enduranceLimit() const { return 0; }
 
-    /** Record a write for endurance tracking. */
+    /** Record a write: traffic always, per-block wear only when
+     *  enduranceLimit() is nonzero. */
     void noteWrite(Addr addr, std::size_t len);
 
     /** Record a read (traffic/energy accounting). */
@@ -98,7 +99,8 @@ class MemoryDevice : public SimObject, public ckpt::Checkpointable
     }
     /** @} */
 
-    /** Highest write count seen on any 128 B block. */
+    /** Highest write count seen on any 128 B block; 0 on a device
+     *  without an endurance limit, which keeps no per-block counts. */
     std::uint64_t maxBlockWrites() const { return maxBlockWrites_; }
 
     /** Number of blocks worn past the endurance limit. */
@@ -123,7 +125,8 @@ class MemoryDevice : public SimObject, public ckpt::Checkpointable
     virtual bool ready() const { return true; }
 
     /** @{ ckpt::Checkpointable: the functional image plus the
-     *  endurance accounting (per-block write counts in block order).
+     *  endurance accounting (per-block write counts in block order,
+     *  none on a device without an endurance limit).
      *  Stats Scalars live in the stats tree and are restored there.
      *  Subclasses with more state extend these. */
     void checkpointSave(ckpt::Section &out) const override;

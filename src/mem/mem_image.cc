@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "sim/logging.hh"
 
@@ -40,39 +43,63 @@ storeWord(std::uint8_t *p, std::uint64_t v)
 
 } // namespace
 
-MemImage::MemImage(std::uint64_t capacity) : capacity_(capacity)
+MemImage::MemImage(std::uint64_t capacity)
+    : capacity_(capacity), numPages_((capacity + pageSize - 1) / pageSize)
 {
     ct_assert(capacity > 0);
+    // Zero pages: an untouched table reads as all-null, and only the
+    // table pages a write reaches cost memory. NORESERVE because a
+    // 64 GiB image's table is 128 MiB of address space.
+    const std::size_t bytes = numPages_ * sizeof(std::uint8_t *);
+    void *m = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (m == MAP_FAILED)
+        throw std::bad_alloc();
+    table_ = {static_cast<std::uint8_t **>(m), Unmap{bytes}};
+}
+
+MemImage::~MemImage()
+{
+    clear();
+}
+
+void
+MemImage::Unmap::operator()(std::uint8_t **p) const
+{
+    munmap(p, bytes);
+}
+
+std::uint8_t *
+MemImage::newPage(std::uint64_t pageno)
+{
+    ct_assert(pageno < numPages_ && !slot(pageno));
+    // Value-initialized: zero data and zero check bytes.
+    std::unique_ptr<std::uint8_t[]> page(new std::uint8_t[pageAlloc]());
+    // An all-zero word carries an all-zero check byte only if
+    // eccEncode(0) == 0, which holds for this geometry; keep the
+    // explicit fill so a future codec change cannot silently make
+    // fresh pages read as corrupted.
+    const std::uint8_t zeroCheck = ras::eccEncode(0);
+    if (zeroCheck != 0)
+        std::memset(page.get() + pageSize, zeroCheck, checkBytesPerPage);
+    touched_.push_back(pageno);
+    return slot(pageno) = page.release();
 }
 
 std::uint8_t *
 MemImage::pageFor(Addr addr, bool create)
 {
-    std::uint64_t pageno = addr / pageSize;
-    auto it = pages_.find(pageno);
-    if (it == pages_.end()) {
-        if (!create)
-            return nullptr;
-        auto page = std::make_unique<std::uint8_t[]>(pageAlloc);
-        std::memset(page.get(), 0, pageAlloc);
-        // An all-zero word still carries a nonzero parity-free code
-        // only if eccEncode(0) == 0, which holds for this geometry;
-        // keep the explicit fill so a future codec change cannot
-        // silently make fresh pages read as corrupted.
-        std::uint8_t zeroCheck = ras::eccEncode(0);
-        if (zeroCheck != 0)
-            std::memset(page.get() + pageSize, zeroCheck,
-                        checkBytesPerPage);
-        it = pages_.emplace(pageno, std::move(page)).first;
-    }
-    return it->second.get();
+    const std::uint64_t pageno = addr / pageSize;
+    std::uint8_t *page = slot(pageno);
+    if (!page && create)
+        page = newPage(pageno);
+    return page;
 }
 
 const std::uint8_t *
 MemImage::pageFor(Addr addr) const
 {
-    auto it = pages_.find(addr / pageSize);
-    return it == pages_.end() ? nullptr : it->second.get();
+    return slot(addr / pageSize);
 }
 
 void
@@ -183,18 +210,21 @@ MemImage::write32(Addr addr, std::uint32_t value)
 void
 MemImage::clear()
 {
-    pages_.clear();
+    for (std::uint64_t pageno : touched_) {
+        delete[] slot(pageno);
+        slot(pageno) = nullptr;
+    }
+    touched_.clear();
 }
 
 void
 MemImage::copyFrom(const MemImage &other)
 {
-    pages_.clear();
-    for (const auto &[pageno, page] : other.pages_) {
-        auto copy = std::make_unique<std::uint8_t[]>(pageAlloc);
-        std::memcpy(copy.get(), page.get(), pageAlloc);
-        pages_.emplace(pageno, std::move(copy));
-    }
+    ct_assert(other.capacity_ == capacity_);
+    clear();
+    for (std::uint64_t pageno : other.touched_)
+        std::memcpy(newPage(pageno), other.slot(pageno),
+                    pageAlloc);
 }
 
 void
@@ -295,17 +325,14 @@ MemImage::checkpointSave(ckpt::Section &out) const
 
     // Pages in page-number order so the same contents always
     // serialize to the same bytes, whatever order they materialized
-    // in (the map is unordered).
-    std::vector<std::uint64_t> pagenos;
-    pagenos.reserve(pages_.size());
-    for (const auto &[pageno, page] : pages_)
-        pagenos.push_back(pageno);
+    // in.
+    std::vector<std::uint64_t> pagenos = touched_;
     std::sort(pagenos.begin(), pagenos.end());
 
     out.putU64(pagenos.size());
     for (std::uint64_t pageno : pagenos) {
         out.putU64(pageno);
-        out.putBytes(pages_.at(pageno).get(), pageAlloc);
+        out.putBytes(slot(pageno), pageAlloc);
     }
 }
 
@@ -318,13 +345,15 @@ MemImage::checkpointRestore(ckpt::Section &in)
     correctedTotal_ = in.getU64();
     uncorrectableTotal_ = in.getU64();
 
-    pages_.clear();
+    clear();
     std::uint64_t count = in.getU64();
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t pageno = in.getU64();
-        auto page = std::make_unique<std::uint8_t[]>(pageAlloc);
-        in.getBytes(page.get(), pageAlloc);
-        pages_.emplace(pageno, std::move(page));
+        if (pageno >= numPages_)
+            throw ckpt::Error("memory image page past capacity");
+        if (slot(pageno))
+            throw ckpt::Error("memory image page given twice");
+        in.getBytes(newPage(pageno), pageAlloc);
     }
 }
 

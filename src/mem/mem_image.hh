@@ -6,6 +6,11 @@
  * experiments operate on real data (accelerators compute on it, the
  * NVDIMM saves and restores it). Pages materialize on first touch;
  * untouched memory reads as zero.
+ *
+ * Host layout: a flat table with one page pointer per page of
+ * capacity, in an anonymous mapping so the table pages no access
+ * reaches cost no memory, and a list of the page numbers that have
+ * materialized, in the order they did, which owns the pages.
  */
 
 #ifndef CONTUTTO_MEM_MEM_IMAGE_HH
@@ -13,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dmi/command.hh"
@@ -36,6 +40,10 @@ class MemImage : public ckpt::Checkpointable
 {
   public:
     explicit MemImage(std::uint64_t capacity);
+    ~MemImage() override;
+
+    MemImage(const MemImage &) = delete;
+    MemImage &operator=(const MemImage &) = delete;
 
     std::uint64_t capacity() const { return capacity_; }
 
@@ -70,11 +78,12 @@ class MemImage : public ckpt::Checkpointable
     /** Drop all contents (models volatile memory losing power). */
     void clear();
 
-    /** Copy the full contents of @p other (NVDIMM restore). */
+    /** Copy the full contents of @p other, an image of the same
+     *  capacity (NVDIMM restore). */
     void copyFrom(const MemImage &other);
 
     /** Number of materialized pages (footprint checks in tests). */
-    std::size_t pagesTouched() const { return pages_.size(); }
+    std::size_t pagesTouched() const { return touched_.size(); }
 
     /**
      * @{ SEC-DED ECC sidecar. Every write keeps one Hamming(72,64)
@@ -112,7 +121,8 @@ class MemImage : public ckpt::Checkpointable
      * @{ ckpt::Checkpointable: every materialized page (data and ECC
      * sidecar together, in page-number order so the byte stream is
      * canonical) plus the lifetime correction counters. Restore
-     * replaces the whole image; capacity must match.
+     * replaces the whole image; capacity must match, and a page
+     * number past capacity or given twice is a ckpt::Error.
      */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
@@ -122,17 +132,37 @@ class MemImage : public ckpt::Checkpointable
     std::uint8_t *pageFor(Addr addr, bool create);
     const std::uint8_t *pageFor(Addr addr) const;
 
+    /** The table entry of page @p pageno. */
+    std::uint8_t *&slot(std::uint64_t pageno) const
+    {
+        return table_.get()[pageno];
+    }
+
+    /** Materialize page @p pageno, all zero with matching check
+     *  bytes; it must not exist yet. */
+    std::uint8_t *newPage(std::uint64_t pageno);
+
     /** Recompute check bytes for every word overlapping the range. */
     void refreshCheck(Addr addr, std::size_t len);
 
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(std::uint8_t **p) const;
+    };
+
     std::uint64_t capacity_;
+    std::uint64_t numPages_;
     /**
-     * Each page allocation is pageSize data bytes followed by
-     * checkBytesPerPage ECC check bytes, so save/restore paths that
-     * copy pages wholesale keep data and codes consistent.
+     * Page number -> page, null until first written. Each page
+     * allocation is pageSize data bytes followed by checkBytesPerPage
+     * ECC check bytes, so save/restore paths that copy pages
+     * wholesale keep data and codes consistent.
      */
-    std::unordered_map<std::uint64_t,
-                       std::unique_ptr<std::uint8_t[]>> pages_;
+    std::unique_ptr<std::uint8_t *, Unmap> table_;
+    /** Every non-null table slot's page number, in materialization
+     *  order; the pages they point to are owned here. */
+    std::vector<std::uint64_t> touched_;
     std::uint64_t correctedTotal_ = 0;
     std::uint64_t uncorrectableTotal_ = 0;
 };

@@ -47,18 +47,27 @@ namespace
 
 constexpr char kMagic[8] = {'C', 'T', 'C', 'K', 'P', 'T', '1', '\n'};
 
+// Grow, then copy: GCC 12 at -O3 misreads a range insert of a
+// scalar's bytes as an out-of-bounds memcpy (-Warray-bounds).
+template <typename T>
+void
+appendScalar(std::vector<std::uint8_t> &out, T v)
+{
+    const std::size_t at = out.size();
+    out.resize(at + sizeof(v));
+    std::memcpy(out.data() + at, &v, sizeof(v));
+}
+
 void
 appendU32(std::vector<std::uint8_t> &out, std::uint32_t v)
 {
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(v));
+    appendScalar(out, v);
 }
 
 void
 appendU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(v));
+    appendScalar(out, v);
 }
 
 /** Bounds-checked cursor over a raw checkpoint image. */

@@ -246,7 +246,7 @@ class Section
 class Checkpoint
 {
   public:
-    static constexpr std::uint32_t formatVersion = 2;
+    static constexpr std::uint32_t formatVersion = 3;
 
     /** Append a new section; names must be unique. */
     Section &add(const std::string &name);

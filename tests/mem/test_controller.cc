@@ -215,6 +215,30 @@ TEST(MramDevice, EnduranceTracking)
     EXPECT_GT(mram.enduranceLimit(), 1e14);
 }
 
+TEST(DramDevice, KeepsNoPerBlockWearCounts)
+{
+    // Only an endurance-limited device counts writes per block; the
+    // traffic counter is the same on both.
+    EventQueue eq;
+    ClockDomain ddr("ddr", 1500);
+    stats::StatGroup root("root");
+    DramDevice dram("dram", eq, ddr, &root, 1 * MiB);
+    MramDevice mram("mram", eq, ddr, &root, 1 * MiB,
+                    MramDevice::Junction::pMTJ);
+    for (MemoryDevice *dev :
+         std::initializer_list<MemoryDevice *>{&dram, &mram}) {
+        for (int i = 0; i < 100; ++i)
+            dev->noteWrite(0x100, 64);
+        dev->noteWrite(0x8000, 256);
+    }
+    EXPECT_EQ(dram.enduranceLimit(), 0u);
+    EXPECT_EQ(dram.maxBlockWrites(), 0u);
+    EXPECT_EQ(dram.wornBlocks(), 0u);
+    EXPECT_EQ(mram.maxBlockWrites(), 100u);
+    EXPECT_EQ(dram.bytesWritten(), 100.0 * 64 + 256);
+    EXPECT_EQ(mram.bytesWritten(), dram.bytesWritten());
+}
+
 TEST(MramDevice, SurvivesPowerLoss)
 {
     EventQueue eq;

@@ -192,20 +192,38 @@ TEST(CheckpointFile, VersionMismatchThrows)
     EXPECT_THROW(ckpt::Checkpoint::deserialize(raw), ckpt::Error);
 }
 
-TEST(CheckpointFile, FormatVersionOneIsRefused)
+/** A serialized one-section checkpoint relabelled as @p version,
+ *  with its file checksum recomputed. */
+std::vector<std::uint8_t>
+checkpointOfVersion(std::uint32_t version)
 {
-    // Version 2 dropped a counter from the EventQueue section, so a
-    // version-1 file must be refused, never misparsed.
     ckpt::Checkpoint ck;
     ck.add("payload").putU64(1);
     std::vector<std::uint8_t> raw = ck.serialize();
-    const std::uint32_t v1 = 1;
-    std::memcpy(raw.data() + 8, &v1, sizeof(v1));
+    std::memcpy(raw.data() + 8, &version, sizeof(version));
     std::uint64_t sum =
         ckpt::fnv1a(raw.data(), raw.size() - sizeof(std::uint64_t));
     std::memcpy(raw.data() + raw.size() - sizeof(sum), &sum,
                 sizeof(sum));
-    EXPECT_THROW(ckpt::Checkpoint::deserialize(raw), ckpt::Error);
+    return raw;
+}
+
+TEST(CheckpointFile, FormatVersionOneIsRefused)
+{
+    // Version 2 dropped a counter from the EventQueue section, so a
+    // version-1 file must be refused, never misparsed.
+    EXPECT_THROW(ckpt::Checkpoint::deserialize(checkpointOfVersion(1)),
+                 ckpt::Error);
+}
+
+TEST(CheckpointFile, FormatVersionTwoIsRefused)
+{
+    // Version 3 packs each cache way into one tag word (and drops the
+    // LRU clock), so a version-2 file must be refused too.
+    EXPECT_THROW(ckpt::Checkpoint::deserialize(checkpointOfVersion(2)),
+                 ckpt::Error);
+    EXPECT_NO_THROW(ckpt::Checkpoint::deserialize(
+        checkpointOfVersion(ckpt::Checkpoint::formatVersion)));
 }
 
 TEST(CheckpointRng, StreamResumesExactly)

@@ -185,7 +185,8 @@ class TraceRoundTrip : public ::testing::TestWithParam<unsigned>
 TEST_P(TraceRoundTrip, SixteenSeedsChannelByteIdentical)
 {
     const unsigned shards = GetParam();
-    const std::string tag = "s" + std::to_string(shards);
+    std::string tag = "s";
+    tag += std::to_string(shards);
     auto reports = sweep::run(
         sweep::seeds(0xBEEF, 16), shards,
         [&tag](std::uint64_t seed, sweep::Report &r) {
