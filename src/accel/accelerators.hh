@@ -149,8 +149,6 @@ class FftUnit : public AcceleratorUnit
     /** The functional transform (used by tests as reference too). */
     static void fft(std::vector<std::complex<float>> &data);
 
-    unsigned batchesComputed() const { return batchesComputed_; }
-
   private:
     struct Pipeline
     {

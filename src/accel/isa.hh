@@ -71,9 +71,6 @@ struct Program
 {
     std::vector<Instr> code;
 
-    /** Size of the encoded image in bytes (16 B per instruction). */
-    std::uint64_t imageBytes() const { return code.size() * 16; }
-
     /** Encode to the executable byte image stored in the DIMMs. */
     std::vector<std::uint8_t> encode() const;
 

@@ -35,15 +35,6 @@ AvalonBus::createPort(const std::string &port_name)
     return *ports_.back();
 }
 
-const AddressRange *
-AvalonBus::rangeFor(Addr addr) const
-{
-    for (const Mapping &m : mappings_)
-        if (m.range.contains(addr))
-            return &m.range;
-    return nullptr;
-}
-
 AvalonBus::Port::Port(AvalonBus &bus, std::string name)
     : bus_(bus), name_(std::move(name)),
       pumpEvent_(std::make_unique<EventFunctionWrapper>(

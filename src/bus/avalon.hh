@@ -113,9 +113,6 @@ class AvalonBus : public SimObject
     /** Create a new master port (ConTutto MBS makes 2R + 2W). */
     Port &createPort(const std::string &name);
 
-    /** Find the slave mapping for an address; null if unmapped. */
-    const AddressRange *rangeFor(Addr addr) const;
-
     struct BusStats
     {
         stats::Scalar transactions;

@@ -76,9 +76,6 @@ class CentaurModel : public SimObject,
 
     const Config &config() const { return config_; }
 
-    /** Cache hit rate so far (reads+writes). */
-    double cacheHitRate() const { return cache_.hitRate(); }
-
     /** True when no command is in flight. */
     bool quiescent() const { return activeCommands_ == 0; }
 

@@ -71,8 +71,6 @@ class CacheHierarchy : public stats::StatGroup
     void invalidateAll();
 
     double l1HitRate() const { return l1_.hitRate(); }
-    double l2HitRate() const { return l2_.hitRate(); }
-    double l3HitRate() const { return l3_.hitRate(); }
 
     /** Fraction of references that went to memory. */
     double

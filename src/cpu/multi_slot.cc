@@ -117,6 +117,7 @@ MultiSlotSystem::MultiSlotSystem(const Params &params)
             this, cp));
         slotToChannel_[s] = channels_.back().get();
     }
+    interleave_.numPorts = unsigned(channels_.size());
 }
 
 MultiSlotSystem::~MultiSlotSystem() = default;
@@ -151,20 +152,6 @@ MultiSlotSystem::totalCapacity() const
     for (const auto &ch : channels_)
         total += ch->memoryCapacity();
     return total;
-}
-
-unsigned
-MultiSlotSystem::channelOf(Addr addr) const
-{
-    return unsigned((addr / dmi::cacheLineSize) % channels_.size());
-}
-
-Addr
-MultiSlotSystem::localAddr(Addr addr) const
-{
-    Addr line = addr / dmi::cacheLineSize;
-    return (line / channels_.size()) * dmi::cacheLineSize
-        + addr % dmi::cacheLineSize;
 }
 
 HostMemPort::Callback

@@ -38,6 +38,7 @@
 #include <atomic>
 
 #include "cpu/channel.hh"
+#include "mem/line_interleave.hh"
 #include "sim/event_stats.hh"
 #include "sim/parallel.hh"
 
@@ -158,9 +159,15 @@ class MultiSlotSystem : public stats::StatGroup
     /** @} */
 
     /** Which channel index serves a global address. */
-    unsigned channelOf(Addr addr) const;
+    unsigned channelOf(Addr addr) const
+    {
+        return interleave_.portOf(addr);
+    }
     /** The channel-local address for a global address. */
-    Addr localAddr(Addr addr) const;
+    Addr localAddr(Addr addr) const
+    {
+        return interleave_.localAddr(addr);
+    }
 
     /**
      * Saturate every channel with independent read streams for
@@ -194,6 +201,8 @@ class MultiSlotSystem : public stats::StatGroup
     SocketClocks clocks_;
     std::vector<std::unique_ptr<MemoryChannel>> channels_;
     std::array<MemoryChannel *, numSlots> slotToChannel_{};
+    /** Cache lines striped across the populated channels. */
+    mem::LineInterleave interleave_;
     /** Socket ops whose completion callback has not run yet —
      *  including ones mid-hop between shards, which no channel's
      *  quiescent() can see. Atomic because issue and completion may

@@ -158,7 +158,6 @@ class DmiChannel : public SimObject
      */
     void failLane(unsigned lane);
     void repairAllLanes();
-    unsigned lanesFailed() const { return lanesFailed_; }
     bool spareInUse() const { return lanesFailed_ >= 1; }
     bool degraded() const { return lanesFailed_ > spareLanes_; }
     /** @} */

@@ -85,8 +85,6 @@ class LinkTrainer : public SimObject
         stats::Distribution frtlMeasured; ///< Measured FRTL (ns).
     };
 
-    const TrainerStats &trainerStats() const { return stats_; }
-
     /** The nonce/lock RNG stream (checkpointed by campaigns: every
      *  retrain advances it, so a resumed run must pick up at the
      *  same position). */

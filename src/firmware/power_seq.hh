@@ -99,7 +99,6 @@ class PowerSequencer : public SimObject
 
     /** @{ Input holdup: bulk capacitance rides through short dips. */
     Tick holdupTime() const { return holdupTime_; }
-    void setHoldupTime(Tick t) { holdupTime_ = t; }
     /** True when a dip of @p duration never reaches the rails. */
     bool ridesThrough(Tick duration) const
     {

@@ -291,9 +291,6 @@ class NvdimmDevice : public MemoryDevice
     /** Supercap energy one segment costs. */
     double segmentJoules() const;
 
-    /** Remaining supercap energy, joules. */
-    double supercapEnergy() const { return energy_; }
-
     /** Bleed @p joules off the supercap (campaign/test hook for
      *  mid-save depletion). */
     void drainSupercap(double joules);
@@ -301,9 +298,6 @@ class NvdimmDevice : public MemoryDevice
     /** The backup flash (bad-block/wear inspection + injection). */
     FlashModel &flash() { return flash_; }
     const FlashModel &flash() const { return flash_; }
-
-    /** Save generation the current/most recent save used. */
-    std::uint64_t saveGeneration() const { return generation_; }
 
     /** @{ Lifetime counters mirrored from the stats. */
     std::uint64_t dataLossEvents() const

@@ -81,12 +81,6 @@ class FlashModel : public ckpt::Checkpointable
     SegmentState validateSegment(unsigned seg,
                                  std::uint64_t generation) const;
 
-    /** Generation recorded for segment @p seg (0 when erased). */
-    std::uint64_t segmentGeneration(unsigned seg) const
-    {
-        return meta_.at(seg).generation;
-    }
-
     /** Mark the physical block behind @p seg bad: the next program
      *  is remapped to a spare (or fails when the pool is dry). */
     void markBad(unsigned seg);

@@ -6,6 +6,7 @@
 
 #include <sys/mman.h>
 
+#include "ras/ecc.hh"
 #include "sim/logging.hh"
 
 namespace contutto::mem
@@ -14,9 +15,10 @@ namespace contutto::mem
 namespace
 {
 
-/** Allocation size of one page: data followed by ECC check bytes. */
-constexpr std::size_t pageAlloc =
-    MemImage::pageSize + MemImage::checkBytesPerPage;
+/** Checkpoint blob of one page: its data, then one check byte per
+ *  8 B word. */
+constexpr std::size_t pageBlob =
+    MemImage::pageSize + MemImage::pageSize / 8;
 
 /** The first address past @p addr's page. */
 Addr
@@ -73,15 +75,7 @@ std::uint8_t *
 MemImage::newPage(std::uint64_t pageno)
 {
     ct_assert(pageno < numPages_ && !slot(pageno));
-    // Value-initialized: zero data and zero check bytes.
-    std::unique_ptr<std::uint8_t[]> page(new std::uint8_t[pageAlloc]());
-    // An all-zero word carries an all-zero check byte only if
-    // eccEncode(0) == 0, which holds for this geometry; keep the
-    // explicit fill so a future codec change cannot silently make
-    // fresh pages read as corrupted.
-    const std::uint8_t zeroCheck = ras::eccEncode(0);
-    if (zeroCheck != 0)
-        std::memset(page.get() + pageSize, zeroCheck, checkBytesPerPage);
+    std::unique_ptr<std::uint8_t[]> page(new std::uint8_t[pageSize]());
     touched_.push_back(pageno);
     return slot(pageno) = page.release();
 }
@@ -128,8 +122,11 @@ MemImage::write(Addr addr, std::size_t len, const std::uint8_t *in)
     if (addr + len > capacity_)
         panic("MemImage write past capacity (addr=%llx len=%zu)",
               (unsigned long long)addr, len);
-    Addr start = addr;
-    std::size_t total = len;
+    // Every word the range overlaps gets the check byte of its new
+    // data.
+    if (!faults_.empty())
+        faults_.erase(faults_.lower_bound(addr & ~Addr(7)),
+                      faults_.lower_bound(addr + len));
     while (len > 0) {
         std::size_t off = addr % pageSize;
         std::size_t chunk = std::min(len, pageSize - off);
@@ -138,7 +135,6 @@ MemImage::write(Addr addr, std::size_t len, const std::uint8_t *in)
         in += chunk;
         len -= chunk;
     }
-    refreshCheck(start, total);
 }
 
 void
@@ -215,6 +211,7 @@ MemImage::clear()
         slot(pageno) = nullptr;
     }
     touched_.clear();
+    faults_.clear();
 }
 
 void
@@ -223,27 +220,8 @@ MemImage::copyFrom(const MemImage &other)
     ct_assert(other.capacity_ == capacity_);
     clear();
     for (std::uint64_t pageno : other.touched_)
-        std::memcpy(newPage(pageno), other.slot(pageno),
-                    pageAlloc);
-}
-
-void
-MemImage::refreshCheck(Addr addr, std::size_t len)
-{
-    // Cover every 8 B word the byte range overlaps, looking each
-    // page up once.
-    Addr word = addr & ~Addr(7);
-    const Addr end = addr + len;
-    while (word < end) {
-        std::uint8_t *page = pageFor(word, false);
-        ct_assert(page != nullptr); // write() materialized it
-        const Addr spanEnd = std::min(end, pageEnd(word));
-        for (; word < spanEnd; word += 8) {
-            std::size_t off = word % pageSize;
-            page[pageSize + off / 8] =
-                ras::eccEncode(loadWord(page + off));
-        }
-    }
+        std::memcpy(newPage(pageno), other.slot(pageno), pageSize);
+    faults_ = other.faults_;
 }
 
 EccScan
@@ -252,68 +230,57 @@ MemImage::verify(Addr addr, std::size_t len)
     if (addr + len > capacity_)
         panic("MemImage verify past capacity (addr=%llx len=%zu)",
               (unsigned long long)addr, len);
+    // A word without a record is clean by construction.
     EccScan scan;
-    Addr word = addr & ~Addr(7);
-    const Addr end = addr + len;
-    while (word < end) {
-        std::uint8_t *page = pageFor(word, false);
-        if (!page) {
-            // Untouched pages read as zero and are clean by
-            // construction; skip to the next page boundary.
-            word = pageEnd(word);
+    auto it = faults_.lower_bound(addr & ~Addr(7));
+    const auto end = faults_.lower_bound(addr + len);
+    while (it != end) {
+        std::uint8_t *p = slot(it->first / pageSize) + it->first % pageSize;
+        const ras::EccDecode dec = ras::eccDecode(loadWord(p), it->second);
+        if (dec.status == ras::EccStatus::uncorrectable) {
+            ++scan.uncorrectable;
+            ++uncorrectableTotal_;
+            ++it;
             continue;
         }
-        const Addr spanEnd = std::min(end, pageEnd(word));
-        for (; word < spanEnd; word += 8) {
-            std::size_t off = word % pageSize;
-            std::uint64_t data = loadWord(page + off);
-            std::uint8_t check = page[pageSize + off / 8];
-            ras::EccDecode dec = ras::eccDecode(data, check);
-            switch (dec.status) {
-              case ras::EccStatus::clean:
-                break;
-              case ras::EccStatus::corrected:
-                storeWord(page + off, dec.data);
-                page[pageSize + off / 8] = dec.check;
-                ++scan.corrected;
-                ++correctedTotal_;
-                break;
-              case ras::EccStatus::uncorrectable:
-                ++scan.uncorrectable;
-                ++uncorrectableTotal_;
-                break;
-            }
+        if (dec.status == ras::EccStatus::corrected) {
+            // The repaired word's check byte is eccEncode of its data.
+            storeWord(p, dec.data);
+            ++scan.corrected;
+            ++correctedTotal_;
         }
+        it = faults_.erase(it);
     }
     return scan;
+}
+
+std::uint8_t &
+MemImage::faultFor(Addr word)
+{
+    if (word + 8 > capacity_)
+        panic("MemImage fault injection past capacity (addr=%llx)",
+              (unsigned long long)word);
+    const std::uint8_t *page = pageFor(word, true);
+    return faults_
+        .try_emplace(word, ras::eccEncode(loadWord(page + word % pageSize)))
+        .first->second;
 }
 
 void
 MemImage::injectBitFlip(Addr addr, unsigned bit)
 {
     ct_assert(bit < 64);
-    Addr word = addr & ~Addr(7);
-    if (word + 8 > capacity_)
-        panic("MemImage fault injection past capacity (addr=%llx)",
-              (unsigned long long)word);
-    std::uint8_t *page = pageFor(word, true);
-    std::size_t off = word % pageSize;
-    std::uint64_t v = loadWord(page + off);
-    storeWord(page + off, v ^ (std::uint64_t(1) << bit));
-    // Deliberately leave the check byte stale: that is the fault.
+    const Addr word = addr & ~Addr(7);
+    faultFor(word);
+    std::uint8_t *p = slot(word / pageSize) + word % pageSize;
+    storeWord(p, loadWord(p) ^ (std::uint64_t(1) << bit));
 }
 
 void
 MemImage::injectCheckBitFlip(Addr addr, unsigned bit)
 {
     ct_assert(bit < 8);
-    Addr word = addr & ~Addr(7);
-    if (word + 8 > capacity_)
-        panic("MemImage fault injection past capacity (addr=%llx)",
-              (unsigned long long)word);
-    std::uint8_t *page = pageFor(word, true);
-    std::size_t off = word % pageSize;
-    page[pageSize + off / 8] ^= std::uint8_t(1u << bit);
+    faultFor(addr & ~Addr(7)) ^= std::uint8_t(1u << bit);
 }
 
 void
@@ -330,9 +297,18 @@ MemImage::checkpointSave(ckpt::Section &out) const
     std::sort(pagenos.begin(), pagenos.end());
 
     out.putU64(pagenos.size());
+    std::uint8_t blob[pageBlob];
+    std::uint8_t *const check = blob + pageSize;
     for (std::uint64_t pageno : pagenos) {
+        std::memcpy(blob, slot(pageno), pageSize);
+        for (std::size_t w = 0; w < pageSize / 8; ++w)
+            check[w] = ras::eccEncode(loadWord(blob + 8 * w));
+        const Addr base = pageno * pageSize;
+        for (auto it = faults_.lower_bound(base);
+             it != faults_.end() && it->first < base + pageSize; ++it)
+            check[(it->first - base) / 8] = it->second;
         out.putU64(pageno);
-        out.putBytes(slot(pageno), pageAlloc);
+        out.putBytes(blob, pageBlob);
     }
 }
 
@@ -347,13 +323,20 @@ MemImage::checkpointRestore(ckpt::Section &in)
 
     clear();
     std::uint64_t count = in.getU64();
+    std::uint8_t blob[pageBlob];
+    const std::uint8_t *const check = blob + pageSize;
     for (std::uint64_t i = 0; i < count; ++i) {
         std::uint64_t pageno = in.getU64();
         if (pageno >= numPages_)
             throw ckpt::Error("memory image page past capacity");
         if (slot(pageno))
             throw ckpt::Error("memory image page given twice");
-        in.getBytes(newPage(pageno), pageAlloc);
+        in.getBytes(blob, pageBlob);
+        std::memcpy(newPage(pageno), blob, pageSize);
+        // Only a check byte that disagrees with its word is a fault.
+        for (std::size_t w = 0; w < pageSize / 8; ++w)
+            if (check[w] != ras::eccEncode(loadWord(blob + 8 * w)))
+                faults_.emplace(pageno * pageSize + 8 * w, check[w]);
     }
 }
 

@@ -17,11 +17,11 @@
 #define CONTUTTO_MEM_MEM_IMAGE_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "dmi/command.hh"
-#include "ras/ecc.hh"
 #include "sim/checkpoint.hh"
 #include "sim/types.hh"
 
@@ -86,19 +86,21 @@ class MemImage : public ckpt::Checkpointable
     std::size_t pagesTouched() const { return touched_.size(); }
 
     /**
-     * @{ SEC-DED ECC sidecar. Every write keeps one Hamming(72,64)
-     * check byte per 8 B word current; verify() re-derives the
-     * syndrome over a range, repairing single-bit faults in place
-     * (data or check bits) and counting multi-bit faults, which are
-     * left untouched for the caller to poison. Untouched pages are
-     * clean by construction and skipped.
+     * @{ SEC-DED ECC. Each 8 B word carries one Hamming(72,64) check
+     * byte, and that byte is eccEncode(word) unless a fault was
+     * injected into the word since it was last written; only those
+     * words are stored (the fault record). verify() decodes the
+     * recorded words in a range, repairing single-bit faults in
+     * place (data or check bits) and counting multi-bit faults,
+     * which stay recorded for the caller to poison. Any write over
+     * a word drops its record.
      */
     EccScan verify(Addr addr, std::size_t len);
 
     /**
-     * Flip one data bit without updating the check byte: the fault
-     * a later verify() must detect. Bit faults in the check storage
-     * itself are modelled by @c injectCheckBitFlip.
+     * Flip one data bit and keep the word's check byte as it was:
+     * the fault a later verify() must detect. Bit faults in the
+     * check storage itself are modelled by @c injectCheckBitFlip.
      */
     void injectBitFlip(Addr addr, unsigned bit);
     void injectCheckBitFlip(Addr addr, unsigned bit);
@@ -113,16 +115,14 @@ class MemImage : public ckpt::Checkpointable
     /** @} */
 
     static constexpr std::size_t pageSize = 4096;
-    /** One check byte per 64-bit word. */
-    static constexpr std::size_t checkBytesPerPage =
-        ras::eccCheckBytes(pageSize);
 
     /**
-     * @{ ckpt::Checkpointable: every materialized page (data and ECC
-     * sidecar together, in page-number order so the byte stream is
-     * canonical) plus the lifetime correction counters. Restore
-     * replaces the whole image; capacity must match, and a page
-     * number past capacity or given twice is a ckpt::Error.
+     * @{ ckpt::Checkpointable: every materialized page (its data,
+     * then the check byte of each of its words, in page-number order
+     * so the byte stream is canonical) plus the lifetime correction
+     * counters. Restore replaces the whole image; capacity must
+     * match, and a page number past capacity or given twice is a
+     * ckpt::Error.
      */
     void checkpointSave(ckpt::Section &out) const override;
     void checkpointRestore(ckpt::Section &in) override;
@@ -138,12 +138,13 @@ class MemImage : public ckpt::Checkpointable
         return table_.get()[pageno];
     }
 
-    /** Materialize page @p pageno, all zero with matching check
-     *  bytes; it must not exist yet. */
+    /** Materialize page @p pageno, all zero; it must not exist
+     *  yet. */
     std::uint8_t *newPage(std::uint64_t pageno);
 
-    /** Recompute check bytes for every word overlapping the range. */
-    void refreshCheck(Addr addr, std::size_t len);
+    /** The recorded check byte of @p word, materializing its page;
+     *  a word without a record gets one holding eccEncode(word). */
+    std::uint8_t &faultFor(Addr word);
 
     struct Unmap
     {
@@ -153,16 +154,15 @@ class MemImage : public ckpt::Checkpointable
 
     std::uint64_t capacity_;
     std::uint64_t numPages_;
-    /**
-     * Page number -> page, null until first written. Each page
-     * allocation is pageSize data bytes followed by checkBytesPerPage
-     * ECC check bytes, so save/restore paths that copy pages
-     * wholesale keep data and codes consistent.
-     */
+    /** Page number -> page of pageSize bytes, null until first
+     *  written. */
     std::unique_ptr<std::uint8_t *, Unmap> table_;
     /** Every non-null table slot's page number, in materialization
      *  order; the pages they point to are owned here. */
     std::vector<std::uint64_t> touched_;
+    /** Word address -> stored check byte, for every word whose
+     *  check byte is not eccEncode(word). */
+    std::map<Addr, std::uint8_t> faults_;
     std::uint64_t correctedTotal_ = 0;
     std::uint64_t uncorrectableTotal_ = 0;
 };

@@ -9,10 +9,11 @@
  * reported uncorrectable so the datapath can poison the response
  * instead of returning garbage.
  *
- * Header-only on purpose: mem (MemImage) maintains the check bytes on
- * every functional write, while the higher-level RAS machinery
- * (patrol scrubber, fault injector) lives in ct_ras; keeping the
- * codec free of link dependencies avoids a library cycle.
+ * Header-only on purpose: mem (MemImage) derives a word's check byte
+ * from its data and decodes the words that carry an injected fault,
+ * while the higher-level RAS machinery (patrol scrubber, fault
+ * injector) lives in ct_ras; keeping the codec free of link
+ * dependencies avoids a library cycle.
  */
 
 #ifndef CONTUTTO_RAS_ECC_HH
@@ -152,13 +153,6 @@ eccDecode(std::uint64_t word, std::uint8_t check)
         out.data = word ^ (std::uint64_t(1) << unsigned(bit));
     }
     return out;
-}
-
-/** Check bytes needed to protect @p bytes of data (one per 8 B). */
-constexpr std::size_t
-eccCheckBytes(std::size_t bytes)
-{
-    return bytes / 8;
 }
 
 } // namespace contutto::ras

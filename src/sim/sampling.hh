@@ -136,14 +136,6 @@ struct SamplingReport
     {
         return ticksToSeconds(Tick(estimatedRuntimeTicks));
     }
-    /** CI half-width relative to the estimate (0 when degenerate). */
-    double
-    relCiHalfWidth() const
-    {
-        return estimatedRuntimeTicks > 0
-            ? ciHalfWidthTicks / estimatedRuntimeTicks
-            : 0.0;
-    }
 };
 
 /**

@@ -47,9 +47,6 @@ class GpfsWriteCache : public SimObject
     /** One small random application write. */
     void appWrite(std::uint64_t lba, std::function<void()> done);
 
-    /** Blocks waiting in the cache to be destaged. */
-    unsigned dirtyBlocks() const { return dirtyBlocks_; }
-
     struct GpfsStats
     {
         stats::Scalar appWrites;
