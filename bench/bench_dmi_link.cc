@@ -22,7 +22,7 @@ namespace
 struct CountingReceiver : FrameReceiver
 {
     int delivered = 0;
-    void processRx(const WireFrame &) override { ++delivered; }
+    void processRx(const WireFrame &, bool) override { ++delivered; }
 };
 
 } // namespace

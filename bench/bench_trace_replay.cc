@@ -23,15 +23,18 @@
  * scripts/bench_gate.py to distill and gate against
  * bench/baselines/BENCH_trace.json; each replayed system's simulated
  * stat tree is captured as "sampled" and "detailed" and gated
- * against bench/baselines/BENCH_trace_sim.json. The stats-JSON's
- * configHash covers the trace's content checksum and the flags that
- * do not name files, so one trace gives one hash wherever it lies.
+ * against bench/baselines/BENCH_trace_sim.json. sim/heap_count.hh
+ * counts the detailed replay's heap allocations per record. The
+ * stats-JSON's configHash covers the trace's content checksum and
+ * the flags that do not name files, so one trace gives one hash
+ * wherever it lies.
  */
 
 #include <chrono>
 
 #include "bench_util.hh"
 #include "cpu/trace_replay.hh"
+#include "sim/heap_count.hh"
 #include "trace/generate.hh"
 #include "trace/reader.hh"
 
@@ -48,14 +51,16 @@ wallSec(std::chrono::steady_clock::time_point t0,
 }
 
 /** Run one timed replay on a fresh ConTutto system; returns wall
- *  seconds and fills @p result and @p events, the events the replay
- *  processed. The system's stat tree is captured under @p label. */
+ *  seconds and fills @p result, @p events, the events the replay
+ *  processed, and @p allocs, its heap allocations. The system's stat
+ *  tree is captured under @p label. */
 double
 runTimed(bench::Telemetry &tm, const std::string &label,
          const trace::MappedTrace &bin,
          const sim::SamplingConfig &sampling, std::uint64_t seed,
          trace::CaptureSink *capture,
-         cpu::TimedTraceReplayer::Result &result, std::uint64_t &events)
+         cpu::TimedTraceReplayer::Result &result, std::uint64_t &events,
+         std::uint64_t &allocs)
 {
     bench::Power8System sys(bench::contuttoSystem());
     if (!sys.train())
@@ -70,6 +75,7 @@ runTimed(bench::Telemetry &tm, const std::string &label,
                                 params, sys.port());
     bool finished = false;
     const std::uint64_t events0 = sys.eventq().eventsProcessed();
+    const std::uint64_t allocs0 = heapAllocations();
     auto t0 = std::chrono::steady_clock::now();
     rep.start(bin, [&](const cpu::TimedTraceReplayer::Result &r) {
         result = r;
@@ -78,6 +84,7 @@ runTimed(bench::Telemetry &tm, const std::string &label,
     while (!finished && sys.eventq().step()) {
     }
     auto t1 = std::chrono::steady_clock::now();
+    allocs = heapAllocations() - allocs0;
     ct_assert(finished);
     events = sys.eventq().eventsProcessed() - events0;
     tm.capture(label, sys);
@@ -135,10 +142,10 @@ main(int argc, char **argv)
     sim::SamplingConfig sampling = tm.samplingConfig();
     sampling.enabled = true;
     cpu::TimedTraceReplayer::Result sampledR;
-    std::uint64_t sampledEvents = 0;
+    std::uint64_t sampledEvents = 0, sampledAllocs = 0;
     const double sampledSec =
         runTimed(tm, "sampled", bin, sampling, seed, nullptr, sampledR,
-                 sampledEvents);
+                 sampledEvents, sampledAllocs);
     const double sampledOps =
         sampledSec > 0 ? records / sampledSec : 0;
 
@@ -148,10 +155,10 @@ main(int argc, char **argv)
         sink = std::make_unique<trace::CaptureSink>(recapturePath);
     sim::SamplingConfig detailed; // disabled
     cpu::TimedTraceReplayer::Result detailedR;
-    std::uint64_t detailedEvents = 0;
+    std::uint64_t detailedEvents = 0, detailedAllocs = 0;
     const double detailedSec =
         runTimed(tm, "detailed", bin, detailed, seed, sink.get(),
-                 detailedR, detailedEvents);
+                 detailedR, detailedEvents, detailedAllocs);
     const double detailedOps =
         detailedSec > 0 ? records / detailedSec : 0;
     // Host-independent: the same trace always costs the same events.
@@ -159,6 +166,8 @@ main(int argc, char **argv)
         records > 0 ? double(detailedEvents) / records : 0;
     const double sampledEventsPerRecord =
         records > 0 ? double(sampledEvents) / records : 0;
+    const double allocsPerRecord =
+        records > 0 ? double(detailedAllocs) / records : 0;
 
     double recaptureMatch = -1;
     if (sink) {
@@ -209,6 +218,10 @@ main(int argc, char **argv)
                                 "events processed per record in the "
                                 "sampled replay",
                                 [&] { return sampledEventsPerRecord; });
+    stats::Value allocsV(&root, "detailedAllocsPerRecord",
+                         "heap allocations per record in the "
+                         "full-detail replay",
+                         [&] { return allocsPerRecord; });
     stats::Value matchV(
         &root, "recaptureMatch",
         "1 when the recaptured trace matched the input byte for "

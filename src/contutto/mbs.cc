@@ -441,10 +441,10 @@ Mbs::respondDone(unsigned tag)
 }
 
 void
-Mbs::enqueueUpstream(std::vector<UpFrame> frames)
+Mbs::enqueueUpstream(const ResponseFrames &frames)
 {
-    for (auto &f : frames)
-        upQueue_.push_back(std::move(f));
+    for (const UpFrame &f : frames)
+        upQueue_.push_back(f);
     if (!upPumpEvent_.scheduled())
         scheduleClocked(&upPumpEvent_, params_.respondCycles);
 }

@@ -174,7 +174,7 @@ class Mbs : public SimObject,
     void respondReadData(unsigned tag, const dmi::CacheLine &data,
                          bool poisoned);
     void respondDone(unsigned tag);
-    void enqueueUpstream(std::vector<dmi::UpFrame> frames);
+    void enqueueUpstream(const dmi::ResponseFrames &frames);
     void upstreamPump();
     void finishEngine(unsigned tag);
 

@@ -11,6 +11,16 @@ namespace
 /** Initial ring capacity, a power of two; it doubles when full. */
 constexpr std::size_t initialRingFrames = 64;
 
+/** Advance @p s over one frame of @p len bytes without its data. */
+void
+jumpFrame(Scrambler &s, unsigned len)
+{
+    if (len == downFrameBytes)
+        s.jump<downFrameBytes>();
+    else
+        s.jump<upFrameBytes>();
+}
+
 } // namespace
 
 DmiChannel::DmiChannel(const std::string &name, EventQueue &eq,
@@ -88,6 +98,7 @@ DmiChannel::send(const WireFrame &frame)
     const Tick landed = f.end + params_.flightTime;
     f.rx = rxDomain_ ? rxDomain_->edgeAfter(landed, rxProcCycles_)
                      : landed;
+    f.hit = false;
     f.dropped = false;
     busyUntil_ = f.end;
     // A frame that starts now is decided now, and the frame before
@@ -118,12 +129,26 @@ DmiChannel::settleStart(InFlight &f)
     std::uint8_t *bytes = f.wire.bytes.data();
     const unsigned len = f.wire.len;
 
-    // The transmitter PHY scrambles as bits leave the chip.
-    txScrambler_.apply(bytes, len);
+    // The transmitter PHY scrambles as bits leave the chip. Only the
+    // keystream's position is kept: the bytes stay plain, and
+    // settleEnd() adds the keystream back if the receiver's is not
+    // the same one (see the file comment).
+    f.txKey = txScrambler_.state();
+    jumpFrame(txScrambler_, len);
 
-    // Bit errors strike on the wire, after scrambling. A degraded
-    // bundle (dead lane beyond the spare) damages every frame, since
-    // frames stripe across all lanes.
+    // Bit errors strike on the wire. XOR commutes, so a flip of a
+    // plain bit is the flip of the scrambled bit the lanes carried.
+    // The first flip keeps the sent bytes for the intact check.
+    auto flip = [&](std::uint64_t bit) {
+        if (!f.hit) {
+            std::copy_n(bytes, len, f.sent.begin());
+            f.hit = true;
+        }
+        bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+    };
+
+    // A degraded bundle (dead lane beyond the spare) damages every
+    // frame, since frames stripe across all lanes.
     bool corrupt = forcedCorruptions_ > 0;
     if (corrupt) {
         --forcedCorruptions_;
@@ -133,8 +158,7 @@ DmiChannel::settleStart(InFlight &f)
         corrupt = rng_.chance(params_.frameErrorRate);
     }
     if (corrupt) {
-        std::uint64_t bit = rng_.below(std::uint64_t(len) * 8);
-        bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+        flip(rng_.below(std::uint64_t(len) * 8));
         ++stats_.framesCorrupted;
     }
 
@@ -145,7 +169,7 @@ DmiChannel::settleStart(InFlight &f)
         unsigned start = std::min(burstStartBit_, frameBits);
         unsigned here = std::min(burstBitsLeft_, frameBits - start);
         for (unsigned bit = start; bit < start + here; ++bit)
-            bytes[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+            flip(bit);
         burstBitsLeft_ -= here;
         burstStartBit_ = 0; // continuation resumes at the frame start
         if (here > 0 && !corrupt)
@@ -159,11 +183,24 @@ void
 DmiChannel::settleEnd(InFlight &f)
 {
     // The receiver PHY descrambles every frame slot in order, which
-    // keeps the keystreams aligned even across replays.
-    rxScrambler_.apply(f.wire.bytes.data(), f.wire.len);
+    // keeps the keystreams aligned even across replays. In step with
+    // the transmitter its keystream cancels the one the frame was
+    // scrambled with, so it only advances; out of step the frame
+    // takes both, as on the wire.
+    std::uint8_t *bytes = f.wire.bytes.data();
+    const unsigned len = f.wire.len;
+    const bool inStep = rxScrambler_.state() == f.txKey;
+    if (inStep) {
+        jumpFrame(rxScrambler_, len);
+    } else {
+        Scrambler(f.txKey).apply(bytes, len);
+        rxScrambler_.apply(bytes, len);
+    }
+    f.intact = f.hit ? std::equal(bytes, bytes + len, f.sent.begin())
+                     : inStep;
 
     ++stats_.framesCarried;
-    stats_.bytesCarried += double(f.wire.len);
+    stats_.bytesCarried += double(len);
 
     // A dropped frame vanishes after the descrambler advanced (the
     // keystream stays aligned for later frames); the sender's missing
@@ -191,9 +228,11 @@ DmiChannel::receive()
 
     if (due != tail_)
         eventq().schedule(&rxEvent_, slot(due).rx);
-    for (; head_ != due; ++head_)
-        if (receiver_ && !slot(head_).dropped)
-            receiver_->processRx(slot(head_).wire);
+    for (; head_ != due; ++head_) {
+        const InFlight &f = slot(head_);
+        if (receiver_ && !f.dropped)
+            receiver_->processRx(f.wire, f.intact);
+    }
 }
 
 void

@@ -30,11 +30,29 @@
  * decisions before T only (the per-frame events at T were queued
  * later than any fault or stats event scheduled in advance), and a
  * caller between run() calls sees decisions at T too.
+ *
+ * The ring holds frames in plain bytes. Scrambling is XOR with a
+ * keystream, so a frame's start records the transmit keystream's
+ * position and jumps the LFSR over the frame (Scrambler::jump), bit
+ * errors flip plain bits, and a frame's end, when the receive
+ * keystream is at the recorded position, only jumps the receive
+ * LFSR: plain ^ K ^ E ^ K == plain ^ E. Out of step (after
+ * desyncRxScrambler(), or a reseed with frames on the lanes) the
+ * frame takes the transmit keystream and then the receive one, so
+ * the receiver gets the bytes a real scrambler pair would deliver.
+ *
+ * The receiver learns whether a frame arrived intact: byte for byte
+ * what was given to send(). The contract: a link endpoint sends only
+ * frames sealed by serialize(), so an intact frame's CRC holds and
+ * the endpoint does not recompute it; a frame the lanes touched is
+ * checked as before. Whoever sends unsealed bytes must not read
+ * intact as CRC-clean.
  */
 
 #ifndef CONTUTTO_DMI_CHANNEL_HH
 #define CONTUTTO_DMI_CHANNEL_HH
 
+#include <array>
 #include <vector>
 
 #include "dmi/frame.hh"
@@ -52,9 +70,11 @@ class FrameReceiver
     /**
      * Gearbox capture and CRC check of one received frame. @p wire
      * lives in the channel's ring: read it before anything that may
-     * send on the same channel.
+     * send on the same channel. @p intact is true exactly when
+     * @p wire equals the frame given to send(): no error struck it
+     * and the scramblers were in step (see the file comment).
      */
-    virtual void processRx(const WireFrame &wire) = 0;
+    virtual void processRx(const WireFrame &wire, bool intact) = 0;
 
   protected:
     ~FrameReceiver() = default;
@@ -213,11 +233,18 @@ class DmiChannel : public SimObject
     /** A frame between send() and its receiver. */
     struct InFlight
     {
+        /** Plain bytes plus any bit errors; see the file comment. */
         WireFrame wire;
+        /** Transmit keystream state at the serialization start. */
+        std::uint16_t txKey = 0;
+        bool hit = false;    ///< A bit error struck it.
+        bool intact = false; ///< Delivered as sent; set at the end.
+        bool dropped = false;
         Tick start = 0; ///< Serialization starts.
         Tick end = 0;   ///< Serialization ends.
         Tick rx = 0;    ///< The receiver processes it.
-        bool dropped = false;
+        /** The bytes given to send(), kept once an error struck. */
+        std::array<std::uint8_t, upFrameBytes> sent{};
     };
 
     InFlight &slot(std::uint64_t i) { return ring_[i & ringMask_]; }

@@ -7,24 +7,23 @@
 namespace contutto::dmi
 {
 
-std::vector<DownFrame>
+CommandFrames
 encodeCommand(const MemCommand &cmd)
 {
     ct_assert(cmd.tag < numTags);
     ct_assert((cmd.addr & (cacheLineSize - 1)) == 0);
 
-    std::vector<DownFrame> frames;
-    DownFrame header;
+    CommandFrames frames;
+    DownFrame &header = frames.emplace_back();
     header.type = FrameType::command;
     header.cmdType = cmd.type;
     header.tag = cmd.tag;
     header.addr = cmd.addr;
     header.traceId = cmd.traceId;
-    frames.push_back(header);
 
     if (cmd.type == CmdType::partialWrite) {
         // Ship the 128-bit byte-enable map first.
-        DownFrame en;
+        DownFrame &en = frames.emplace_back();
         en.type = FrameType::writeData;
         en.tag = cmd.tag;
         en.subIndex = enableMapSubIndex;
@@ -36,12 +35,11 @@ encodeCommand(const MemCommand &cmd)
                     v |= std::uint8_t(1u << bit);
             en.data[byte] = v;
         }
-        frames.push_back(en);
     }
 
     if (hasWriteData(cmd.type)) {
         for (unsigned i = 0; i < downFramesPerLine; ++i) {
-            DownFrame d;
+            DownFrame &d = frames.emplace_back();
             d.type = FrameType::writeData;
             d.tag = cmd.tag;
             d.subIndex = std::uint8_t(i);
@@ -49,21 +47,20 @@ encodeCommand(const MemCommand &cmd)
             std::memcpy(d.data.data(),
                         cmd.data.data() + i * downDataChunk,
                         downDataChunk);
-            frames.push_back(d);
         }
     }
     return frames;
 }
 
-std::vector<UpFrame>
+ResponseFrames
 encodeResponse(const MemResponse &resp)
 {
     ct_assert(resp.tag < numTags);
-    std::vector<UpFrame> frames;
+    ResponseFrames frames;
     switch (resp.type) {
       case RespType::readData:
         for (unsigned i = 0; i < upFramesPerLine; ++i) {
-            UpFrame u;
+            UpFrame &u = frames.emplace_back();
             u.type = FrameType::readData;
             u.tag = resp.tag;
             u.subIndex = std::uint8_t(i);
@@ -72,26 +69,23 @@ encodeResponse(const MemResponse &resp)
             std::memcpy(u.data.data(),
                         resp.data.data() + i * upDataChunk,
                         upDataChunk);
-            frames.push_back(u);
         }
         break;
       case RespType::done: {
-        UpFrame u;
+        UpFrame &u = frames.emplace_back();
         u.type = FrameType::done;
         u.doneCount = 1;
         u.doneTags[0] = resp.tag;
         u.traceId = resp.traceId;
-        frames.push_back(u);
         break;
       }
       case RespType::swapOld: {
-        UpFrame u;
+        UpFrame &u = frames.emplace_back();
         u.type = FrameType::swapResult;
         u.tag = resp.tag;
         u.swapSucceeded = resp.swapSucceeded;
         u.traceId = resp.traceId;
         std::memcpy(u.data.data(), resp.data.data(), 8);
-        frames.push_back(u);
         break;
       }
     }
@@ -169,10 +163,10 @@ CommandAssembler::reset()
         p = Pending{};
 }
 
-std::vector<MemResponse>
+Responses
 ResponseAssembler::feed(const UpFrame &frame)
 {
-    std::vector<MemResponse> out;
+    Responses out;
     switch (frame.type) {
       case FrameType::readData: {
         Pending &p = pending_[frame.tag];
@@ -182,35 +176,32 @@ ResponseAssembler::feed(const UpFrame &frame)
         std::memcpy(p.data.data() + frame.subIndex * upDataChunk,
                     frame.data.data(), upDataChunk);
         if (++p.chunksSeen == upFramesPerLine) {
-            MemResponse r;
+            MemResponse &r = out.emplace_back();
             r.type = RespType::readData;
             r.tag = frame.tag;
             r.data = p.data;
             r.poisoned = p.poisoned;
             r.traceId = frame.traceId;
             p = Pending{};
-            out.push_back(r);
         }
         break;
       }
       case FrameType::done:
         ct_assert(frame.doneCount <= 4);
         for (unsigned i = 0; i < frame.doneCount; ++i) {
-            MemResponse r;
+            MemResponse &r = out.emplace_back();
             r.type = RespType::done;
             r.tag = frame.doneTags[i];
             r.traceId = frame.traceId;
-            out.push_back(r);
         }
         break;
       case FrameType::swapResult: {
-        MemResponse r;
+        MemResponse &r = out.emplace_back();
         r.type = RespType::swapOld;
         r.tag = frame.tag;
         r.swapSucceeded = frame.swapSucceeded;
         r.traceId = frame.traceId;
         std::memcpy(r.data.data(), frame.data.data(), 8);
-        out.push_back(r);
         break;
       }
       default:

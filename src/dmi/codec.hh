@@ -8,25 +8,78 @@
  * completions are done frames carrying up to four tags. Write data
  * for different commands may be interleaved on the link (paper
  * §3.3(iii)), so the assemblers track per-tag state.
+ *
+ * The codec allocates nothing: encoding and response assembly return
+ * an InlineList, a fixed-capacity list held by value that converts
+ * to a std::vector for code that keeps the frames.
  */
 
 #ifndef CONTUTTO_DMI_CODEC_HH
 #define CONTUTTO_DMI_CODEC_HH
 
 #include <array>
+#include <cstddef>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "dmi/frame.hh"
+#include "sim/logging.hh"
 
 namespace contutto::dmi
 {
 
+/**
+ * At most @p N values, stored inline. The slots are raw storage
+ * until emplace_back() constructs one, so an empty list costs
+ * nothing to make, whatever its capacity.
+ */
+template <typename T, std::size_t N>
+class InlineList
+{
+    static_assert(std::is_trivially_copyable_v<T>
+                  && std::is_trivially_destructible_v<T>);
+
+  public:
+    InlineList() {}
+
+    /** Append a default-constructed value; returns it. */
+    T &
+    emplace_back()
+    {
+        ct_assert(size_ < N);
+        return *::new (&items_[size_++]) T();
+    }
+
+    std::size_t size() const { return size_; }
+    const T &operator[](std::size_t i) const { return items_[i]; }
+    const T *begin() const { return items_; }
+    const T *end() const { return items_ + size_; }
+
+    /** A heap copy, for callers that keep the values. */
+    operator std::vector<T>() const { return {begin(), end()}; }
+
+  private:
+    union
+    {
+        T items_[N];
+    };
+    std::size_t size_ = 0;
+};
+
+/** A command's frames: header, byte-enable map, eight data chunks. */
+using CommandFrames = InlineList<DownFrame, 2 + downFramesPerLine>;
+/** A response's frames: a read's four data chunks at most. */
+using ResponseFrames = InlineList<UpFrame, upFramesPerLine>;
+/** What one upstream frame completes: a done frame's four tags. */
+using Responses = InlineList<MemResponse, 4>;
+
 /** Expand a command into the downstream frames that carry it. */
-std::vector<DownFrame> encodeCommand(const MemCommand &cmd);
+CommandFrames encodeCommand(const MemCommand &cmd);
 
 /** Expand a response into the upstream frames that carry it. */
-std::vector<UpFrame> encodeResponse(const MemResponse &resp);
+ResponseFrames encodeResponse(const MemResponse &resp);
 
 /**
  * Reassembles downstream frames into complete commands.
@@ -78,7 +131,7 @@ class ResponseAssembler
 {
   public:
     /** Feed one frame; may complete several responses (done frames). */
-    std::vector<MemResponse> feed(const UpFrame &frame);
+    Responses feed(const UpFrame &frame);
 
     void reset();
 

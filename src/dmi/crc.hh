@@ -9,13 +9,14 @@
  * 2-bit errors are detected for any block much shorter than the
  * 32767-bit period — DMI frames are 224/336 bits.
  *
- * Every frame is CRC'd twice (sealed on send, checked on receipt),
- * so the kernel is slice-by-8: eight 256-entry tables (4 KiB, built
- * constexpr from the byte table) fold 8 bytes per step, and a byte
- * loop takes the tail. CRC is linear over GF(2), so the register
- * after 8 bytes is the XOR of each byte's contribution shifted
- * through the zero bytes after it. The kernel reads bytes, not
- * words, so its result does not depend on host endianness.
+ * Every frame is sealed on send, and checked on receipt when the
+ * lanes touched it (dmi/channel.hh), so the kernel is slice-by-8:
+ * eight 256-entry tables (4 KiB, built constexpr from the byte
+ * table) fold 8 bytes per step, and a byte loop takes the tail. CRC
+ * is linear over GF(2), so the register after 8 bytes is the XOR of
+ * each byte's contribution shifted through the zero bytes after it.
+ * The kernel reads bytes, not words, so its result does not depend
+ * on host endianness.
  * tests/dmi/test_crc_scrambler.cc checks it against a bit-serial
  * reference for every length 0-64 and every split of a 42 B frame.
  */

@@ -83,7 +83,7 @@ sealCrc(WireFrame &w)
 }
 
 bool
-checkCrc(const WireFrame &w)
+crcMatches(const WireFrame &w)
 {
     std::uint16_t c = crc16(w.bytes.data(), w.len - 2u);
     return w.bytes[w.len - 2u] == std::uint8_t(c >> 8)
@@ -130,10 +130,11 @@ DownFrame::serialize() const
 }
 
 bool
-DownFrame::deserialize(const WireFrame &wire, DownFrame &out)
+DownFrame::deserialize(const WireFrame &wire, DownFrame &out,
+                        bool checkCrc)
 {
     ct_assert(wire.len == downFrameBytes);
-    if (!checkCrc(wire))
+    if (checkCrc && !crcMatches(wire))
         return false;
     const auto *b = wire.bytes.data();
     out = DownFrame{};
@@ -210,10 +211,11 @@ UpFrame::serialize() const
 }
 
 bool
-UpFrame::deserialize(const WireFrame &wire, UpFrame &out)
+UpFrame::deserialize(const WireFrame &wire, UpFrame &out,
+                      bool checkCrc)
 {
     ct_assert(wire.len == upFrameBytes);
-    if (!checkCrc(wire))
+    if (checkCrc && !crcMatches(wire))
         return false;
     const auto *b = wire.bytes.data();
     out = UpFrame{};

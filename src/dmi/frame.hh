@@ -104,11 +104,13 @@ struct DownFrame
     WireFrame serialize() const;
 
     /**
-     * Unpack from wire bytes.
-     * @return false when the CRC does not match (fields then
-     *         undefined apart from crcOk handling by the caller).
+     * Unpack from wire bytes. With @p checkCrc false the caller
+     * vouches that @p wire is a frame serialize() sealed.
+     * @return false when the CRC is checked and does not match
+     *         (@p out is then untouched).
      */
-    static bool deserialize(const WireFrame &wire, DownFrame &out);
+    static bool deserialize(const WireFrame &wire, DownFrame &out,
+                            bool checkCrc = true);
 
     std::string toString() const;
 };
@@ -155,7 +157,9 @@ struct UpFrame
     TraceId traceId = noTraceId;
 
     WireFrame serialize() const;
-    static bool deserialize(const WireFrame &wire, UpFrame &out);
+    /** As DownFrame::deserialize. */
+    static bool deserialize(const WireFrame &wire, UpFrame &out,
+                            bool checkCrc = true);
 
     std::string toString() const;
 };

@@ -107,10 +107,12 @@ LinkEndpoint<TxF, RxF>::pump()
 
 template <typename TxF, typename RxF>
 void
-LinkEndpoint<TxF, RxF>::processRx(const WireFrame &wire)
+LinkEndpoint<TxF, RxF>::processRx(const WireFrame &wire, bool intact)
 {
+    // Every frame on the link comes from serialize(), so an intact
+    // one still carries its seal and needs no CRC recompute.
     RxF f;
-    if (!RxF::deserialize(wire, f)) {
+    if (!RxF::deserialize(wire, f, !intact)) {
         // Bad CRC: drop silently; the transmitter's missing-ACK
         // timeout will trigger a replay (paper §2.3).
         ++stats_.rxCrcErrors;

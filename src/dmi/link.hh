@@ -148,7 +148,7 @@ class LinkEndpoint : public SimObject, private FrameReceiver
 
     void pump();             ///< Drain sendQueue_ into the channel.
     /** rxChannel_ calls this rxProcCycles after a frame lands. */
-    void processRx(const WireFrame &wire) override;
+    void processRx(const WireFrame &wire, bool intact) override;
     void handleAck(std::uint8_t ackSeq);
     void scheduleAckCarrier();
     void emitIdleAck();

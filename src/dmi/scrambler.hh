@@ -96,6 +96,14 @@ makeScramblerWordTables()
 inline constexpr ScramblerWordTables scramblerWordTables =
     makeScramblerWordTables();
 
+/** The state after a fixed number of keystream bytes, split into
+ *  low- and high-byte halves as the word tables are. */
+struct ScramblerJumpTable
+{
+    std::array<std::uint16_t, 256> lo{};
+    std::array<std::uint16_t, 256> hi{};
+};
+
 } // namespace detail
 
 /**
@@ -115,14 +123,19 @@ inline constexpr ScramblerWordTables scramblerWordTables =
  * two lookups per half-state) and finish the tail a byte at a time.
  * The keystream word is XORed into the buffer byte by byte from its
  * explicit little-endian composition, so the wire bytes do not
- * depend on host endianness. tests/dmi/test_crc_scrambler.cc proves
- * both steps against the bit-serial reference over the full 2^16
- * state space, bytes and final state, for every length 0-48.
+ * depend on host endianness. jump<Len>() advances by a whole frame
+ * without touching data, through two 256-entry tables per length.
+ * tests/dmi/test_crc_scrambler.cc proves both steps against the
+ * bit-serial reference over the full 2^16 state space, bytes and
+ * final state, for every length 0-48, and the jump for both frame
+ * lengths against skip() and the reference.
  */
 class Scrambler
 {
   public:
-    explicit Scrambler(std::uint16_t seed = 0xFFFF) : lfsr_(seed) {}
+    explicit constexpr Scrambler(std::uint16_t seed = 0xFFFF)
+        : lfsr_(seed)
+    {}
 
     /** Re-seed (both ends do this when training completes). */
     void reset(std::uint16_t seed = 0xFFFF) { lfsr_ = seed; }
@@ -152,7 +165,7 @@ class Scrambler
     }
 
     /** Advance the keystream without data (idle lanes). */
-    void
+    constexpr void
     skip(std::size_t len)
     {
         for (; len >= 8; len -= 8)
@@ -161,12 +174,36 @@ class Scrambler
             nextByte(lfsr_);
     }
 
+    /**
+     * skip(Len) in two lookups. The state after Len bytes is linear
+     * in the starting state, so it splits into low- and high-byte
+     * halves; the table is built from skip(Len) itself.
+     */
+    template <std::size_t Len>
+    void
+    jump()
+    {
+        static constexpr detail::ScramblerJumpTable t = [] {
+            detail::ScramblerJumpTable j{};
+            for (unsigned x = 0; x < 256; ++x) {
+                Scrambler lo{std::uint16_t(x)};
+                Scrambler hi{std::uint16_t(x << 8)};
+                lo.skip(Len);
+                hi.skip(Len);
+                j.lo[x] = lo.state();
+                j.hi[x] = hi.state();
+            }
+            return j;
+        }();
+        lfsr_ = std::uint16_t(t.lo[lfsr_ & 0xFF] ^ t.hi[lfsr_ >> 8]);
+    }
+
     /** Current LFSR state, for checking end-to-end sync. */
-    std::uint16_t state() const { return lfsr_; }
+    constexpr std::uint16_t state() const { return lfsr_; }
 
   private:
     /** Step @p s by 8 bytes; returns them, byte i at bits 8i..8i+7. */
-    static std::uint64_t
+    static constexpr std::uint64_t
     nextWord(std::uint16_t &s)
     {
         const auto &w = detail::scramblerWordTables;
@@ -176,7 +213,7 @@ class Scrambler
     }
 
     /** Step @p s by one byte; returns it. */
-    static std::uint8_t
+    static constexpr std::uint8_t
     nextByte(std::uint16_t &s)
     {
         const std::uint8_t low = std::uint8_t(s & 0xFF);

@@ -2,9 +2,10 @@
  * @file
  * Timing contracts of the DMI channel: which frame a fault call hits
  * while frames are queued and on the lanes, what its counters read
- * mid-flight, a differential against a reference channel that
- * decides and scrambles every frame as it happens, and command
- * watchdogs that leave nothing queued once the buffer is idle.
+ * mid-flight, when a frame counts as intact, a differential against
+ * a reference channel that decides and scrambles every frame as it
+ * happens, and command watchdogs that leave nothing queued once the
+ * buffer is idle.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <sstream>
 #include <tuple>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "cpu/system.hh"
@@ -30,13 +30,25 @@ using namespace contutto::dmi;
 namespace
 {
 
-using Delivery = std::pair<Tick, WireFrame>;
-
 bool
 operator==(const WireFrame &a, const WireFrame &b)
 {
     return a.len == b.len && a.bytes == b.bytes;
 }
+
+/** One frame handed to the receiver. */
+struct Delivery
+{
+    Tick tick;
+    WireFrame wire;
+    bool intact;
+
+    bool
+    operator==(const Delivery &o) const
+    {
+        return tick == o.tick && wire == o.wire && intact == o.intact;
+    }
+};
 
 /** Records every frame the channel hands over, with its tick. */
 struct Recorder : FrameReceiver
@@ -45,9 +57,9 @@ struct Recorder : FrameReceiver
     std::vector<Delivery> got;
 
     void
-    processRx(const WireFrame &wire) override
+    processRx(const WireFrame &wire, bool intact) override
     {
-        got.emplace_back(eq->curTick(), wire);
+        got.push_back({eq->curTick(), wire, intact});
     }
 };
 
@@ -91,35 +103,40 @@ struct Wire
     }
 
     /** Indices of delivered frames that differ from the sent ones
-     *  (nothing may be dropped); each must fail its CRC. */
+     *  (nothing may be dropped); each must fail its CRC, and a frame
+     *  is intact exactly when it was delivered as sent. */
     std::vector<unsigned>
     damaged() const
     {
         std::vector<unsigned> out;
         EXPECT_EQ(rx.got.size(), sent.size());
         for (unsigned i = 0; i < rx.got.size() && i < sent.size(); ++i) {
-            if (rx.got[i].second == sent[i])
+            const bool asSent = rx.got[i].wire == sent[i];
+            EXPECT_EQ(rx.got[i].intact, asSent) << "frame " << i;
+            if (asSent)
                 continue;
             out.push_back(i);
             DownFrame f;
-            EXPECT_FALSE(DownFrame::deserialize(rx.got[i].second, f))
+            EXPECT_FALSE(DownFrame::deserialize(rx.got[i].wire, f))
                 << "frame " << i;
         }
         return out;
     }
 
     /** Indices of sent frames never delivered (nothing may be
-     *  damaged). */
+     *  damaged, and every delivered frame must be intact). */
     std::vector<unsigned>
     missing() const
     {
         std::vector<unsigned> out;
         std::size_t j = 0;
         for (unsigned i = 0; i < sent.size(); ++i) {
-            if (j < rx.got.size() && rx.got[j].second == sent[i])
+            if (j < rx.got.size() && rx.got[j].wire == sent[i]) {
+                EXPECT_TRUE(rx.got[j].intact) << "frame " << i;
                 ++j;
-            else
+            } else {
                 out.push_back(i);
+            }
         }
         EXPECT_EQ(j, rx.got.size());
         return out;
@@ -251,9 +268,65 @@ TEST(ChannelTiming, DesyncedFramesAreReallyScrambled)
     for (unsigned i = 2; i < 8; ++i) {
         unsigned differ = 0;
         for (unsigned b = 0; b < downFrameBytes; ++b)
-            differ += w.rx.got[i].second.bytes[b] != w.sent[i].bytes[b];
+            differ += w.rx.got[i].wire.bytes[b] != w.sent[i].bytes[b];
         EXPECT_GT(differ, downFrameBytes / 2) << "frame " << i;
     }
+}
+
+TEST(ChannelTiming, IntactExactlyWhenDeliveredAsSent)
+{
+    // Every fault made at 5 ns, with frame 2 on the lanes; damaged()
+    // also checks that intact agrees with the bytes frame by frame.
+    const bool warn = LogControl::warnings();
+    LogControl::warnings() = false;
+    auto rate = [](double r) {
+        return [r](DmiChannel &c) { c.setFrameErrorRate(r); };
+    };
+    struct Case
+    {
+        const char *name;
+        ChannelOp fault, undo;
+        Idx notIntact;
+    };
+    const Case cases[] = {
+        {"corruptNext", [](DmiChannel &c) { c.corruptNext(1); }, nullptr,
+         {3}},
+        {"burst spilling into the next frame",
+         [](DmiChannel &c) { c.corruptBurst(216, 20); }, nullptr, {3, 4}},
+        {"error rate", rate(1.0), rate(0.0), {3, 4}},
+        {"degraded bundle",
+         [](DmiChannel &c) {
+             c.failLane(0);
+             c.failLane(1);
+         },
+         [](DmiChannel &c) { c.repairAllLanes(); }, {3, 4}},
+        {"rx desync", [](DmiChannel &c) { c.desyncRxScrambler(); },
+         nullptr, {2, 3, 4, 5, 6, 7}},
+        // Frame 2 keeps the old transmit keystream and meets the new
+        // receive one, which it advances: the receiver stays a frame
+        // ahead of the transmitter from then on.
+        {"reseed with a frame on the lanes",
+         [](DmiChannel &c) { c.reseedScramblers(0x1234); }, nullptr,
+         {2, 3, 4, 5, 6, 7}},
+    };
+    for (const Case &k : cases) {
+        Wire w;
+        runFault(w, Call::midFrame, k.fault, k.undo);
+        Idx notIntact;
+        for (unsigned i = 0; i < w.rx.got.size(); ++i)
+            if (!w.rx.got[i].intact)
+                notIntact.push_back(i);
+        EXPECT_EQ(notIntact, k.notIntact) << k.name;
+        EXPECT_EQ(w.damaged(), k.notIntact) << k.name;
+    }
+
+    // A dropped frame still advances the receive keystream: every
+    // later frame arrives intact.
+    Wire w;
+    runFault(w, Call::midFrame, [](DmiChannel &c) { c.dropNext(1); });
+    EXPECT_EQ(w.missing(), Idx({2}));
+    EXPECT_EQ(w.rx.got.size(), 7u);
+    LogControl::warnings() = warn;
 }
 
 TEST(ChannelTiming, CountersReadMidFlightSeeTheDecisionsSoFar)
@@ -301,7 +374,8 @@ TEST(ChannelTiming, CountersReadMidFlightSeeTheDecisionsSoFar)
 /**
  * The reference channel: decides and scrambles every frame as it
  * happens, with an event at each serialization end and another at
- * each landing, and a real scrambler at each end.
+ * each landing, and a real scrambler at each end. A frame is intact
+ * when it lands byte for byte as it was sent.
  */
 class EagerChannel
 {
@@ -353,7 +427,7 @@ class EagerChannel
     startNext()
     {
         busy_ = true;
-        wire_ = queue_.front();
+        wire_ = sent_ = queue_.front();
         queue_.erase(queue_.begin());
         std::uint8_t *b = wire_.bytes.data();
         tx_.apply(b, wire_.len);
@@ -390,6 +464,7 @@ class EagerChannel
     {
         WireFrame w = wire_;
         rx_.apply(w.bytes.data(), w.len);
+        const bool intact = w == sent_;
         ++carried;
         bytes += w.len;
         busy_ = false;
@@ -401,8 +476,9 @@ class EagerChannel
             return;
         }
         OneShotEvent::schedule(eq_, eq_.curTick() + p_.flightTime,
-                               [this, w] {
-                                   got.emplace_back(eq_.curTick(), w);
+                               [this, w, intact] {
+                                   got.push_back(
+                                       {eq_.curTick(), w, intact});
                                });
     }
 
@@ -411,7 +487,7 @@ class EagerChannel
     Rng rng_;
     Scrambler tx_, rx_;
     std::vector<WireFrame> queue_;
-    WireFrame wire_;
+    WireFrame wire_, sent_;
     bool busy_ = false;
     unsigned forced_ = 0, burstStart_ = 0, burstLeft_ = 0, drop_ = 0,
              failed_ = 0;
@@ -553,11 +629,8 @@ TEST(ChannelTiming, LazyChannelMatchesEagerReference)
         ASSERT_EQ(std::get<0>(lazy).size(), std::get<0>(eager).size())
             << "seed " << seed;
         for (std::size_t i = 0; i < std::get<0>(lazy).size(); ++i) {
-            ASSERT_EQ(std::get<0>(lazy)[i].first,
-                      std::get<0>(eager)[i].first)
-                << "seed " << seed << " frame " << i;
-            ASSERT_TRUE(std::get<0>(lazy)[i].second
-                        == std::get<0>(eager)[i].second)
+            // Tick, delivered bytes and intact bit.
+            ASSERT_TRUE(std::get<0>(lazy)[i] == std::get<0>(eager)[i])
                 << "seed " << seed << " frame " << i;
         }
         EXPECT_EQ(std::get<1>(lazy), std::get<1>(eager))

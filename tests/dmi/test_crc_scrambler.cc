@@ -259,6 +259,34 @@ TEST(Scrambler, SkipMatchesApplyOnZeroBuffer)
     EXPECT_EQ(tailA, tailB);
 }
 
+// jump<Len>() is skip(Len) through a table: for both frame lengths
+// and every start state it must land where skip() and the
+// bit-serial reference do.
+template <std::size_t Len>
+void
+expectJumpMatchesSkip()
+{
+    for (unsigned seed = 0; seed < 0x10000; ++seed) {
+        Scrambler jumped{std::uint16_t(seed)};
+        Scrambler skipped{std::uint16_t(seed)};
+        BitSerialScrambler ref{std::uint16_t(seed)};
+        jumped.jump<Len>();
+        skipped.skip(Len);
+        for (std::size_t i = 0; i < Len; ++i)
+            ref.nextByte();
+        ASSERT_EQ(jumped.state(), skipped.state())
+            << "seed " << seed << " len " << Len;
+        ASSERT_EQ(jumped.state(), ref.lfsr)
+            << "seed " << seed << " len " << Len;
+    }
+}
+
+TEST(Scrambler, FrameJumpMatchesSkipAndReferenceExhaustively)
+{
+    expectJumpMatchesSkip<downFrameBytes>();
+    expectJumpMatchesSkip<upFrameBytes>();
+}
+
 TEST(Scrambler, KeystreamHasTransitions)
 {
     // The whole point of scrambling: long runs of identical payload

@@ -6,6 +6,7 @@
 
 #include "dmi/codec.hh"
 #include "dmi/frame.hh"
+#include "sim/heap_count.hh"
 #include "sim/random.hh"
 
 using namespace contutto;
@@ -310,6 +311,53 @@ TEST_P(CodecFuzz, RandomInterleavedStreams)
         }
     }
     EXPECT_TRUE(asmb.idle());
+}
+
+// The codec runs for every command and response on the link, so it
+// must not touch the heap: encoding reads, writes and partial writes,
+// encoding read data, done and swap responses, and assembling a full
+// read and a four-tag done frame.
+TEST(Codec, EncodesAndAssemblesWithoutTheHeap)
+{
+    Rng r(10);
+    MemCommand read, write, partial;
+    read.type = CmdType::read128;
+    write.type = CmdType::write128;
+    partial.type = CmdType::partialWrite;
+    write.data = partial.data = randomLine(r);
+    partial.enables.set(5);
+    MemResponse data, done, swap;
+    data.type = RespType::readData;
+    data.data = randomLine(r);
+    done.type = RespType::done;
+    swap.type = RespType::swapOld;
+    UpFrame fourDone;
+    fourDone.type = FrameType::done;
+    fourDone.doneCount = 4;
+    fourDone.doneTags = {1, 2, 3, 4};
+    ResponseAssembler asmb;
+
+    const std::uint64_t before = heapAllocations();
+    std::size_t frames = 0, responses = 0;
+    for (const MemCommand *c : {&read, &write, &partial})
+        frames += encodeCommand(*c).size();
+    for (const MemResponse *m : {&done, &swap})
+        frames += encodeResponse(*m).size();
+    for (const UpFrame &f : encodeResponse(data)) {
+        ++frames;
+        responses += asmb.feed(f).size();
+    }
+    responses += asmb.feed(fourDone).size();
+    const std::uint64_t allocated = heapAllocations() - before;
+
+    EXPECT_EQ(allocated, 0u);
+    EXPECT_EQ(frames, (1u + 9u + 10u) + (1u + 1u + 4u));
+    EXPECT_EQ(responses, 1u + 4u);
+    // The counter does see the heap: keeping frames copies them out.
+    const std::uint64_t beforeCopy = heapAllocations();
+    std::vector<DownFrame> kept = encodeCommand(write);
+    EXPECT_EQ(kept.size(), 9u);
+    EXPECT_GT(heapAllocations(), beforeCopy);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
