@@ -72,8 +72,8 @@ main(int argc, char **argv)
         if (!sys.train())
             return 1;
         AccelComplex complex("accel", sys.eventq(),
-                             sys.fabricDomain(), &sys, {},
-                             *sys.card(), 2ull * GiB);
+                             sys.fabricDomain(), &sys, *sys.card(),
+                             2ull * GiB);
         AccelDriver driver(sys, complex,
                            AccelDriver::Params{256 * MiB,
                                                microseconds(1)});

@@ -65,7 +65,7 @@ main(int argc, char **argv)
             return 1;
         fpga::ContuttoCard &a = *socket.channelInSlot(0)->card();
         PciePeerLink link("pcie", *socket.executor(), 0, 0,
-                          a.clockDomain(), &socket, {}, a,
+                          a.clockDomain(), &socket, a,
                           *socket.channelInSlot(2)->card());
         double frames0 = dmiFrames(socket);
         bool done = false;

@@ -58,7 +58,7 @@ main(int argc, char **argv)
     if (!accel_sys.train())
         return 1;
     AccelComplex complex("accel", accel_sys.eventq(),
-                         accel_sys.fabricDomain(), &accel_sys, {},
+                         accel_sys.fabricDomain(), &accel_sys,
                          *accel_sys.card(), 2ull * GiB);
     AccelDriver driver(accel_sys, complex,
                        AccelDriver::Params{256 * MiB,

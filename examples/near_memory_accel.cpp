@@ -32,7 +32,7 @@ main()
     // the DIMM space; the driver stages the Access-processor
     // programs into ordinary memory.
     AccelComplex complex("accel", sys.eventq(), sys.fabricDomain(),
-                         &sys, {}, *sys.card(), 2ull * GiB);
+                         &sys, *sys.card(), 2ull * GiB);
     AccelDriver driver(sys, complex,
                        AccelDriver::Params{256 * MiB,
                                            microseconds(1)});

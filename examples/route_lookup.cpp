@@ -47,7 +47,7 @@ main()
     Power8System sys(params);
     if (!sys.train())
         return 1;
-    TcamMmio tcam("tcam", sys.eventq(), sys.fabricDomain(), &sys, {},
+    TcamMmio tcam("tcam", sys.eventq(), sys.fabricDomain(), &sys,
                   sys.card()->avalon(), 3ull * GiB);
 
     // A routing table: specific /24s, some /16s, a default route.

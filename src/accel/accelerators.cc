@@ -7,6 +7,22 @@
 namespace contutto::accel
 {
 
+namespace
+{
+
+/** FFT size: 1024 complex-float points per batch. */
+constexpr unsigned points = 1024;
+static_assert((points & (points - 1)) == 0);
+/** Internal pipelines computing concurrently. */
+constexpr unsigned pipelines = 6;
+/** Compute occupancy per batch, fabric cycles (pipelined butterfly
+ *  array: ~N + drain). */
+constexpr unsigned computeCycles = 1100;
+/** Output FIFO capacity in lines. */
+constexpr std::size_t outFifoCapacity = 256;
+
+} // namespace
+
 void
 MinMaxUnit::reset(const ControlBlock &)
 {
@@ -44,13 +60,9 @@ MinMaxUnit::finalize(ControlBlock &cb)
 }
 
 FftUnit::FftUnit(const std::string &name, EventQueue &eq,
-                 const ClockDomain &domain, stats::StatGroup *parent,
-                 const Params &params)
-    : AcceleratorUnit(name, eq, domain, parent), params_(params),
-      pipes_(params.pipelines)
-{
-    ct_assert((params_.points & (params_.points - 1)) == 0);
-}
+                 const ClockDomain &domain, stats::StatGroup *parent)
+    : AcceleratorUnit(name, eq, domain, parent), pipes_(pipelines)
+{}
 
 void
 FftUnit::fft(std::vector<std::complex<float>> &data)
@@ -113,9 +125,9 @@ FftUnit::pushInput(const dmi::CacheLine &line)
         if (!any_free)
             return false;
     }
-    if (outFifo_.size() + doneBatches_.size() * params_.points
+    if (outFifo_.size() + doneBatches_.size() * points
             / (dmi::cacheLineSize / 8)
-        >= params_.outFifoCapacity)
+        >= outFifoCapacity)
         return false;
 
     for (std::size_t off = 0; off < line.size(); off += 8) {
@@ -125,7 +137,7 @@ FftUnit::pushInput(const dmi::CacheLine &line)
         filling_.emplace_back(re, im);
     }
 
-    if (filling_.size() >= params_.points) {
+    if (filling_.size() >= points) {
         for (unsigned pi = 0; pi < pipes_.size(); ++pi) {
             Pipeline &p = pipes_[pi];
             if (p.busy)
@@ -135,7 +147,7 @@ FftUnit::pushInput(const dmi::CacheLine &line)
             filling_.clear();
             p.sequence = nextSequence_++;
             OneShotEvent::schedule(
-                eventq(), clockEdge(params_.computeCycles),
+                eventq(), clockEdge(computeCycles),
                 [this, pi] { batchDone(pi); });
             break;
         }
@@ -204,7 +216,7 @@ void
 FftUnit::finalize(ControlBlock &cb)
 {
     cb.linesProcessed = std::uint64_t(batchesComputed_)
-        * params_.points / (dmi::cacheLineSize / 8);
+        * points / (dmi::cacheLineSize / 8);
 }
 
 } // namespace contutto::accel

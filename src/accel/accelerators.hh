@@ -124,21 +124,8 @@ class MinMaxUnit : public AcceleratorUnit
 class FftUnit : public AcceleratorUnit
 {
   public:
-    struct Params
-    {
-        unsigned points = 1024;
-        /** Internal pipelines computing concurrently. */
-        unsigned pipelines = 6;
-        /** Compute occupancy per batch, fabric cycles (pipelined
-         *  butterfly array: ~N + drain). */
-        unsigned computeCycles = 1100;
-        /** Output FIFO capacity in lines. */
-        std::size_t outFifoCapacity = 256;
-    };
-
     FftUnit(const std::string &name, EventQueue &eq,
-            const ClockDomain &domain, stats::StatGroup *parent,
-            const Params &params);
+            const ClockDomain &domain, stats::StatGroup *parent);
 
     void reset(const ControlBlock &cb) override;
     bool pushInput(const dmi::CacheLine &line) override;
@@ -160,7 +147,6 @@ class FftUnit : public AcceleratorUnit
     void batchDone(unsigned pipe);
     void drainReorder();
 
-    Params params_;
     std::vector<Pipeline> pipes_;
     std::vector<std::complex<float>> filling_;
     std::uint64_t nextSequence_ = 0;

@@ -8,13 +8,27 @@ namespace contutto::accel
 using mem::MemRequest;
 using mem::MemRequestPtr;
 
+namespace
+{
+
+/** Instructions retired per fabric cycle. */
+constexpr unsigned issueWidth = 2;
+constexpr unsigned maxThreads = 4;
+constexpr unsigned maxOutstandingReads = 24;
+constexpr unsigned maxOutstandingWrites = 24;
+/** Pending input lines tolerated before reads throttle. */
+constexpr std::size_t inputStageCapacity = 32;
+constexpr std::size_t imemCapacity = 4096;
+static_assert(issueWidth > 0 && maxThreads > 0);
+
+} // namespace
+
 AccessProcessor::AccessProcessor(const std::string &name,
                                  EventQueue &eq,
                                  const ClockDomain &domain,
                                  stats::StatGroup *parent,
-                                 const Params &params,
                                  bus::AvalonBus &bus)
-    : SimObject(name, eq, domain, parent), params_(params),
+    : SimObject(name, eq, domain, parent),
       readPort_(&bus.createPort(name + ".rd")),
       writePort_(&bus.createPort(name + ".wr")),
       cycleEvent_([this] { cycle(); }, name + ".cycle"),
@@ -24,9 +38,7 @@ AccessProcessor::AccessProcessor(const std::string &name,
              {this, "fifoStalls", "cycles stalled on accel FIFOs"},
              {this, "memStalls", "cycles stalled on memory limits"},
              {this, "programsLoaded", "program images fetched"}}
-{
-    ct_assert(params_.issueWidth > 0 && params_.maxThreads > 0);
-}
+{}
 
 AccessProcessor::~AccessProcessor()
 {
@@ -76,7 +88,7 @@ AccessProcessor::fetchProgram()
             if (--fetchLinesLeft_ == 0) {
                 fetchBuffer_.resize(cb_.programBytes);
                 program_ = Program::decode(fetchBuffer_);
-                if (program_.code.size() > params_.imemCapacity)
+                if (program_.code.size() > imemCapacity)
                     fatal("program exceeds instruction memory");
                 ++stats_.programsLoaded;
                 startThreads();
@@ -89,7 +101,7 @@ AccessProcessor::fetchProgram()
 void
 AccessProcessor::startThreads()
 {
-    unsigned n = std::min(cb_.threads, params_.maxThreads);
+    unsigned n = std::min(cb_.threads, maxThreads);
     ct_assert(n > 0);
     threads_.assign(n, Thread{});
     for (unsigned t = 0; t < n; ++t) {
@@ -146,7 +158,7 @@ AccessProcessor::cycle()
     unsigned issued = 0;
     unsigned attempts = 0;
     unsigned n = unsigned(threads_.size());
-    while (issued < params_.issueWidth && attempts < n) {
+    while (issued < issueWidth && attempts < n) {
         unsigned tid = rrNext_;
         rrNext_ = (rrNext_ + 1) % n;
         ++attempts;
@@ -245,8 +257,8 @@ AccessProcessor::execute(unsigned tid)
         return true;
 
       case Op::lineRead: {
-        if (outstandingReads_ >= params_.maxOutstandingReads
-            || inputStage_.size() >= params_.inputStageCapacity
+        if (outstandingReads_ >= maxOutstandingReads
+            || inputStage_.size() >= inputStageCapacity
             || !readPort_->canAccept()) {
             ++stats_.memStalls;
             return false;
@@ -289,7 +301,7 @@ AccessProcessor::execute(unsigned tid)
       }
 
       case Op::lineWrite: {
-        if (outstandingWrites_ >= params_.maxOutstandingWrites
+        if (outstandingWrites_ >= maxOutstandingWrites
             || !writePort_->canAccept()) {
             ++stats_.memStalls;
             return false;
@@ -341,7 +353,7 @@ AccessProcessor::execute(unsigned tid)
       }
 
       case Op::stScalar: {
-        if (outstandingWrites_ >= params_.maxOutstandingWrites
+        if (outstandingWrites_ >= maxOutstandingWrites
             || !writePort_->canAccept()) {
             ++stats_.memStalls;
             return false;

@@ -37,22 +37,9 @@ namespace contutto::accel
 class AccessProcessor : public SimObject
 {
   public:
-    struct Params
-    {
-        /** Instructions retired per fabric cycle. */
-        unsigned issueWidth = 2;
-        unsigned maxThreads = 4;
-        unsigned maxOutstandingReads = 24;
-        unsigned maxOutstandingWrites = 24;
-        /** Pending input lines tolerated before reads throttle. */
-        std::size_t inputStageCapacity = 32;
-        std::size_t imemCapacity = 4096;
-    };
-
     AccessProcessor(const std::string &name, EventQueue &eq,
                     const ClockDomain &domain,
-                    stats::StatGroup *parent, const Params &params,
-                    bus::AvalonBus &bus);
+                    stats::StatGroup *parent, bus::AvalonBus &bus);
 
     ~AccessProcessor() override;
 
@@ -107,7 +94,6 @@ class AccessProcessor : public SimObject
     void drainInputStage();
     void maybeFinish();
 
-    Params params_;
     bus::AvalonBus::Port *readPort_;
     bus::AvalonBus::Port *writePort_;
 

@@ -3,26 +3,31 @@
 namespace contutto::accel
 {
 
+namespace
+{
+
+/** Size of the MMIO window (one control block + headroom). */
+constexpr std::uint64_t mmioSize = 4096;
+
+} // namespace
+
 AccelComplex::AccelComplex(const std::string &name, EventQueue &eq,
                            const ClockDomain &domain,
                            stats::StatGroup *parent,
-                           const Params &params,
                            fpga::ContuttoCard &card, Addr mmio_base)
-    : SimObject(name, eq, domain, parent), params_(params),
-      mmioBase_(mmio_base),
+    : SimObject(name, eq, domain, parent), mmioBase_(mmio_base),
       tasksRun_(this, "tasksRun", "acceleration tasks completed")
 {
     ct_assert(mmio_base >= card.capacity());
     ap_ = std::make_unique<AccessProcessor>(
-        name + ".ap", eq, domain, this, params.ap, card.avalon());
+        name + ".ap", eq, domain, this, card.avalon());
     memcpyUnit_ = std::make_unique<MemcpyUnit>(name + ".memcpy", eq,
                                                domain, this);
     minMaxUnit_ = std::make_unique<MinMaxUnit>(name + ".minmax", eq,
                                                domain, this);
-    fft_ = std::make_unique<FftUnit>(name + ".fft", eq, domain, this,
-                                     params.fft);
+    fft_ = std::make_unique<FftUnit>(name + ".fft", eq, domain, this);
     card.avalon().attach(
-        *this, bus::AddressRange{mmio_base, params.mmioSize});
+        *this, bus::AddressRange{mmio_base, mmioSize});
 }
 
 AcceleratorUnit &

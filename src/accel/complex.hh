@@ -23,22 +23,13 @@ namespace contutto::accel
 class AccelComplex : public SimObject, public bus::AvalonSlave
 {
   public:
-    struct Params
-    {
-        AccessProcessor::Params ap{};
-        FftUnit::Params fft{};
-        /** Size of the MMIO window (one control block + headroom). */
-        std::uint64_t mmioSize = 4096;
-    };
-
     /**
      * Attaches itself to the card's Avalon bus at @p mmio_base
      * (must lie outside the DIMM address range).
      */
     AccelComplex(const std::string &name, EventQueue &eq,
                  const ClockDomain &domain, stats::StatGroup *parent,
-                 const Params &params, fpga::ContuttoCard &card,
-                 Addr mmio_base);
+                 fpga::ContuttoCard &card, Addr mmio_base);
 
     /** @{ AvalonSlave: the control-block window. */
     void access(const mem::MemRequestPtr &req) override;
@@ -56,7 +47,6 @@ class AccelComplex : public SimObject, public bus::AvalonSlave
     void doorbell(const ControlBlock &cb);
     AcceleratorUnit &unitFor(AccelOp op);
 
-    Params params_;
     Addr mmioBase_;
     std::unique_ptr<AccessProcessor> ap_;
     std::unique_ptr<MemcpyUnit> memcpyUnit_;

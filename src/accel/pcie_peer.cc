@@ -5,15 +5,25 @@ namespace contutto::accel
 
 using mem::MemRequest;
 
+namespace
+{
+
+/** Effective payload bandwidth (Gen3 x8 class). */
+constexpr double bandwidth = 6.4e9;
+/** Doorbell + descriptor fetch per transfer. */
+constexpr Tick setupLatency = microseconds(3);
+/** Lines in flight across the link. */
+constexpr unsigned window = 64;
+
+} // namespace
+
 PciePeerLink::PciePeerLink(const std::string &name,
                            sim::ShardedExecutor &exec, unsigned shardA,
                            unsigned shardB, const ClockDomain &domain,
                            stats::StatGroup *parent,
-                           const Params &params,
                            fpga::ContuttoCard &cardA,
                            fpga::ContuttoCard &cardB)
     : SimObject(name, exec.queue(shardA), domain, parent),
-      params_(params),
       portA_(&cardA.avalon().createPort(name + ".dmaA")),
       portB_(&cardB.avalon().createPort(name + ".dmaB")),
       exec_(exec), shardA_(shardA), shardB_(shardB),
@@ -23,13 +33,13 @@ PciePeerLink::PciePeerLink(const std::string &name,
     ct_assert(shardA < exec.numShards() && shardB < exec.numShards());
     // A line crossing shards lands at the next window edge; with a
     // window wider than the line latency every line would be late.
-    if (shardA != shardB && exec.window() > params.lineLatency)
+    if (shardA != shardB && exec.window() > lineLatency)
         fatal("%s: cards on shards %u and %u need an executor window "
               "no wider than the PCIe line latency, but the window is "
               "%llu ticks and the line latency %llu ticks",
               name.c_str(), shardA, shardB,
               (unsigned long long)exec.window(),
-              (unsigned long long)params.lineLatency);
+              (unsigned long long)lineLatency);
 }
 
 void
@@ -54,7 +64,7 @@ PciePeerLink::transfer(unsigned src_card, Addr src, Addr dst,
     // the source card's shard.
     exec_.runOn(shardOf(src_card), [this] {
         EventQueue &q = engineQueue();
-        OneShotEvent::schedule(q, q.curTick() + params_.setupLatency,
+        OneShotEvent::schedule(q, q.curTick() + setupLatency,
                                [this] {
                                    linkFreeAt_ = engineQueue().curTick();
                                    pump();
@@ -67,7 +77,7 @@ PciePeerLink::pump()
 {
     bus::AvalonBus::Port *src_port =
         srcCard_ == 0 ? portA_ : portB_;
-    while (inFlight_ < params_.window && nextRead_ < totalLines_
+    while (inFlight_ < window && nextRead_ < totalLines_
            && src_port->canAccept()) {
         std::uint64_t index = nextRead_++;
         ++inFlight_;
@@ -78,11 +88,11 @@ PciePeerLink::pump()
             // Serialize the line onto the PCIe link (still on the
             // source shard: linkFreeAt_ is engine state).
             Tick ser = Tick(double(dmi::cacheLineSize)
-                            / params_.bandwidth * 1e12);
+                            / bandwidth * 1e12);
             Tick start =
                 std::max(engineQueue().curTick(), linkFreeAt_);
             linkFreeAt_ = start + ser;
-            const Tick arrive = linkFreeAt_ + params_.lineLatency;
+            const Tick arrive = linkFreeAt_ + lineLatency;
             const unsigned to = shardOf(1 - srcCard_);
             auto land = [this, index, data = r.data] {
                 lineArrived(index, data);

@@ -17,7 +17,7 @@
  * Cards on two shards exchange lines and completions as executor
  * messages, which land at window edges — identically in serial and
  * parallel modes — so the executor's window must not exceed
- * Params::lineLatency, or every line would wait for a barrier.
+ * lineLatency, or every line would wait for a barrier.
  */
 
 #ifndef CONTUTTO_ACCEL_PCIE_PEER_HH
@@ -35,28 +35,18 @@ namespace contutto::accel
 class PciePeerLink : public SimObject
 {
   public:
-    struct Params
-    {
-        /** Effective payload bandwidth (Gen3 x8 class). */
-        double bandwidth = 6.4e9;
-        /** Doorbell + descriptor fetch per transfer. */
-        Tick setupLatency = microseconds(3);
-        /** Link propagation per line. */
-        Tick lineLatency = nanoseconds(250);
-        /** Lines in flight across the link. */
-        unsigned window = 64;
-    };
+    /** Link propagation per line. */
+    static constexpr Tick lineLatency = nanoseconds(250);
 
     /**
      * Card A lives on shard @p shardA of @p exec, card B on
      * @p shardB. @throw FatalError when the shards differ and the
-     * executor's window exceeds @p params.lineLatency.
+     * executor's window exceeds lineLatency.
      */
     PciePeerLink(const std::string &name, sim::ShardedExecutor &exec,
                  unsigned shardA, unsigned shardB,
                  const ClockDomain &domain, stats::StatGroup *parent,
-                 const Params &params, fpga::ContuttoCard &cardA,
-                 fpga::ContuttoCard &cardB);
+                 fpga::ContuttoCard &cardA, fpga::ContuttoCard &cardB);
 
     /**
      * DMA @p bytes from @p src on card @p src_card (0 or 1) to
@@ -86,7 +76,6 @@ class PciePeerLink : public SimObject
     /** The queue the current transfer's engine state lives on. */
     EventQueue &engineQueue() { return exec_.queue(shardOf(srcCard_)); }
 
-    Params params_;
     bus::AvalonBus::Port *portA_;
     bus::AvalonBus::Port *portB_;
     sim::ShardedExecutor &exec_;

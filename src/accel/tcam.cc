@@ -8,6 +8,11 @@ namespace contutto::accel
 namespace
 {
 
+/** CAM entries (route-table size). */
+constexpr unsigned entries = 1024;
+/** Match latency in fabric cycles (priority encode). */
+constexpr unsigned lookupCycles = 2;
+
 std::uint64_t
 getU64(const dmi::CacheLine &line, std::size_t off)
 {
@@ -26,10 +31,10 @@ putU64(dmi::CacheLine &line, std::size_t off, std::uint64_t v)
 
 TcamMmio::TcamMmio(const std::string &name, EventQueue &eq,
                    const ClockDomain &domain,
-                   stats::StatGroup *parent, const Params &params,
-                   bus::AvalonBus &bus, Addr mmio_base)
-    : SimObject(name, eq, domain, parent), params_(params),
-      mmioBase_(mmio_base), cam_(params.entries),
+                   stats::StatGroup *parent, bus::AvalonBus &bus,
+                   Addr mmio_base)
+    : SimObject(name, eq, domain, parent), mmioBase_(mmio_base),
+      cam_(entries),
       stats_{{this, "lookups", "lookup commands executed"},
              {this, "hits", "lookups that matched an entry"},
              {this, "updates", "entry writes/invalidates"}}
@@ -53,7 +58,7 @@ TcamMmio::access(const mem::MemRequestPtr &req)
             // The match + priority encode takes a couple of fabric
             // cycles; respond through the response line after it.
             OneShotEvent::schedule(
-                eventq(), clockEdge(params_.lookupCycles),
+                eventq(), clockEdge(lookupCycles),
                 [this, cmd] { execute(cmd); });
         }
     } else {

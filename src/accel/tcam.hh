@@ -100,17 +100,9 @@ class Tcam
 class TcamMmio : public SimObject, public bus::AvalonSlave
 {
   public:
-    struct Params
-    {
-        unsigned entries = 1024;
-        /** Match latency in fabric cycles (priority encode). */
-        unsigned lookupCycles = 2;
-    };
-
     TcamMmio(const std::string &name, EventQueue &eq,
              const ClockDomain &domain, stats::StatGroup *parent,
-             const Params &params, bus::AvalonBus &bus,
-             Addr mmio_base);
+             bus::AvalonBus &bus, Addr mmio_base);
 
     void access(const mem::MemRequestPtr &req) override;
     std::string slaveName() const override { return name(); }
@@ -136,7 +128,6 @@ class TcamMmio : public SimObject, public bus::AvalonSlave
   private:
     void execute(const dmi::CacheLine &cmd);
 
-    Params params_;
     Addr mmioBase_;
     Tcam cam_;
     dmi::CacheLine response_{};

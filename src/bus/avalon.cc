@@ -3,6 +3,16 @@
 namespace contutto::bus
 {
 
+namespace
+{
+
+/** Minimum spacing between issues on one port, cycles. */
+constexpr unsigned portIssueCycles = 1;
+/** Per-port queue depth. */
+constexpr std::size_t portQueueCapacity = 64;
+
+} // namespace
+
 AvalonBus::AvalonBus(const std::string &name, EventQueue &eq,
                      const ClockDomain &domain,
                      stats::StatGroup *parent, const Params &params)
@@ -50,7 +60,7 @@ AvalonBus::Port::~Port()
 bool
 AvalonBus::Port::canAccept() const
 {
-    return queue_.size() < bus_.params_.portQueueCapacity;
+    return queue_.size() < portQueueCapacity;
 }
 
 void
@@ -74,8 +84,7 @@ AvalonBus::Port::pump()
     mem::MemRequestPtr req = queue_.front();
     queue_.pop_front();
     bus_.dispatch(req);
-    nextIssueAt_ =
-        bus_.clockEdge(bus_.params_.portIssueCycles);
+    nextIssueAt_ = bus_.clockEdge(portIssueCycles);
     if (!queue_.empty())
         bus_.eventq().schedule(pumpEvent_.get(), nextIssueAt_);
 }

@@ -65,10 +65,6 @@ class AvalonBus : public SimObject
     {
         /** Clock-domain-crossing latency each way, fabric cycles. */
         unsigned cdcCycles = 2;
-        /** Minimum spacing between issues on one port, cycles. */
-        unsigned portIssueCycles = 1;
-        /** Per-port queue depth. */
-        std::size_t portQueueCapacity = 64;
     };
 
     AvalonBus(const std::string &name, EventQueue &eq,

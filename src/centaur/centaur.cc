@@ -8,6 +8,19 @@ namespace contutto::centaur
 using namespace dmi;
 using namespace mem;
 
+namespace
+{
+
+/** Command-processing pipeline latency (ASIC, 2 GHz). */
+constexpr Tick pipelineLatency = nanoseconds(8);
+/** Cache hit service latency (eDRAM). */
+constexpr Tick cacheHitLatency = nanoseconds(10);
+/** The 16 MB eDRAM cache (paper §2.1), 8 ways. */
+constexpr std::uint64_t cacheCapacity = 16 * MiB;
+constexpr unsigned cacheWays = 8;
+
+} // namespace
+
 CentaurModel::Config
 CentaurModel::optimized()
 {
@@ -86,7 +99,7 @@ CentaurModel::CentaurModel(const std::string &name, EventQueue &eq,
     : SimObject(name, eq, domain, parent), config_(config),
       link_(link), ports_(std::move(ports)),
       interleave_{unsigned(ports_.size()), cacheLineSize},
-      cache_(config.cacheCapacity, cacheLineSize, config.cacheWays),
+      cache_(cacheCapacity, cacheLineSize, cacheWays),
       stats_{{this, "reads", "read commands served"},
              {this, "writes", "write commands served"},
              {this, "rmws", "read-modify-write commands served"},
@@ -123,7 +136,7 @@ CentaurModel::frameArrived(const DownFrame &frame)
     if (auto cmd = assembler_.feed(frame)) {
         ++activeCommands_;
         // Command parse/dispatch pipeline plus the knob penalty.
-        Tick when = curTick() + config_.pipelineLatency
+        Tick when = curTick() + pipelineLatency
             + config_.extraLatency;
         MemCommand c = *cmd;
         OneShotEvent::schedule(eventq(), when,
@@ -214,7 +227,7 @@ CentaurModel::serveRead(std::uint8_t tag)
     if (config_.cacheEnabled && cache_.lookup(cmds_[tag].addr)) {
         ++stats_.cacheHits;
         OneShotEvent::schedule(eventq(),
-                               curTick() + config_.cacheHitLatency,
+                               curTick() + cacheHitLatency,
                                [this, tag] {
                                    // Even cache hits re-verify the
                                    // backing line: the tag-only cache

@@ -39,17 +39,11 @@ class CentaurModel : public SimObject,
         std::string configName = "optimized";
         bool cacheEnabled = true;
         bool prefetchEnabled = true;
-        /** Command-processing pipeline latency (ASIC, 2 GHz). */
-        Tick pipelineLatency = nanoseconds(8);
-        /** Cache hit service latency (eDRAM). */
-        Tick cacheHitLatency = nanoseconds(10);
         /**
          * Conservative-mode penalty: the Table 2 performance knobs
          * (serialized handshakes, speculative access off, ...).
          */
         Tick extraLatency = 0;
-        std::uint64_t cacheCapacity = 16 * MiB;
-        unsigned cacheWays = 8;
     };
 
     /** @{ The Table 2 knob settings (latency-calibrated presets). */

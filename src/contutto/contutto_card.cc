@@ -3,6 +3,14 @@
 namespace contutto::fpga
 {
 
+namespace
+{
+
+/** The card's Avalon bus: 6 fabric cycles of CDC each way. */
+constexpr bus::AvalonBus::Params avalonParams{/*cdcCycles=*/6};
+
+} // namespace
+
 ContuttoCard::ContuttoCard(const std::string &name, EventQueue &eq,
                            const ClockDomain &fabricDomain,
                            const ClockDomain &ddrDomain,
@@ -11,10 +19,10 @@ ContuttoCard::ContuttoCard(const std::string &name, EventQueue &eq,
                            dmi::DmiChannel &upChannel,
                            dmi::DmiChannel &downChannel,
                            std::vector<mem::MemoryDevice *> devices)
-    : SimObject(name, eq, fabricDomain, parent), params_(params),
+    : SimObject(name, eq, fabricDomain, parent),
       mbi_(name + ".mbi", eq, fabricDomain, this, params.mbi,
            upChannel, downChannel),
-      bus_(name + ".avalon", eq, fabricDomain, this, params.avalon)
+      bus_(name + ".avalon", eq, fabricDomain, this, avalonParams)
 {
     ct_assert(!devices.empty());
     std::vector<mem::Ddr3Controller *> raw_ports;
@@ -35,24 +43,6 @@ ContuttoCard::ContuttoCard(const std::string &name, EventQueue &eq,
 
     mbs_ = std::make_unique<Mbs>(name + ".mbs", eq, fabricDomain,
                                  this, params.mbs, mbi_, bus_);
-}
-
-ResourceModel
-ContuttoCard::resources() const
-{
-    ResourceModel model;
-    model.addBaseDesign();
-    if (params_.withLatencyKnob)
-        model.addLatencyKnob();
-    if (params_.withInlineOps)
-        model.addInlineAccelEngines();
-    if (params_.withAccelerators > 0)
-        model.addAccessProcessor(params_.withAccelerators);
-    if (params_.withPcie)
-        model.addPcie();
-    if (params_.withTcam)
-        model.addTcam();
-    return model;
 }
 
 } // namespace contutto::fpga

@@ -13,9 +13,7 @@
  *               -> one DDR3 soft controller per DIMM port
  *               -> the plugged memory devices (DRAM/MRAM/NVDIMM).
  *
- * Consecutive cache lines interleave across the DIMM ports. The
- * resource model accounts the blocks present in the configuration
- * (Table 1).
+ * Consecutive cache lines interleave across the DIMM ports.
  */
 
 #ifndef CONTUTTO_CONTUTTO_CONTUTTO_CARD_HH
@@ -26,7 +24,6 @@
 
 #include "bus/avalon.hh"
 #include "contutto/mbs.hh"
-#include "contutto/resources.hh"
 #include "dmi/channel.hh"
 #include "dmi/link.hh"
 #include "mem/ddr3_controller.hh"
@@ -74,17 +71,9 @@ class ContuttoCard : public SimObject
         dmi::BufferLink::Params mbi{
             /*txProcCycles=*/1,
             /*rxProcCycles=*/3,
-            /*ackTimeout=*/nanoseconds(400),
             /*freezeRepeats=*/4,
-            /*ackCoalesceCycles=*/1,
-            /*windowLimit=*/120,
         };
         Mbs::Params mbs;
-        bus::AvalonBus::Params avalon{
-            /*cdcCycles=*/6,
-            /*portIssueCycles=*/1,
-            /*portQueueCapacity=*/64,
-        };
         /**
          * Soft-IP DDR3 controller timing. The generated half-rate
          * FPGA controller is far slower than Centaur's hard ASIC
@@ -92,18 +81,8 @@ class ContuttoCard : public SimObject
          * ConTutto's 390 ns base latency (Table 3).
          */
         mem::Ddr3Controller::Params memctrl{
-            mem::ddr3_1333(),
-            /*numBanks=*/8,
             /*frontendLatency=*/nanoseconds(105),
-            /*bankInterleaveShift=*/7,
-            /*queueCapacity=*/64,
         };
-        /** Account optional blocks in the resource model. */
-        bool withLatencyKnob = true;
-        bool withInlineOps = true;
-        unsigned withAccelerators = 0; ///< Access processor count.
-        bool withPcie = false;
-        bool withTcam = false;
     };
 
     /**
@@ -148,9 +127,6 @@ class ContuttoCard : public SimObject
     /** Total memory behind the card. */
     std::uint64_t capacity() const { return capacity_; }
 
-    /** Static FPGA resource accounting for this configuration. */
-    ResourceModel resources() const;
-
     /** True when the card has no command or response in flight. */
     bool
     quiescent() const
@@ -164,7 +140,6 @@ class ContuttoCard : public SimObject
     }
 
   private:
-    Params params_;
     dmi::BufferLink mbi_;
     bus::AvalonBus bus_;
     std::vector<std::unique_ptr<mem::Ddr3Controller>> controllers_;

@@ -14,6 +14,17 @@ using namespace mem;
 namespace
 {
 
+/** Frame parse + command dispatch pipeline, cycles. */
+constexpr unsigned decodeCycles = 3;
+/** Read-return handler pipeline, cycles. */
+constexpr unsigned readReturnCycles = 2;
+/** Upstream arbitration pipeline, cycles. */
+constexpr unsigned respondCycles = 1;
+/** RMW ALU latency, cycles. */
+constexpr unsigned aluCycles = 1;
+/** Upstream frames the arbiter can launch per cycle. */
+constexpr unsigned upstreamFramesPerCycle = 2;
+
 std::int64_t
 laneAt(const CacheLine &line, unsigned lane)
 {
@@ -140,7 +151,7 @@ Mbs::frameArrived(const DownFrame &frame)
     if (auto cmd = assembler_.feed(frame)) {
         MemCommand c = *cmd;
         OneShotEvent::schedule(
-            eventq(), clockEdge(params_.decodeCycles),
+            eventq(), clockEdge(decodeCycles),
             [this, c, decoder] { dispatch(c, decoder); });
     }
 }
@@ -251,7 +262,7 @@ Mbs::issueRead(unsigned tag, unsigned decoder)
         CacheLine data = r.data;
         bool poisoned = r.poisoned;
         OneShotEvent::schedule(
-            eventq(), clockEdge(params_.readReturnCycles),
+            eventq(), clockEdge(readReturnCycles),
             [this, tag, seq, data, poisoned] {
                 if (tags_.accept(tag, seq))
                     readReturned(tag, data, poisoned);
@@ -322,7 +333,7 @@ Mbs::writeArbPump(unsigned port)
     } else {
         e.phase = Phase::merging;
         OneShotEvent::schedule(eventq(),
-                               clockEdge(params_.aluCycles),
+                               clockEdge(aluCycles),
                                [this, tag, port] {
                                    mergeAndWrite(tag, port);
                                });
@@ -446,14 +457,14 @@ Mbs::enqueueUpstream(const ResponseFrames &frames)
     for (const UpFrame &f : frames)
         upQueue_.push_back(f);
     if (!upPumpEvent_.scheduled())
-        scheduleClocked(&upPumpEvent_, params_.respondCycles);
+        scheduleClocked(&upPumpEvent_, respondCycles);
 }
 
 void
 Mbs::upstreamPump()
 {
     for (unsigned n = 0;
-         n < params_.upstreamFramesPerCycle && !upQueue_.empty();
+         n < upstreamFramesPerCycle && !upQueue_.empty();
          ++n) {
         UpFrame f = upQueue_.front();
         upQueue_.pop_front();
@@ -495,7 +506,7 @@ Mbs::issueToBus(bus::AvalonBus::Port &port,
                 const MemRequestPtr &req)
 {
     unsigned delay_cycles =
-        params_.knobPosition * params_.knobStepCycles;
+        params_.knobPosition * knobStepCycles;
     if (delay_cycles == 0) {
         port.submit(req);
         return;

@@ -44,22 +44,13 @@ class Mbs : public SimObject,
             private dmi::CommandTags::Client
 {
   public:
+    /** Latency-knob step: 6 cycles = 24 ns (paper §4.1). */
+    static constexpr unsigned knobStepCycles = 6;
+
     struct Params
     {
-        /** Frame parse + command dispatch pipeline, cycles. */
-        unsigned decodeCycles = 3;
-        /** Read-return handler pipeline, cycles. */
-        unsigned readReturnCycles = 2;
-        /** Upstream arbitration pipeline, cycles. */
-        unsigned respondCycles = 1;
-        /** RMW ALU latency, cycles. */
-        unsigned aluCycles = 1;
-        /** Latency-knob step: 6 cycles = 24 ns (paper §4.1). */
-        unsigned knobStepCycles = 6;
         /** Initial knob position (0..7). */
         unsigned knobPosition = 0;
-        /** Upstream frames the arbiter can launch per cycle. */
-        unsigned upstreamFramesPerCycle = 2;
         /** Done tags that may share one upstream frame. */
         unsigned doneTagsPerFrame = 2;
         /**
@@ -85,8 +76,7 @@ class Mbs : public SimObject,
     Tick
     knobDelay() const
     {
-        return clockPeriod() * params_.knobPosition
-            * params_.knobStepCycles;
+        return clockPeriod() * params_.knobPosition * knobStepCycles;
     }
 
     /** True when all 32 engines are idle and nothing is queued. */

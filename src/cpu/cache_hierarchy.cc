@@ -3,13 +3,21 @@
 namespace contutto::cpu
 {
 
+namespace
+{
+
+/** POWER8 cache line, bytes. */
+constexpr unsigned lineSize = 128;
+
+} // namespace
+
 CacheHierarchy::CacheHierarchy(const std::string &name,
                                stats::StatGroup *parent,
                                const Params &params)
     : stats::StatGroup(name, parent), params_(params),
-      l1_(params.l1.capacity, params.lineSize, params.l1.ways),
-      l2_(params.l2.capacity, params.lineSize, params.l2.ways),
-      l3_(params.l3.capacity, params.lineSize, params.l3.ways),
+      l1_(params.l1.capacity, lineSize, params.l1.ways),
+      l2_(params.l2.capacity, lineSize, params.l2.ways),
+      l3_(params.l3.capacity, lineSize, params.l3.ways),
       stats_{{this, "references", "references filtered"},
              {this, "l1Hits", "L1 hits"},
              {this, "l2Hits", "L2 hits"},
@@ -23,7 +31,7 @@ CacheHierarchy::access(Addr addr, bool is_write)
 {
     ++stats_.references;
     Access out;
-    addr &= ~Addr(params_.lineSize - 1);
+    addr &= ~Addr(lineSize - 1);
 
     // L1.
     bool hit = is_write ? l1_.writeHit(addr) : l1_.lookup(addr);

@@ -39,7 +39,6 @@ class CacheHierarchy : public stats::StatGroup
         CacheLevelParams l1{64 * KiB, 8, picoseconds(750)};
         CacheLevelParams l2{512 * KiB, 8, nanoseconds(3)};
         CacheLevelParams l3{8 * MiB, 8, nanoseconds(9)};
-        unsigned lineSize = 128;
     };
 
     CacheHierarchy(const std::string &name, stats::StatGroup *parent,

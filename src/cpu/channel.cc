@@ -6,6 +6,16 @@ namespace contutto::cpu
 using namespace dmi;
 using namespace mem;
 
+DmiChannel::Params
+linkParams(BufferKind buffer, bool upstream)
+{
+    DmiChannel::Params p;
+    p.lanes = upstream ? 21 : 14;
+    p.bitPeriod = buffer == BufferKind::contutto ? 125 : 104;
+    p.flightTime = nanoseconds(1);
+    return p;
+}
+
 MemoryChannel::MemoryChannel(const std::string &name, EventQueue &eq,
                              const SocketClocks &clocks,
                              stats::StatGroup *parent,
@@ -14,19 +24,16 @@ MemoryChannel::MemoryChannel(const std::string &name, EventQueue &eq,
 {
     ct_assert(!params_.dimms.empty());
 
-    Tick lane = params_.lanePeriod;
-    if (lane == 0)
-        lane = params_.buffer == BufferKind::contutto ? 125 : 104;
-
-    down_ = std::make_unique<DmiChannel>(
-        name + ".down", eq, clocks.fabric, this,
-        DmiChannel::Params{14, lane, nanoseconds(1),
-                           params_.channelErrorRate, params_.seed});
-    up_ = std::make_unique<DmiChannel>(
-        name + ".up", eq, clocks.fabric, this,
-        DmiChannel::Params{21, lane, nanoseconds(1),
-                           params_.channelErrorRate,
-                           params_.seed + 1});
+    auto lanes = [&](bool upstream, std::uint64_t seed) {
+        DmiChannel::Params p = linkParams(params_.buffer, upstream);
+        p.frameErrorRate = params_.channelErrorRate;
+        p.seed = seed;
+        return p;
+    };
+    down_ = std::make_unique<DmiChannel>(name + ".down", eq, clocks.fabric,
+                                         this, lanes(false, params_.seed));
+    up_ = std::make_unique<DmiChannel>(name + ".up", eq, clocks.fabric,
+                                       this, lanes(true, params_.seed + 1));
 
     HostLink::Params host_params;
     host_params.txProcCycles = 1; // 0.5 ns at the 2 GHz nest

@@ -34,6 +34,16 @@ enum class BufferKind
     contutto,
 };
 
+/**
+ * The lanes of one channel direction, the only place link geometry
+ * is decided: 14 lanes downstream or 21 upstream, the buffer kind's
+ * unit interval (125 ps = 8 Gb/s for ConTutto, 104 ps ~ 9.6 Gb/s for
+ * Centaur) and 1 ns of board flight. MemoryChannel builds its lanes
+ * from it (adding the error rate and seed), and
+ * MultiSlotSystem::deriveWindow sizes the socket's lookahead from it.
+ */
+dmi::DmiChannel::Params linkParams(BufferKind buffer, bool upstream);
+
 /** Description of one DIMM plugged behind the buffer. */
 struct DimmSpec
 {
@@ -61,9 +71,6 @@ struct ChannelParams
         centaur::CentaurModel::optimized();
     fpga::ContuttoCard::Params cardParams{};
     std::vector<DimmSpec> dimms{DimmSpec{}, DimmSpec{}};
-    /** Lane unit interval; 0 = pick by buffer kind (125 ps for
-     *  ConTutto, 104 ps ~ 9.6 Gb/s for Centaur). */
-    Tick lanePeriod = 0;
     double channelErrorRate = 0.0;
     dmi::LinkTrainer::Params training{};
     /** Fixed processor-side latency per memory command. */

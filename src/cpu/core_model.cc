@@ -15,7 +15,6 @@ CoreModel::CoreModel(const std::string &name, EventQueue &eq,
       advanceEvent_([this] { missPoint(); }, name + ".advance")
 {
     ct_assert(profile_.workingSet >= dmi::cacheLineSize);
-    streamCursor_ = params_.memoryBase;
 }
 
 CoreModel::~CoreModel()
@@ -124,13 +123,11 @@ CoreModel::issueMiss(MissKind kind)
     Addr addr;
     if (kind == MissKind::stream) {
         streamCursor_ += dmi::cacheLineSize;
-        if (streamCursor_ >=
-            params_.memoryBase + profile_.workingSet)
-            streamCursor_ = params_.memoryBase;
+        if (streamCursor_ >= profile_.workingSet)
+            streamCursor_ = 0;
         addr = streamCursor_;
     } else {
-        addr = params_.memoryBase
-            + rng_.below(lines) * dmi::cacheLineSize;
+        addr = rng_.below(lines) * dmi::cacheLineSize;
     }
 
     switch (kind) {

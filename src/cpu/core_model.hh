@@ -59,8 +59,6 @@ class CoreModel : public SimObject, private ChannelTrips<CoreModel>
         /** Per-miss processor-side overhead outside the channel. */
         Tick nestOverhead = nanoseconds(44);
         std::uint64_t seed = 42;
-        /** Base of the memory region this core may touch. */
-        Addr memoryBase = 0;
         /**
          * Sampled execution (sim/sampling.hh): when set, the
          * controller decides per miss whether it travels the real

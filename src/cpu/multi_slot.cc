@@ -8,6 +8,19 @@
 namespace contutto::cpu
 {
 
+namespace
+{
+
+/** The buffer a populated slot holds. */
+BufferKind
+bufferOf(SlotKind kind)
+{
+    return kind == SlotKind::contutto ? BufferKind::contutto
+                                      : BufferKind::centaur;
+}
+
+} // namespace
+
 MultiSlotSystem::Validation
 MultiSlotSystem::validate(const Params &params)
 {
@@ -53,20 +66,14 @@ MultiSlotSystem::deriveWindow(const Params &params)
     // long to be observable elsewhere, so it is a safe lookahead;
     // x1024 keeps barriers rare without changing the deferred
     // delivery semantics (post() always lands at a window edge).
-    const dmi::DmiChannel::Params link{};
     Tick minFrame = maxTick;
-    for (unsigned s = 0; s < numSlots; ++s) {
-        const SlotSpec &spec = params.slots[s];
+    for (const SlotSpec &spec : params.slots) {
         if (spec.kind == SlotKind::empty)
             continue;
-        // Same default the channel itself applies (channel.cc).
-        Tick ui = spec.channel.lanePeriod
-            ? spec.channel.lanePeriod
-            : (spec.kind == SlotKind::contutto ? Tick(125)
-                                               : Tick(104));
-        const std::size_t bits = dmi::downFrameBytes * 8;
-        const Tick ser =
-            Tick((bits + link.lanes - 1) / link.lanes) * ui;
+        const dmi::DmiChannel::Params link =
+            linkParams(bufferOf(spec.kind), /*upstream=*/false);
+        const Tick ser = dmi::DmiChannel::serializationTime(
+            link, dmi::downFrameBytes);
         minFrame = std::min(minFrame, ser + link.flightTime);
     }
     ct_assert(minFrame != maxTick);
@@ -107,9 +114,7 @@ MultiSlotSystem::MultiSlotSystem(const Params &params)
         if (spec.kind == SlotKind::empty)
             continue;
         ChannelParams cp = spec.channel;
-        cp.buffer = spec.kind == SlotKind::contutto
-            ? BufferKind::contutto
-            : BufferKind::centaur;
+        cp.buffer = bufferOf(spec.kind);
         cp.seed = spec.channel.seed + s * 101;
         const unsigned idx = unsigned(channels_.size());
         channels_.push_back(std::make_unique<MemoryChannel>(

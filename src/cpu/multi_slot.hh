@@ -18,7 +18,8 @@
  * by shard (channel index mod Params::shards), each shard with a
  * private EventQueue, under the executor's conservative
  * window/barrier protocol. The lookahead window derives from the
- * DMI link's minimum frame latency. Channels share no mutable state
+ * DMI link's minimum frame latency, read from the same linkParams()
+ * the channels build their lanes from. Channels share no mutable state
  * (clock domains are immutable; stats are per-channel), so the only
  * cross-shard traffic is socket-level arbitration: read()/write()
  * issued from a foreign shard, and their completions, cross via the
@@ -95,10 +96,12 @@ class MultiSlotSystem : public stats::StatGroup
     /**
      * The conservative lookahead for a socket with these channels:
      * 1024x the minimum DMI frame latency (serialization of a
-     * 28-byte downstream frame over 14 lanes plus board flight
-     * time). No cross-slot interaction completes faster than one
-     * frame flight, and the x1024 batching amortizes a barrier over
-     * thousands of shard-local events.
+     * 28-byte downstream frame plus board flight time, over the
+     * lanes linkParams() gives each populated slot's buffer, the
+     * same call MemoryChannel builds them with). No cross-slot
+     * interaction completes faster than one frame flight, and the
+     * x1024 batching amortizes a barrier over thousands of
+     * shard-local events.
      */
     static Tick deriveWindow(const Params &params);
 

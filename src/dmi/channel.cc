@@ -40,7 +40,6 @@ DmiChannel::DmiChannel(const std::string &name, EventQueue &eq,
              {this, "spareActivations", "hard failures spared"}}
 {
     ct_assert(params_.lanes > 0 && params_.bitPeriod > 0);
-    spareLanes_ = params_.spareLanes;
 }
 
 DmiChannel::~DmiChannel()
@@ -65,7 +64,7 @@ DmiChannel::failLane(unsigned lane)
     ct_assert(lane < params_.lanes);
     settleNow();
     ++lanesFailed_;
-    if (lanesFailed_ <= spareLanes_) {
+    if (lanesFailed_ <= spareLanes) {
         // The spare takes over transparently; the service processor
         // would log this for predictive maintenance.
         ++stats_.spareActivations;

@@ -95,9 +95,10 @@ class DmiChannel : public SimObject
         double frameErrorRate = 0.0;
         /** RNG seed for error injection. */
         std::uint64_t seed = 1;
-        /** Spare lanes available for hard-failure repair. */
-        unsigned spareLanes = 1;
     };
+
+    /** Spare lanes available for hard-failure repair. */
+    static constexpr unsigned spareLanes = 1;
 
     DmiChannel(const std::string &name, EventQueue &eq,
                const ClockDomain &domain, stats::StatGroup *parent,
@@ -116,12 +117,17 @@ class DmiChannel : public SimObject
     void send(const WireFrame &frame);
 
     /** Serialization time for a frame of @p bytes bytes. */
+    static Tick
+    serializationTime(const Params &params, std::size_t bytes)
+    {
+        std::size_t bits = bytes * 8;
+        std::size_t ui = (bits + params.lanes - 1) / params.lanes;
+        return Tick(ui) * params.bitPeriod;
+    }
     Tick
     serializationTime(std::size_t bytes) const
     {
-        std::size_t bits = bytes * 8;
-        std::size_t ui = (bits + params_.lanes - 1) / params_.lanes;
-        return Tick(ui) * params_.bitPeriod;
+        return serializationTime(params_, bytes);
     }
 
     /** Force bit corruption of the next @p n frames (deterministic). */
@@ -179,7 +185,7 @@ class DmiChannel : public SimObject
     void failLane(unsigned lane);
     void repairAllLanes();
     bool spareInUse() const { return lanesFailed_ >= 1; }
-    bool degraded() const { return lanesFailed_ > spareLanes_; }
+    bool degraded() const { return lanesFailed_ > spareLanes; }
     /** @} */
 
     /** Reset both scramblers to a common seed (end of training). */
@@ -296,7 +302,6 @@ class DmiChannel : public SimObject
     unsigned burstBitsLeft_ = 0;
     unsigned dropBudget_ = 0;
     unsigned lanesFailed_ = 0;
-    unsigned spareLanes_ = 1;
     EventFunctionWrapper rxEvent_;
     ChannelStats stats_;
 };

@@ -7,6 +7,16 @@
 namespace contutto::dmi
 {
 
+namespace
+{
+
+/** Missing-ACK detection horizon. */
+constexpr Tick ackTimeout = nanoseconds(400);
+/** Delay before an idle frame is emitted to carry an ACK, cycles. */
+constexpr unsigned ackCoalesceCycles = 1;
+
+} // namespace
+
 template <typename TxF, typename RxF>
 LinkEndpoint<TxF, RxF>::LinkEndpoint(const std::string &name,
                                      EventQueue &eq,
@@ -177,7 +187,7 @@ LinkEndpoint<TxF, RxF>::scheduleAckCarrier()
 {
     ackPending_ = true;
     if (!ackEvent_.scheduled())
-        scheduleClocked(&ackEvent_, params_.ackCoalesceCycles);
+        scheduleClocked(&ackEvent_, ackCoalesceCycles);
 }
 
 template <typename TxF, typename RxF>
@@ -204,7 +214,7 @@ LinkEndpoint<TxF, RxF>::armTimeout()
         return;
     std::uint8_t oldest = std::uint8_t(lastAcked_ + 1);
     ct_assert(replayBuf_[oldest].valid);
-    Tick deadline = replayBuf_[oldest].sentAt + params_.ackTimeout;
+    Tick deadline = replayBuf_[oldest].sentAt + ackTimeout;
     if (deadline <= curTick())
         deadline = curTick() + 1;
     eventq().reschedule(&timeoutEvent_, deadline);
@@ -217,7 +227,7 @@ LinkEndpoint<TxF, RxF>::checkAckTimeout()
     if (unacked_ == 0)
         return;
     std::uint8_t oldest = std::uint8_t(lastAcked_ + 1);
-    if (curTick() >= replayBuf_[oldest].sentAt + params_.ackTimeout) {
+    if (curTick() >= replayBuf_[oldest].sentAt + ackTimeout) {
         triggerReplay();
     } else {
         armTimeout();

@@ -67,15 +67,11 @@ class LinkEndpoint : public SimObject, private FrameReceiver
          * capture without the RX FIFO plus a 2-stage CRC (§3.3(ii)).
          */
         unsigned rxProcCycles = 3;
-        /** Missing-ACK detection horizon. */
-        Tick ackTimeout = nanoseconds(400);
         /**
          * Number of times the last frame is re-sent before the
          * replay buffer takes over (ConTutto freeze workaround).
          */
         unsigned freezeRepeats = 0;
-        /** Delay before an idle frame is emitted to carry an ACK. */
-        unsigned ackCoalesceCycles = 1;
         /** Max unacked frames before new sends queue internally. */
         unsigned windowLimit = 120;
     };

@@ -3,6 +3,15 @@
 namespace contutto::dmi
 {
 
+namespace
+{
+
+/** Number of FRTL probes; the max is kept. */
+constexpr unsigned frtlProbes = 4;
+static_assert(frtlProbes > 0);
+
+} // namespace
+
 LinkTrainer::LinkTrainer(const std::string &name, EventQueue &eq,
                          const ClockDomain &domain,
                          stats::StatGroup *parent, const Params &params,
@@ -16,9 +25,7 @@ LinkTrainer::LinkTrainer(const std::string &name, EventQueue &eq,
              {this, "alignAttempts", "alignment probes sent"},
              {this, "frtlMeasured",
               "frame round-trip latency measured by training (ns)"}}
-{
-    ct_assert(params_.frtlProbes > 0);
-}
+{}
 
 LinkTrainer::~LinkTrainer()
 {
@@ -108,7 +115,7 @@ LinkTrainer::hostSigArrived(std::uint32_t sig)
         if (op == opFrtlEcho) {
             Tick rtt = curTick() - probeSentAt_;
             frtlMax_ = std::max(frtlMax_, rtt);
-            if (++probesDone_ >= params_.frtlProbes) {
+            if (++probesDone_ >= frtlProbes) {
                 result_.frtl = frtlMax_;
                 if (frtlMax_ > params_.maxFrtl) {
                     finish(false,

@@ -54,8 +54,6 @@ class LinkTrainer : public SimObject
         unsigned maxAttemptsPerPhase = 16;
         /** Processor's maximum tolerable FRTL (hardware limit). */
         Tick maxFrtl = nanoseconds(120);
-        /** Number of FRTL probes; the max is kept. */
-        unsigned frtlProbes = 4;
         /** How long to wait for a phase response. */
         Tick responseTimeout = microseconds(1);
         std::uint64_t seed = 99;

@@ -9,6 +9,14 @@ namespace
 {
 /** Bytes per bank row (column span): 8 KiB, a typical DDR3 page. */
 constexpr std::uint64_t rowBytes = 8192;
+/** DDR3-1333, the common ConTutto DIMM grade. */
+constexpr DramTiming timing = ddr3_1333();
+/**
+ * log2 of the bank-interleave granule: above log2(lineSize), so a
+ * controller behind a line-interleaved address space still spreads
+ * its share of the lines across all banks.
+ */
+constexpr unsigned bankInterleaveShift = 7;
 } // namespace
 
 Ddr3Controller::Ddr3Controller(const std::string &name, EventQueue &eq,
@@ -17,7 +25,7 @@ Ddr3Controller::Ddr3Controller(const std::string &name, EventQueue &eq,
                                const Params &params,
                                MemoryDevice &device)
     : SimObject(name, eq, domain, parent), params_(params),
-      device_(device), banks_(params.numBanks),
+      device_(device),
       issueEvent_([this] { tryIssue(); }, name + ".issue"),
       refreshEvent_([this] { refreshTick(); }, name + ".refresh"),
       stats_{{this, "reads", "read requests served"},
@@ -29,10 +37,10 @@ Ddr3Controller::Ddr3Controller(const std::string &name, EventQueue &eq,
              {this, "eccUncorrectable", "reads poisoned by multi-bit errors"},
              {this, "accessLatency", "submit-to-done latency (ns)"}}
 {
-    ct_assert(params_.numBanks > 0);
+    static_assert(numBanks > 0);
     if (device_.needsRefresh())
         eventq().schedule(&refreshEvent_,
-                          curTick() + params_.timing.tREFI);
+                          curTick() + timing.tREFI);
 }
 
 Ddr3Controller::~Ddr3Controller()
@@ -46,14 +54,13 @@ Ddr3Controller::~Ddr3Controller()
 unsigned
 Ddr3Controller::bankOf(Addr addr) const
 {
-    return unsigned((addr >> params_.bankInterleaveShift)
-                    % params_.numBanks);
+    return unsigned((addr >> bankInterleaveShift) % numBanks);
 }
 
 std::uint64_t
 Ddr3Controller::rowOf(Addr addr) const
 {
-    return addr / (rowBytes * params_.numBanks);
+    return addr / (rowBytes * numBanks);
 }
 
 void
@@ -73,7 +80,7 @@ Ddr3Controller::submit(const MemRequestPtr &req)
 void
 Ddr3Controller::tryIssue()
 {
-    const DramTiming &t = params_.timing;
+    const DramTiming &t = timing;
     while (!queue_.empty()) {
         auto [req, submitted] = queue_.front();
         queue_.pop_front();
@@ -215,7 +222,7 @@ Ddr3Controller::checkpointRestore(ckpt::Section &in)
 void
 Ddr3Controller::refreshTick()
 {
-    const DramTiming &t = params_.timing;
+    const DramTiming &t = timing;
     // All-bank refresh: banks close and the device is busy for tRFC.
     for (Bank &b : banks_) {
         b.open = false;

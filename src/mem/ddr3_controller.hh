@@ -19,8 +19,8 @@
 #ifndef CONTUTTO_MEM_DDR3_CONTROLLER_HH
 #define CONTUTTO_MEM_DDR3_CONTROLLER_HH
 
+#include <array>
 #include <deque>
-#include <vector>
 
 #include "mem/device.hh"
 #include "mem/request.hh"
@@ -35,19 +35,8 @@ class Ddr3Controller : public SimObject, public ckpt::Checkpointable
   public:
     struct Params
     {
-        DramTiming timing = ddr3_1333();
-        unsigned numBanks = 8;
         /** Fixed controller pipeline latency each way. */
         Tick frontendLatency = nanoseconds(8);
-        /**
-         * log2 of the bank-interleave granule. When several
-         * controllers share a line-interleaved address space, set
-         * this above log2(lineSize) so each port still spreads its
-         * share of the lines across all banks.
-         */
-        unsigned bankInterleaveShift = 7;
-        /** Max queued requests before submit() asserts. */
-        std::size_t queueCapacity = 64;
         /**
          * Data-bus turnaround penalty when switching between read
          * and write bursts (tWTR/tRTW class). Mixed read/write
@@ -68,7 +57,7 @@ class Ddr3Controller : public SimObject, public ckpt::Checkpointable
     void submit(const MemRequestPtr &req);
 
     /** True if submit() can accept another request. */
-    bool canAccept() const { return queue_.size() < params_.queueCapacity; }
+    bool canAccept() const { return queue_.size() < queueCapacity; }
 
     /** Outstanding requests (queued or in flight). */
     std::size_t pending() const { return queue_.size() + inFlight_; }
@@ -100,6 +89,11 @@ class Ddr3Controller : public SimObject, public ckpt::Checkpointable
     /** @} */
 
   private:
+    /** Max queued requests before submit() asserts. */
+    static constexpr std::size_t queueCapacity = 64;
+    /** Banks per DIMM rank (DDR3). */
+    static constexpr unsigned numBanks = 8;
+
     struct Bank
     {
         bool open = false;
@@ -117,7 +111,7 @@ class Ddr3Controller : public SimObject, public ckpt::Checkpointable
     Params params_;
     MemoryDevice &device_;
     std::deque<std::pair<MemRequestPtr, Tick>> queue_;
-    std::vector<Bank> banks_;
+    std::array<Bank, numBanks> banks_{};
     Tick busFreeAt_ = 0;
     bool lastWasWrite_ = false;
     bool anyTransfer_ = false;

@@ -1,10 +1,9 @@
 /**
  * @file
- * DDR3 device timing parameters and standard speed-grade presets.
+ * DDR3 device timing parameters and the speed-grade preset in use.
  *
- * All values in ticks (ps). The presets use JEDEC-typical values for
- * the speed grades the ConTutto card supports via its two DDR3 DIMM
- * connectors.
+ * All values in ticks (ps), JEDEC-typical for the DIMM grade the
+ * ConTutto card's two DDR3 DIMM connectors carry.
  */
 
 #ifndef CONTUTTO_MEM_DRAM_TIMING_HH
@@ -44,29 +43,11 @@ struct DramTiming
     }
 };
 
-/** DDR3-1066 (tCK 1.875 ns, 7-7-7). */
-constexpr DramTiming ddr3_1066()
-{
-    return DramTiming{1875, 7 * 1875, 7 * 1875, 7 * 1875, 20 * 1875,
-                      8 * 1875, nanoseconds(160), microseconds(7)
-                          + nanoseconds(800),
-                      8, 8};
-}
-
 /** DDR3-1333 (tCK 1.5 ns, 9-9-9): the common ConTutto DIMM grade. */
 constexpr DramTiming ddr3_1333()
 {
     return DramTiming{1500, 9 * 1500, 9 * 1500, 9 * 1500, 24 * 1500,
                       10 * 1500, nanoseconds(160), microseconds(7)
-                          + nanoseconds(800),
-                      8, 8};
-}
-
-/** DDR3-1600 (tCK 1.25 ns, 11-11-11). */
-constexpr DramTiming ddr3_1600()
-{
-    return DramTiming{1250, 11 * 1250, 11 * 1250, 11 * 1250, 28 * 1250,
-                      12 * 1250, nanoseconds(160), microseconds(7)
                           + nanoseconds(800),
                       8, 8};
 }

@@ -5,6 +5,15 @@
 namespace contutto::ras
 {
 
+namespace
+{
+
+/** Scrub granule: one 64-byte ECC line. */
+constexpr std::size_t lineSize = 64;
+static_assert(lineSize > 0);
+
+} // namespace
+
 PatrolScrubber::PatrolScrubber(const std::string &name, EventQueue &eq,
                                const ClockDomain &domain,
                                stats::StatGroup *parent,
@@ -21,7 +30,7 @@ PatrolScrubber::PatrolScrubber(const std::string &name, EventQueue &eq,
              {this, "scrubPasses", "complete sweeps of the region"}}
 {
     ct_assert(params_.period > 0);
-    ct_assert(params_.linesPerBeat > 0 && params_.lineSize > 0);
+    ct_assert(params_.linesPerBeat > 0);
     if (params_.size == 0)
         params_.size = image_.capacity() - params_.base;
     ct_assert(params_.base + params_.size <= image_.capacity());
@@ -59,7 +68,7 @@ PatrolScrubber::beat()
     Addr end = params_.base + params_.size;
     for (unsigned i = 0; i < params_.linesPerBeat; ++i) {
         std::size_t len = std::size_t(
-            std::min<std::uint64_t>(params_.lineSize, end - cursor_));
+            std::min<std::uint64_t>(lineSize, end - cursor_));
         mem::EccScan scan = image_.verify(cursor_, len);
         ++stats_.linesScrubbed;
         stats_.scrubCorrected += scan.corrected;

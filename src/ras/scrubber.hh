@@ -31,8 +31,6 @@ class PatrolScrubber : public SimObject
         Tick period = microseconds(1);
         /** Lines verified per beat. */
         unsigned linesPerBeat = 8;
-        /** Scrub granule; matches the ECC line the issue specifies. */
-        std::size_t lineSize = 64;
         /** First byte of the scrubbed region. */
         Addr base = 0;
         /** Region length; 0 means the whole image. */

@@ -9,6 +9,9 @@ namespace contutto::sim
 namespace
 {
 
+/** Per directed shard pair, messages per window. */
+constexpr std::size_t mailboxCapacity = 4096;
+
 /** Which shard (of which executor) this thread is running. */
 thread_local const ShardedExecutor *tlsExec = nullptr;
 thread_local unsigned tlsShard = ShardedExecutor::invalidShard;
@@ -45,7 +48,7 @@ SpscMailbox::push(Message &&m)
     std::size_t next = (tail + 1) % slots_.size();
     if (next == head_.load(std::memory_order_acquire))
         panic("cross-shard mailbox overflow (%zu messages in one "
-              "window); raise Params::mailboxCapacity",
+              "window); raise mailboxCapacity in sim/parallel.cc",
               slots_.size() - 1);
     slots_[tail] = std::move(m);
     tail_.store(next, std::memory_order_release);
@@ -79,7 +82,7 @@ ShardedExecutor::ShardedExecutor(const Params &params)
         shard->inbox.reserve(params.shards);
         for (unsigned src = 0; src < params.shards; ++src)
             shard->inbox.push_back(std::make_unique<SpscMailbox>(
-                params.mailboxCapacity));
+                mailboxCapacity));
         shard->nextSeq.assign(params.shards, 0);
         shards_.push_back(std::move(shard));
     }

@@ -130,8 +130,6 @@ class ShardedExecutor
         /** Window width = conservative lookahead, in ticks. */
         Tick window = defaultWindow();
         Mode mode = Mode::parallel;
-        /** Per directed shard pair, messages per window. */
-        std::size_t mailboxCapacity = 4096;
     };
 
     /**

@@ -36,7 +36,7 @@ struct AccelRig
         ct_assert(trained);
         return std::make_unique<AccelComplex>(
             "accel", sys.eventq(), sys.fabricDomain(), &sys,
-            AccelComplex::Params{}, *sys.card(), 2ull * GiB);
+            *sys.card(), 2ull * GiB);
     }
 
     static Power8System::Params

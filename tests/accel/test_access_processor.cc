@@ -24,7 +24,7 @@ struct ApRig
         ct_assert(trained);
         complex = std::make_unique<AccelComplex>(
             "accel", sys.eventq(), sys.fabricDomain(), &sys,
-            AccelComplex::Params{}, *sys.card(), 2ull * GiB);
+            *sys.card(), 2ull * GiB);
     }
 
     static Power8System::Params

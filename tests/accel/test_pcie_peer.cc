@@ -30,7 +30,7 @@ struct TwoCardRig
           cardB(socket.channelInSlot(2)->card()),
           link("pcie", *socket.executor(), socket.shardOfChannel(0),
                socket.shardOfChannel(1), cardA->clockDomain(), &socket,
-               {}, *cardA, *cardB)
+               *cardA, *cardB)
     {}
 
     static MultiSlotSystem::Params
@@ -49,7 +49,7 @@ struct TwoCardRig
         // Lines cross shards at window edges, so the window may be
         // no wider than the link's per-line latency.
         if (shards > 1)
-            p.shardWindow = PciePeerLink::Params{}.lineLatency;
+            p.shardWindow = PciePeerLink::lineLatency;
         return p;
     }
 
@@ -220,7 +220,7 @@ TEST(PciePeerSharded, RefusesAWindowWiderThanTheLineLatency)
     fpga::ContuttoCard &a = *socket.channelInSlot(0)->card();
     fpga::ContuttoCard &b = *socket.channelInSlot(2)->card();
     EXPECT_THROW(PciePeerLink("pcie", *socket.executor(), 0, 1,
-                              a.clockDomain(), &socket, {}, a, b),
+                              a.clockDomain(), &socket, a, b),
                  FatalError);
 }
 

@@ -98,7 +98,7 @@ TEST(TcamMmio, HostDrivenRouteLookup)
     ASSERT_TRUE(sys.train());
 
     TcamMmio tcam("tcam", sys.eventq(), sys.fabricDomain(), &sys,
-                  {}, sys.card()->avalon(), 3ull * GiB);
+                  sys.card()->avalon(), 3ull * GiB);
 
     auto command = [&](std::uint64_t op, std::uint64_t index,
                        std::uint64_t value, std::uint64_t mask,

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "cpu/multi_slot.hh"
 
@@ -186,6 +188,38 @@ TEST(ShardedSocket, DerivedWindowTracksFrameLatency)
     // frame is the *minimum* and still governs the lookahead.
     EXPECT_EQ(MultiSlotSystem::deriveWindow(mixed),
               Tick((16 * 104 + 1000) * 1024));
+}
+
+TEST(ShardedSocket, DerivedWindowMatchesTheLanesTheSocketBuilt)
+{
+    // The lookahead must come from the lanes the channels really
+    // have: 1024x the fastest built downstream frame plus 1 ns of
+    // flight. A channel whose unit interval drifted from what
+    // deriveWindow assumes would make the window unsafe.
+    auto allContutto = allCdimm(8);
+    for (unsigned s = 0; s < MultiSlotSystem::numSlots; ++s)
+        allContutto.slots[s].kind =
+            s % 2 == 0 ? SlotKind::contutto : SlotKind::empty;
+    auto oneContutto = allCdimm(8);
+    oneContutto.slots[0].kind = SlotKind::contutto;
+    oneContutto.slots[1].kind = SlotKind::empty;
+
+    for (const auto &[name, params] :
+         {std::pair{"allContutto", allContutto},
+          std::pair{"allCdimm", allCdimm(8)},
+          std::pair{"oneContuttoSixCdimm", oneContutto}}) {
+        MultiSlotSystem socket(params);
+        ASSERT_GT(socket.populatedChannels(), 0u) << name;
+        Tick minSer = maxTick;
+        for (unsigned i = 0; i < socket.populatedChannels(); ++i)
+            minSer = std::min(minSer,
+                              socket.channel(i).downChannel()
+                                  .serializationTime(
+                                      dmi::downFrameBytes));
+        EXPECT_EQ(MultiSlotSystem::deriveWindow(params),
+                  1024 * (minSer + nanoseconds(1)))
+            << name;
+    }
 }
 
 TEST(ShardedSocket, TrainsAndServesInterleavedTraffic)

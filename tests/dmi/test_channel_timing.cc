@@ -434,7 +434,7 @@ class EagerChannel
         bool corrupt = forced_ > 0;
         if (corrupt)
             --forced_;
-        else if (failed_ > p_.spareLanes)
+        else if (failed_ > DmiChannel::spareLanes)
             corrupt = true;
         else if (p_.frameErrorRate > 0.0)
             corrupt = rng_.chance(p_.frameErrorRate);

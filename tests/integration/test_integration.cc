@@ -69,8 +69,8 @@ TEST(Integration, CpuAndAcceleratorShareDimmBandwidth)
     Power8System sys(mixedParams());
     ASSERT_TRUE(sys.train());
     accel::AccelComplex complex("accel", sys.eventq(),
-                                sys.fabricDomain(), &sys, {},
-                                *sys.card(), 2ull * GiB);
+                                sys.fabricDomain(), &sys, *sys.card(),
+                                2ull * GiB);
     accel::AccelDriver driver(
         sys, complex, accel::AccelDriver::Params{256 * MiB,
                                                  microseconds(1)});
