@@ -74,9 +74,7 @@ main(int argc, char **argv)
         AccelComplex complex("accel", sys.eventq(),
                              sys.fabricDomain(), &sys, *sys.card(),
                              2ull * GiB);
-        AccelDriver driver(sys, complex,
-                           AccelDriver::Params{256 * MiB,
-                                               microseconds(1)});
+        AccelDriver driver(sys, complex, 256 * MiB);
         double copy = accelThroughput(sys, driver, true, 8 * MiB);
         double scan = accelThroughput(sys, driver, false, 8 * MiB);
         std::printf("%-22.1f %16.2f %16.2f\n", ticksToNs(turn),

@@ -35,9 +35,7 @@ main(int argc, char **argv)
         AccelComplex complex("accel", sys.eventq(),
                              sys.fabricDomain(), &sys, *sys.card(),
                              2ull * GiB);
-        AccelDriver driver(sys, complex,
-                           AccelDriver::Params{256 * MiB,
-                                               microseconds(1)});
+        AccelDriver driver(sys, complex, 256 * MiB);
         EnergyMeter meter(sys);
         meter.attach(
             complex.accessProcessor().apStats().instructions);

@@ -19,13 +19,17 @@
  *                  overflow-heap removal (lazy in the legacy core,
  *                  eager in the ladder).
  *
- * Reports events/sec for each core and the new/legacy speedup ratio.
- * The ratio is what CI gates on (machine-independent); absolute
- * rates are recorded for trend-watching. Use --stats-json=FILE to
+ * Each scenario races the two cores in 5 pairs, alternating which
+ * core runs first, and reports the median events/sec of each core
+ * and the median of the per-pair new/legacy speedup ratios; one
+ * short race alone can read far off on a noisy host. The ratio is
+ * what CI gates on (machine-independent); absolute rates are
+ * recorded for trend-watching. Use --stats-json=FILE to
  * capture the numbers for scripts/bench_gate.py, which checks the
  * ratios against bench/baselines/BENCH_event_core.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -403,11 +407,45 @@ farTimers(std::uint64_t targetEvents)
 struct ScenarioResult
 {
     const char *name;
-    double legacy;
-    double ladder;
-
-    double ratio() const { return ladder / legacy; }
+    double legacy; ///< Median events/s over the pairs.
+    double ladder; ///< Median events/s over the pairs.
+    double ratio;  ///< Median of the per-pair ladder/legacy ratios.
 };
+
+/** Races per scenario; odd, so each median is one race's value. */
+constexpr int racePairs = 5;
+
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
+/**
+ * Race the two cores racePairs times, alternating which goes first
+ * so neither always runs on a cold (or warm) host.
+ */
+template <typename LegacyRun, typename LadderRun>
+ScenarioResult
+race(const char *name, LegacyRun legacy_run, LadderRun ladder_run)
+{
+    std::vector<double> legacy, ladder, ratio;
+    for (int i = 0; i < racePairs; ++i) {
+        double a, b;
+        if (i % 2 == 0) {
+            a = legacy_run();
+            b = ladder_run();
+        } else {
+            b = ladder_run();
+            a = legacy_run();
+        }
+        legacy.push_back(a);
+        ladder.push_back(b);
+        ratio.push_back(b / a);
+    }
+    return {name, median(legacy), median(ladder), median(ratio)};
+}
 
 } // namespace
 
@@ -427,26 +465,29 @@ main(int argc, char **argv)
     const std::uint64_t ops = parseOps(argc, argv, 2000000);
 
     std::vector<ScenarioResult> results;
-    results.push_back(
-        {"clock-mix",
-         clockMix<LegacyQueue, LegacyWrapper>(ops),
-         clockMix<EventQueue, EventFunctionWrapper>(ops)});
-    results.push_back(
-        {"oneshot-chain",
-         oneShotChain<LegacyQueue, LegacyOneShot>(ops),
-         oneShotChain<EventQueue, OneShotEvent>(ops)});
-    results.push_back(
-        {"far-timers",
-         farTimers<LegacyQueue, LegacyWrapper>(ops),
-         farTimers<EventQueue, EventFunctionWrapper>(ops)});
+    results.push_back(race(
+        "clock-mix",
+        [ops] { return clockMix<LegacyQueue, LegacyWrapper>(ops); },
+        [ops] { return clockMix<EventQueue, EventFunctionWrapper>(ops); }));
+    results.push_back(race(
+        "oneshot-chain",
+        [ops] { return oneShotChain<LegacyQueue, LegacyOneShot>(ops); },
+        [ops] { return oneShotChain<EventQueue, OneShotEvent>(ops); }));
+    results.push_back(race(
+        "far-timers",
+        [ops] { return farTimers<LegacyQueue, LegacyWrapper>(ops); },
+        [ops] {
+            return farTimers<EventQueue, EventFunctionWrapper>(ops);
+        }));
 
-    std::printf("event-core throughput (%llu events per run)\n",
-                (unsigned long long)ops);
+    std::printf("event-core throughput (%llu events per run, median "
+                "of %d alternating pairs)\n",
+                (unsigned long long)ops, racePairs);
     std::printf("%-14s %14s %14s %8s\n", "scenario", "legacy-ev/s",
                 "ladder-ev/s", "ratio");
     for (const auto &r : results)
         std::printf("%-14s %14.0f %14.0f %7.2fx\n", r.name, r.legacy,
-                    r.ladder, r.ratio());
+                    r.ladder, r.ratio);
 
     stats::StatGroup root("eventCore");
     std::vector<std::unique_ptr<stats::Scalar>> scalars;
@@ -463,7 +504,7 @@ main(int argc, char **argv)
         mk(base + "LadderEventsPerSec",
            "ladder queue throughput, " + base, r.ladder);
         mk(base + "SpeedupRatio", "ladder/legacy ratio, " + base,
-           r.ratio());
+           r.ratio);
     }
     telemetry.capture("event-core", root);
     return 0;

@@ -56,8 +56,8 @@ main(int argc, char **argv)
         EventQueue eq;
         ClockDomain d("d", 500);
         stats::StatGroup root("root");
-        HddDevice hdd("hdd", eq, d, &root, {});
-        GpfsWriteCache gpfs("gpfs", eq, d, &root, {}, nullptr, hdd);
+        HddDevice hdd("hdd", eq, d, &root);
+        GpfsWriteCache gpfs("gpfs", eq, d, &root, nullptr, hdd);
         double iops =
             runWrites(eq, gpfs, hdd.capacityBlocks(), 60, 1);
         std::printf("%-28s %10s %12.0f %12s\n",
@@ -68,10 +68,10 @@ main(int argc, char **argv)
         EventQueue eq;
         ClockDomain d("d", 500);
         stats::StatGroup root("root");
-        HddDevice hdd("hdd", eq, d, &root, {});
+        HddDevice hdd("hdd", eq, d, &root);
         FlatLatencyDevice ssd("ssd", eq, d, &root,
                               FlatLatencyDevice::sasSsd());
-        GpfsWriteCache gpfs("gpfs", eq, d, &root, {}, &ssd, hdd);
+        GpfsWriteCache gpfs("gpfs", eq, d, &root, &ssd, hdd);
         double iops = runWrites(eq, gpfs, 1000000, 4000, 2);
         std::printf("%-28s %10s %12.0f %12s\n", "SSD (SAS)",
                     "400 GB", iops, "15K");
@@ -84,10 +84,9 @@ main(int argc, char **argv)
             return 1;
         PmemBlockDevice pmem("pmem", sys, &sys,
                              PmemBlockDevice::Params::forMram());
-        HddDevice hdd("hdd", sys.eventq(), sys.nestDomain(), &sys,
-                      {});
+        HddDevice hdd("hdd", sys.eventq(), sys.nestDomain(), &sys);
         GpfsWriteCache gpfs("gpfs", sys.eventq(), sys.nestDomain(),
-                            &sys, {}, &pmem, hdd);
+                            &sys, &pmem, hdd);
         mram_iops = runWrites(sys.eventq(), gpfs, 60000, 4000, 3);
         std::printf("%-28s %10s %12.0f %12s\n",
                     "STT-MRAM (DMI memory link)", "256 MB",

@@ -60,9 +60,7 @@ main(int argc, char **argv)
     AccelComplex complex("accel", accel_sys.eventq(),
                          accel_sys.fabricDomain(), &accel_sys,
                          *accel_sys.card(), 2ull * GiB);
-    AccelDriver driver(accel_sys, complex,
-                       AccelDriver::Params{256 * MiB,
-                                           microseconds(1)});
+    AccelDriver driver(accel_sys, complex, 256 * MiB);
 
     const std::uint64_t bytes = 16 * MiB;
     double t_copy =

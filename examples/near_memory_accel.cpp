@@ -33,9 +33,7 @@ main()
     // programs into ordinary memory.
     AccelComplex complex("accel", sys.eventq(), sys.fabricDomain(),
                          &sys, *sys.card(), 2ull * GiB);
-    AccelDriver driver(sys, complex,
-                       AccelDriver::Params{256 * MiB,
-                                           microseconds(1)});
+    AccelDriver driver(sys, complex, 256 * MiB);
 
     // ---- min/max over 4M int32 values --------------------------
     const unsigned n = 4 * 1024 * 1024;

@@ -3,6 +3,14 @@
 namespace contutto::accel
 {
 
+namespace
+{
+
+/** Status poll spacing. */
+constexpr Tick pollInterval = microseconds(1);
+
+} // namespace
+
 std::string
 AccelDriver::memcpyProgram()
 {
@@ -89,11 +97,11 @@ end:    halt
 }
 
 AccelDriver::AccelDriver(cpu::Power8System &sys, AccelComplex &complex,
-                         const Params &params)
-    : sys_(sys), complex_(complex), params_(params)
+                         Addr programRegion)
+    : sys_(sys), complex_(complex)
 {
     // Stage the pre-compiled executables into the DIMMs.
-    Addr cursor = params_.programRegion;
+    Addr cursor = programRegion;
     auto stage = [&](const std::string &src, Addr &addr,
                      std::uint64_t &size) {
         Program prog = assemble(src);
@@ -239,7 +247,7 @@ AccelDriver::poll(Callback done)
 {
     OneShotEvent::schedule(
         sys_.eventq(),
-        sys_.eventq().curTick() + params_.pollInterval, [this, done] {
+        sys_.eventq().curTick() + pollInterval, [this, done] {
             sys_.port().read(
                 complex_.mmioBase(),
                 [this, done](const cpu::HostOpResult &r) {

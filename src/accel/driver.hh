@@ -24,20 +24,13 @@ namespace contutto::accel
 class AccelDriver
 {
   public:
-    struct Params
-    {
-        /** Where the program images live in main memory. */
-        Addr programRegion = 0;
-        /** Status poll spacing. */
-        Tick pollInterval = microseconds(1);
-    };
-
     /**
      * Assembles the kernel programs and stages their executable
-     * images into the DIMMs behind @p complex's card.
+     * images into the DIMMs behind @p complex's card, starting at
+     * @p programRegion in main memory.
      */
     AccelDriver(cpu::Power8System &sys, AccelComplex &complex,
-                const Params &params);
+                Addr programRegion);
 
     using Callback = std::function<void(const ControlBlock &)>;
 
@@ -72,7 +65,6 @@ class AccelDriver
 
     cpu::Power8System &sys_;
     AccelComplex &complex_;
-    Params params_;
     Addr memcpyProgAddr_ = 0;
     std::uint64_t memcpyProgBytes_ = 0;
     Addr minMaxProgAddr_ = 0;

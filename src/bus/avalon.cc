@@ -10,13 +10,15 @@ namespace
 constexpr unsigned portIssueCycles = 1;
 /** Per-port queue depth. */
 constexpr std::size_t portQueueCapacity = 64;
+/** Clock-domain-crossing latency each way, fabric cycles. */
+constexpr unsigned cdcCycles = 6;
 
 } // namespace
 
 AvalonBus::AvalonBus(const std::string &name, EventQueue &eq,
                      const ClockDomain &domain,
-                     stats::StatGroup *parent, const Params &params)
-    : SimObject(name, eq, domain, parent), params_(params),
+                     stats::StatGroup *parent)
+    : SimObject(name, eq, domain, parent),
       stats_{{this, "transactions", "bus transactions completed"},
              {this, "bytes", "payload bytes moved"},
              {this, "unmappedAccesses", "accesses to unmapped space"}}
@@ -126,7 +128,7 @@ AvalonBus::dispatch(const mem::MemRequestPtr &req)
         stats_.bytes += double(r.size);
         if (original)
             OneShotEvent::schedule(eventq(),
-                                   clockEdge(params_.cdcCycles),
+                                   clockEdge(cdcCycles),
                                    [original, keep = self.lock()] {
                                        original(*keep);
                                    });
@@ -135,7 +137,7 @@ AvalonBus::dispatch(const mem::MemRequestPtr &req)
     // Request-side CDC hop into the slave's domain.
     AvalonSlave *slave = hit->slave;
     mem::MemRequestPtr req_copy = req;
-    OneShotEvent::schedule(eventq(), clockEdge(params_.cdcCycles),
+    OneShotEvent::schedule(eventq(), clockEdge(cdcCycles),
                            [slave, req_copy] {
                                slave->access(req_copy);
                            });

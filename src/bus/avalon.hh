@@ -61,15 +61,8 @@ class AvalonSlave
 class AvalonBus : public SimObject
 {
   public:
-    struct Params
-    {
-        /** Clock-domain-crossing latency each way, fabric cycles. */
-        unsigned cdcCycles = 2;
-    };
-
     AvalonBus(const std::string &name, EventQueue &eq,
-              const ClockDomain &domain, stats::StatGroup *parent,
-              const Params &params);
+              const ClockDomain &domain, stats::StatGroup *parent);
 
     /** Map @p slave at @p range; ranges must not overlap. */
     void attach(AvalonSlave &slave, const AddressRange &range);
@@ -127,7 +120,6 @@ class AvalonBus : public SimObject
 
     void dispatch(const mem::MemRequestPtr &req);
 
-    Params params_;
     std::vector<Mapping> mappings_;
     std::vector<std::unique_ptr<Port>> ports_;
     BusStats stats_;

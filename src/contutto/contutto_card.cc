@@ -3,14 +3,6 @@
 namespace contutto::fpga
 {
 
-namespace
-{
-
-/** The card's Avalon bus: 6 fabric cycles of CDC each way. */
-constexpr bus::AvalonBus::Params avalonParams{/*cdcCycles=*/6};
-
-} // namespace
-
 ContuttoCard::ContuttoCard(const std::string &name, EventQueue &eq,
                            const ClockDomain &fabricDomain,
                            const ClockDomain &ddrDomain,
@@ -22,7 +14,7 @@ ContuttoCard::ContuttoCard(const std::string &name, EventQueue &eq,
     : SimObject(name, eq, fabricDomain, parent),
       mbi_(name + ".mbi", eq, fabricDomain, this, params.mbi,
            upChannel, downChannel),
-      bus_(name + ".avalon", eq, fabricDomain, this, avalonParams)
+      bus_(name + ".avalon", eq, fabricDomain, this)
 {
     ct_assert(!devices.empty());
     std::vector<mem::Ddr3Controller *> raw_ports;

@@ -128,8 +128,7 @@ MemoryChannel::MemoryChannel(const std::string &name, EventQueue &eq,
 
     if (params_.ras.watchdogEnabled) {
         watchdog_ = std::make_unique<ras::LinkWatchdog>(
-            name + ".watchdog", eq, clocks.nest, this,
-            params_.ras.watchdog);
+            name + ".watchdog", eq, clocks.nest, this);
         watchdog_->attachErrorLog(&errorLog_);
         ras::LinkWatchdog::Actions actions;
         actions.retrain = [this] {

@@ -93,7 +93,6 @@ struct ChannelParams
         ras::PatrolScrubber::Params scrub{};
         /** Watch both link directions for replay storms. */
         bool watchdogEnabled = false;
-        ras::LinkWatchdog::Params watchdog{};
     };
     RasParams ras{};
 };

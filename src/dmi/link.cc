@@ -38,7 +38,6 @@ LinkEndpoint<TxF, RxF>::LinkEndpoint(const std::string &name,
              {this, "framesReplayed", "frames retransmitted"},
              {this, "idleAcksSent", "out-of-stream ACK frames sent"}}
 {
-    ct_assert(params_.windowLimit > 0 && params_.windowLimit < 128);
     // Gearbox capture and CRC pipeline in this endpoint's domain.
     rxChannel_.setReceiver(*this, domain, params_.rxProcCycles);
 }
@@ -71,7 +70,7 @@ void
 LinkEndpoint<TxF, RxF>::pump()
 {
     bool sent_any = false;
-    while (!sendQueue_.empty() && unacked_ < params_.windowLimit) {
+    while (!sendQueue_.empty() && unacked_ < windowLimit) {
         TxF f = std::move(sendQueue_.front());
         sendQueue_.pop_front();
 

@@ -72,9 +72,11 @@ class LinkEndpoint : public SimObject, private FrameReceiver
          * replay buffer takes over (ConTutto freeze workaround).
          */
         unsigned freezeRepeats = 0;
-        /** Max unacked frames before new sends queue internally. */
-        unsigned windowLimit = 120;
     };
+
+    /** Max unacked frames before new sends queue internally. */
+    static constexpr unsigned windowLimit = 120;
+    static_assert(windowLimit > 0 && windowLimit < 128);
 
     LinkEndpoint(const std::string &name, EventQueue &eq,
                  const ClockDomain &domain, stats::StatGroup *parent,

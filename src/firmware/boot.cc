@@ -3,6 +3,16 @@
 namespace contutto::firmware
 {
 
+namespace
+{
+
+/** Bitstream load time from flash. */
+constexpr Tick fpgaConfigTime = milliseconds(40);
+/** Reset pulse + PLL relock time between training tries. */
+constexpr Tick resetPulseTime = milliseconds(2);
+
+} // namespace
+
 BootSequencer::BootSequencer(const std::string &name, EventQueue &eq,
                              const ClockDomain &domain,
                              stats::StatGroup *parent,
@@ -74,7 +84,7 @@ BootSequencer::stepConfigure()
 {
     // The free-running crystal clocks the configuration from flash.
     OneShotEvent::schedule(eventq(),
-                           curTick() + params_.fpgaConfigTime,
+                           curTick() + fpgaConfigTime,
                            [this] {
                                card_.configureFpga([this](bool ok) {
                                    if (!ok) {
@@ -204,7 +214,7 @@ BootSequencer::trainingDone(const dmi::TrainingResult &result)
     // Cheap retry: pulse the FPGA reset without touching the host.
     card_.pulseReset([this] {
         OneShotEvent::schedule(eventq(),
-                               curTick() + params_.resetPulseTime,
+                               curTick() + resetPulseTime,
                                [this] { stepTrain(); });
     });
 }

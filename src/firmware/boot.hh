@@ -86,10 +86,6 @@ class BootSequencer : public SimObject
   public:
     struct Params
     {
-        /** Bitstream load time from flash. */
-        Tick fpgaConfigTime = milliseconds(40);
-        /** Reset pulse + PLL relock time between training tries. */
-        Tick resetPulseTime = milliseconds(2);
         /** Whole-training retries before giving up. */
         unsigned maxTrainingAttempts = 8;
     };

@@ -37,16 +37,12 @@ class FsiSlave : public SimObject
   public:
     struct Params
     {
-        /** One FSI register transaction. */
-        Tick fsiLatency = microseconds(1);
         /**
          * Extra cost of the I2C hop for indirect access; ~100 us at
          * 400 kHz for an addressed 32-bit transfer. Zero for direct
          * (Centaur-style) access.
          */
         Tick i2cLatency = microseconds(100);
-        /** Presence-detect identity returned to the FSP. */
-        std::uint32_t presenceId = contuttoIdMagic;
     };
 
     FsiSlave(const std::string &name, EventQueue &eq,
@@ -92,8 +88,8 @@ class FsiSlave : public SimObject
     readPresence(std::function<void(std::uint32_t)> cb)
     {
         OneShotEvent::schedule(eventq(),
-                               curTick() + params_.fsiLatency,
-                               [this, cb] { cb(params_.presenceId); });
+                               curTick() + fsiLatency,
+                               [cb] { cb(presenceId); });
     }
 
     /** Install the SPD ROM for DIMM slot @p slot. */
@@ -115,7 +111,7 @@ class FsiSlave : public SimObject
     {
         ++stats_.spdReads;
         // A full 128-byte SPD read over the service path.
-        Tick when = curTick() + params_.fsiLatency
+        Tick when = curTick() + fsiLatency
             + params_.i2cLatency;
         OneShotEvent::schedule(eventq(), when, [this, slot, cb] {
             if (slot >= spds_.size() || !spds_[slot]) {
@@ -133,13 +129,16 @@ class FsiSlave : public SimObject
 
     RegisterFile &registers() { return regs_; }
 
-    const Params &params() const { return params_; }
-
   private:
+    /** One FSI register transaction. */
+    static constexpr Tick fsiLatency = microseconds(1);
+    /** Presence-detect identity returned to the FSP. */
+    static constexpr std::uint32_t presenceId = contuttoIdMagic;
+
     Tick
     accessLatency() const
     {
-        return params_.fsiLatency + params_.i2cLatency;
+        return fsiLatency + params_.i2cLatency;
     }
 
     Params params_;

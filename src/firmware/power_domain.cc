@@ -5,12 +5,23 @@
 namespace contutto::firmware
 {
 
+namespace
+{
+
+/** First device-ready poll after the rails are up. */
+constexpr Tick readyPollFirst = microseconds(1);
+/** Poll backoff cap (NVDIMM restores take a while). */
+constexpr Tick readyPollMax = milliseconds(1);
+/** Give up waiting for devices after this long. */
+constexpr Tick readyTimeout = seconds(30);
+
+} // namespace
+
 PowerDomain::PowerDomain(const std::string &name, EventQueue &eq,
                          const ClockDomain &domain,
                          stats::StatGroup *parent,
-                         PowerSequencer &seq, const Params &params)
+                         PowerSequencer &seq)
     : SimObject(name, eq, domain, parent), seq_(seq),
-      params_(params),
       startEvent_([this] { startRamp(); }, name + ".start"),
       pollEvent_([this] { pollReady(); }, name + ".poll"),
       stats_{{this, "cuts", "power cuts seen"},
@@ -126,8 +137,8 @@ PowerDomain::railsUp(bool ok)
     // start streaming), then wait until every module is ready.
     for (mem::MemoryDevice *dev : devices_)
         dev->powerRestore();
-    readyDeadline_ = curTick() + params_.readyTimeout;
-    pollInterval_ = params_.readyPollFirst;
+    readyDeadline_ = curTick() + readyTimeout;
+    pollInterval_ = readyPollFirst;
     pollReady();
 }
 
@@ -148,7 +159,7 @@ PowerDomain::pollReady()
         return;
     }
     eventq().schedule(&pollEvent_, curTick() + pollInterval_);
-    pollInterval_ = std::min(pollInterval_ * 2, params_.readyPollMax);
+    pollInterval_ = std::min(pollInterval_ * 2, readyPollMax);
 }
 
 void

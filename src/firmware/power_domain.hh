@@ -40,19 +40,9 @@ class PowerDomain : public SimObject,
                     public ckpt::Checkpointable
 {
   public:
-    struct Params
-    {
-        /** First device-ready poll after the rails are up. */
-        Tick readyPollFirst = microseconds(1);
-        /** Poll backoff cap (NVDIMM restores take a while). */
-        Tick readyPollMax = milliseconds(1);
-        /** Give up waiting for devices after this long. */
-        Tick readyTimeout = seconds(30);
-    };
-
     PowerDomain(const std::string &name, EventQueue &eq,
                 const ClockDomain &domain, stats::StatGroup *parent,
-                PowerSequencer &seq, const Params &params);
+                PowerSequencer &seq);
 
     ~PowerDomain() override;
 
@@ -110,7 +100,6 @@ class PowerDomain : public SimObject,
     void finishRestore(bool ok);
 
     PowerSequencer &seq_;
-    Params params_;
     std::vector<mem::MemoryDevice *> devices_;
     std::vector<std::function<void()>> cutHooks_;
     bool powered_ = true;

@@ -173,12 +173,6 @@ NvdimmDevice::segmentJoules() const
 }
 
 void
-NvdimmDevice::drainSupercap(double joules)
-{
-    energy_ = joules >= energy_ ? 0.0 : energy_ - joules;
-}
-
-void
 NvdimmDevice::powerLoss()
 {
     ++devStats_.powerLossEvents;

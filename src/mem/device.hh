@@ -291,10 +291,6 @@ class NvdimmDevice : public MemoryDevice
     /** Supercap energy one segment costs. */
     double segmentJoules() const;
 
-    /** Bleed @p joules off the supercap (campaign/test hook for
-     *  mid-save depletion). */
-    void drainSupercap(double joules);
-
     /** The backup flash (bad-block/wear inspection + injection). */
     FlashModel &flash() { return flash_; }
     const FlashModel &flash() const { return flash_; }

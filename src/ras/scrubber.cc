@@ -11,6 +11,9 @@ namespace
 /** Scrub granule: one 64-byte ECC line. */
 constexpr std::size_t lineSize = 64;
 static_assert(lineSize > 0);
+/** Time between scrub beats. */
+constexpr Tick period = microseconds(1);
+static_assert(period > 0);
 
 } // namespace
 
@@ -29,7 +32,6 @@ PatrolScrubber::PatrolScrubber(const std::string &name, EventQueue &eq,
               "multi-bit faults found by patrol"},
              {this, "scrubPasses", "complete sweeps of the region"}}
 {
-    ct_assert(params_.period > 0);
     ct_assert(params_.linesPerBeat > 0);
     if (params_.size == 0)
         params_.size = image_.capacity() - params_.base;
@@ -49,7 +51,7 @@ PatrolScrubber::start()
         return;
     running_ = true;
     if (!beatEvent_.scheduled())
-        eventq().schedule(&beatEvent_, curTick() + params_.period);
+        eventq().schedule(&beatEvent_, curTick() + period);
 }
 
 void
@@ -84,7 +86,7 @@ PatrolScrubber::beat()
             ++stats_.scrubPasses;
         }
     }
-    eventq().schedule(&beatEvent_, curTick() + params_.period);
+    eventq().schedule(&beatEvent_, curTick() + period);
 }
 
 } // namespace contutto::ras

@@ -27,8 +27,6 @@ class PatrolScrubber : public SimObject
   public:
     struct Params
     {
-        /** Time between scrub beats. */
-        Tick period = microseconds(1);
         /** Lines verified per beat. */
         unsigned linesPerBeat = 8;
         /** First byte of the scrubbed region. */

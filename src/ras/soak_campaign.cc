@@ -112,7 +112,6 @@ SoakCampaign::run(const Spec &spec, const std::atomic<bool> *cancel)
     // the campaign horizon (default is 20 us).
     p.cardParams.mbs.cmdTimeout = microseconds(5);
     p.ras.scrubEnabled = true;
-    p.ras.scrub.period = microseconds(1);
     p.ras.scrub.linesPerBeat = 64;
     p.ras.scrub.base = spec.faultBase;
     p.ras.scrub.size = spec.faultSize;

@@ -3,11 +3,26 @@
 namespace contutto::ras
 {
 
+namespace
+{
+
+/** Sliding window over which replays are counted. */
+constexpr Tick window = microseconds(2);
+/** Replays within the window that constitute a storm. */
+constexpr unsigned replayThreshold = 4;
+/**
+ * Minimum time between escalations, giving the previous
+ * repair a chance to take effect before judging it failed.
+ */
+constexpr Tick cooldown = microseconds(10);
+static_assert(window > 0 && replayThreshold > 0);
+
+} // namespace
+
 LinkWatchdog::LinkWatchdog(const std::string &name, EventQueue &eq,
                            const ClockDomain &domain,
-                           stats::StatGroup *parent,
-                           const Params &params)
-    : SimObject(name, eq, domain, parent), params_(params),
+                           stats::StatGroup *parent)
+    : SimObject(name, eq, domain, parent),
       stats_{{this, "replaysObserved", "replay events seen"},
              {this, "stormsDetected",
               "windows exceeding the replay threshold"},
@@ -16,9 +31,7 @@ LinkWatchdog::LinkWatchdog(const std::string &name, EventQueue &eq,
               "level-2 spare-lane activations"},
              {this, "degrades", "level-3 width degradations"},
              {this, "offlines", "level-4 channel offlines"}}
-{
-    ct_assert(params_.window > 0 && params_.replayThreshold > 0);
-}
+{}
 
 void
 LinkWatchdog::noteReplay()
@@ -27,9 +40,9 @@ LinkWatchdog::noteReplay()
     Tick now = curTick();
     recent_.push_back(now);
     while (!recent_.empty()
-           && recent_.front() + params_.window < now)
+           && recent_.front() + window < now)
         recent_.pop_front();
-    if (recent_.size() < params_.replayThreshold)
+    if (recent_.size() < replayThreshold)
         return;
     ++stats_.stormsDetected;
     if (now < nextAllowed_)
@@ -44,7 +57,7 @@ LinkWatchdog::escalate()
         return; // already offline; nothing further to try
     ++level_;
     recent_.clear();
-    nextAllowed_ = curTick() + params_.cooldown;
+    nextAllowed_ = curTick() + cooldown;
 
     const char *what = "";
     firmware::Severity sev = firmware::Severity::info;

@@ -35,19 +35,6 @@ namespace contutto::ras
 class LinkWatchdog : public SimObject
 {
   public:
-    struct Params
-    {
-        /** Sliding window over which replays are counted. */
-        Tick window = microseconds(2);
-        /** Replays within the window that constitute a storm. */
-        unsigned replayThreshold = 4;
-        /**
-         * Minimum time between escalations, giving the previous
-         * repair a chance to take effect before judging it failed.
-         */
-        Tick cooldown = microseconds(10);
-    };
-
     /** Repair actions, one per escalation level. */
     struct Actions
     {
@@ -58,8 +45,7 @@ class LinkWatchdog : public SimObject
     };
 
     LinkWatchdog(const std::string &name, EventQueue &eq,
-                 const ClockDomain &domain, stats::StatGroup *parent,
-                 const Params &params);
+                 const ClockDomain &domain, stats::StatGroup *parent);
 
     void setActions(Actions actions) { actions_ = std::move(actions); }
 
@@ -89,7 +75,6 @@ class LinkWatchdog : public SimObject
   private:
     void escalate();
 
-    Params params_;
     Actions actions_;
     firmware::ErrorLog *errorLog_ = nullptr;
     std::deque<Tick> recent_; ///< Replay times inside the window.

@@ -129,13 +129,6 @@ Json::getU64(const std::string &key, std::uint64_t def) const
     return v == nullptr ? def : v->asU64();
 }
 
-double
-Json::getDouble(const std::string &key, double def) const
-{
-    const Json *v = find(key);
-    return v == nullptr ? def : v->asDouble();
-}
-
 bool
 Json::getBool(const std::string &key, bool def) const
 {

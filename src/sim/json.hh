@@ -119,10 +119,6 @@ class Json
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::null; }
     bool isObject() const { return kind_ == Kind::object; }
-    bool isArray() const { return kind_ == Kind::array; }
-    bool isString() const { return kind_ == Kind::string; }
-    bool isNumber() const { return kind_ == Kind::number; }
-    bool isBool() const { return kind_ == Kind::boolean; }
 
     /** @{ Typed reads; a kind mismatch is a JsonError. */
     bool asBool() const;
@@ -159,7 +155,6 @@ class Json
     /** @{ Convenience: optional scalar member with default. */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t def) const;
-    double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
     std::string getString(const std::string &key,
                           const std::string &def) const;

@@ -62,7 +62,7 @@ CrashRecoveryCampaign::CrashRecoveryCampaign(const Spec &spec)
     control_ = std::make_unique<firmware::SystemCardControl>(*sys_);
     domain_ = std::make_unique<firmware::PowerDomain>(
         "power_domain", sys_->eventq(), sys_->nestDomain(),
-        sys_.get(), control_->power(), firmware::PowerDomain::Params{});
+        sys_.get(), control_->power());
     domain_->attachDevice(nv_);
 
     PmemBlockDevice::Params pp = PmemBlockDevice::Params::forNvdimm();

@@ -3,14 +3,25 @@
 namespace contutto::storage
 {
 
+namespace
+{
+
+/** Filesystem CPU cost per application write. */
+constexpr Tick fsOverhead = microseconds(6);
+/** Dirty blocks per sequential destage write. */
+constexpr unsigned destageBatch = 64;
+/** Dirty blocks allowed before application writes stall. */
+constexpr unsigned dirtyLimit = 8192;
+
+} // namespace
+
 GpfsWriteCache::GpfsWriteCache(const std::string &name,
                                EventQueue &eq,
                                const ClockDomain &domain,
                                stats::StatGroup *parent,
-                               const Params &params,
                                BlockDevice *cache,
                                BlockDevice &backing)
-    : SimObject(name, eq, domain, parent), params_(params),
+    : SimObject(name, eq, domain, parent),
       cache_(cache), backing_(backing),
       stats_{{this, "appWrites", "application writes completed"},
              {this, "destages", "sequential destage writes issued"},
@@ -37,7 +48,7 @@ GpfsWriteCache::appWrite(std::uint64_t lba, std::function<void()> done)
         // Direct mode: the small random write pays the disk's full
         // reposition cost.
         OneShotEvent::schedule(
-            eventq(), curTick() + params_.fsOverhead,
+            eventq(), curTick() + fsOverhead,
             [this, lba, finish] {
                 BlockRequest req;
                 req.lba = lba;
@@ -50,7 +61,7 @@ GpfsWriteCache::appWrite(std::uint64_t lba, std::function<void()> done)
         return;
     }
 
-    if (dirtyBlocks_ >= params_.dirtyLimit) {
+    if (dirtyBlocks_ >= dirtyLimit) {
         // Cache full: the application stalls until destage frees
         // room; retried after the next destage completes.
         ++stats_.stalls;
@@ -61,7 +72,7 @@ GpfsWriteCache::appWrite(std::uint64_t lba, std::function<void()> done)
     }
 
     OneShotEvent::schedule(
-        eventq(), curTick() + params_.fsOverhead,
+        eventq(), curTick() + fsOverhead,
         [this, finish] {
             // The write goes to the cache's log sequentially; small
             // random application writes become sequential cache
@@ -85,14 +96,14 @@ GpfsWriteCache::appWrite(std::uint64_t lba, std::function<void()> done)
 void
 GpfsWriteCache::maybeDestage()
 {
-    if (destaging_ || dirtyBlocks_ < params_.destageBatch)
+    if (destaging_ || dirtyBlocks_ < destageBatch)
         return;
     destaging_ = true;
     ++stats_.destages;
     BlockRequest req;
     req.lba = backingCursor_;
-    req.blocks = params_.destageBatch;
-    backingCursor_ = (backingCursor_ + params_.destageBatch)
+    req.blocks = destageBatch;
+    backingCursor_ = (backingCursor_ + destageBatch)
         % backing_.capacityBlocks();
     req.isWrite = true;
     req.onDone = [this](const BlockRequest &r) {

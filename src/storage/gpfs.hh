@@ -25,24 +25,13 @@ namespace contutto::storage
 class GpfsWriteCache : public SimObject
 {
   public:
-    struct Params
-    {
-        /** Filesystem CPU cost per application write. */
-        Tick fsOverhead = microseconds(6);
-        /** Dirty blocks per sequential destage write. */
-        unsigned destageBatch = 64;
-        /** Dirty blocks allowed before application writes stall. */
-        unsigned dirtyLimit = 8192;
-    };
-
     /**
      * @param cache fast persistent store, or null for direct mode.
      * @param backing the hard disk.
      */
     GpfsWriteCache(const std::string &name, EventQueue &eq,
                    const ClockDomain &domain,
-                   stats::StatGroup *parent, const Params &params,
-                   BlockDevice *cache, BlockDevice &backing);
+                   stats::StatGroup *parent, BlockDevice *cache, BlockDevice &backing);
 
     /** One small random application write. */
     void appWrite(std::uint64_t lba, std::function<void()> done);
@@ -61,7 +50,6 @@ class GpfsWriteCache : public SimObject
   private:
     void maybeDestage();
 
-    Params params_;
     BlockDevice *cache_;
     BlockDevice &backing_;
     unsigned dirtyBlocks_ = 0;

@@ -176,7 +176,7 @@ PmemBlockDevice::issueLines(const BlockRequest &req)
         for (unsigned b = 0; b < req.blocks; ++b)
             issued_[req.lba + b] = currentSeq_;
 
-    Addr base = params_.regionBase + req.lba * blockSize;
+    Addr base = req.lba * blockSize;
     for (unsigned i = 0; i < total; ++i) {
         Addr addr = base + Addr(i) * dmi::cacheLineSize;
         auto line_done = [this](const cpu::HostOpResult &r) {
@@ -234,7 +234,7 @@ PmemBlockDevice::verifyBlock(std::uint64_t lba)
 
     unsigned lines_per_block =
         unsigned(blockSize / dmi::cacheLineSize);
-    Addr base = params_.regionBase + lba * blockSize;
+    Addr base = lba * blockSize;
 
     unsigned valid = 0;
     bool mixed = false;

@@ -63,8 +63,6 @@ class PmemBlockDevice : public BlockDevice, public ckpt::Checkpointable
   public:
     struct Params
     {
-        /** Physical base of the persistent region. */
-        Addr regionBase = 0;
         std::uint64_t capacityBlocks =
             256ull * 1024 * 1024 / blockSize;
         /** Driver CPU cost per 4 KiB op (pmem block path; the read

@@ -5,11 +5,27 @@
 namespace contutto::storage
 {
 
+namespace
+{
+
+constexpr std::uint64_t diskBlocks = 1100ull * 1000 * 1000 * 1000
+    / blockSize; // 1.1 TB
+constexpr double rpm = 7200;
+constexpr Tick avgSeek = microseconds(12000);
+constexpr Tick trackToTrackSeek = microseconds(700);
+/** Media transfer rate, bytes/second. */
+constexpr double mediaRate = 150e6;
+/** SAS link + controller overhead per command. */
+constexpr Tick commandOverhead = microseconds(60);
+/** LBA distance still counted as "sequential". */
+constexpr std::uint64_t sequentialWindow = 256;
+
+} // namespace
+
 HddDevice::HddDevice(const std::string &name, EventQueue &eq,
                      const ClockDomain &domain,
-                     stats::StatGroup *parent, const Params &params)
-    : BlockDevice(name, eq, domain, parent, params.capacityBlocks),
-      params_(params),
+                     stats::StatGroup *parent)
+    : BlockDevice(name, eq, domain, parent, diskBlocks),
       doneEvent_([this] {
           complete(current_);
           busy_ = false;
@@ -35,28 +51,28 @@ HddDevice::serviceTime(const BlockRequest &req) const
         ? req.lba - headLba_
         : headLba_ - req.lba;
     Tick seek;
-    if (distance <= params_.sequentialWindow) {
+    if (distance <= sequentialWindow) {
         seek = 0;
     } else {
         double frac =
             double(distance) / double(capacityBlocks_);
-        seek = params_.trackToTrackSeek
-            + Tick(frac * 2.0 * double(params_.avgSeek));
-        if (seek > 2 * params_.avgSeek)
-            seek = 2 * params_.avgSeek;
+        seek = trackToTrackSeek
+            + Tick(frac * 2.0 * double(avgSeek));
+        if (seek > 2 * avgSeek)
+            seek = 2 * avgSeek;
     }
 
     // Rotational latency: half a revolution on average after a
     // seek, none for sequential continuation.
     Tick rotation = 0;
     if (seek > 0) {
-        double rev_s = 60.0 / params_.rpm;
+        double rev_s = 60.0 / rpm;
         rotation = Tick(rev_s / 2.0 * 1e12);
     }
 
     double bytes = double(req.blocks) * blockSize;
-    Tick transfer = Tick(bytes / params_.mediaRate * 1e12);
-    return params_.commandOverhead + seek + rotation + transfer;
+    Tick transfer = Tick(bytes / mediaRate * 1e12);
+    return commandOverhead + seek + rotation + transfer;
 }
 
 void
@@ -77,9 +93,9 @@ HddDevice::startNext()
     current_ = std::move(queue_.front());
     queue_.pop_front();
     Tick service = serviceTime(current_);
-    if (service > params_.commandOverhead
+    if (service > commandOverhead
                       + Tick(double(current_.blocks) * blockSize
-                             / params_.mediaRate * 1e12))
+                             / mediaRate * 1e12))
         ++seeks_;
     else
         ++sequentialHits_;

@@ -22,24 +22,8 @@ namespace contutto::storage
 class HddDevice : public BlockDevice
 {
   public:
-    struct Params
-    {
-        std::uint64_t capacityBlocks = 1100ull * 1000 * 1000 * 1000
-            / blockSize; // 1.1 TB
-        double rpm = 7200;
-        Tick avgSeek = microseconds(12000);
-        Tick trackToTrackSeek = microseconds(700);
-        /** Media transfer rate, bytes/second. */
-        double mediaRate = 150e6;
-        /** SAS link + controller overhead per command. */
-        Tick commandOverhead = microseconds(60);
-        /** LBA distance still counted as "sequential". */
-        std::uint64_t sequentialWindow = 256;
-    };
-
     HddDevice(const std::string &name, EventQueue &eq,
-              const ClockDomain &domain, stats::StatGroup *parent,
-              const Params &params);
+              const ClockDomain &domain, stats::StatGroup *parent);
 
     ~HddDevice() override;
 
@@ -53,7 +37,6 @@ class HddDevice : public BlockDevice
     void startNext();
     Tick serviceTime(const BlockRequest &req) const;
 
-    Params params_;
     std::deque<BlockRequest> queue_;
     bool busy_ = false;
     std::uint64_t headLba_ = 0;

@@ -23,9 +23,8 @@ struct AccelRig
 
     AccelRig()
         : sys(makeParams()), complexPtr(makeComplex(sys)),
-          driverPtr(std::make_unique<AccelDriver>(
-              sys, *complexPtr,
-              AccelDriver::Params{256 * MiB, microseconds(1)})),
+          driverPtr(std::make_unique<AccelDriver>(sys, *complexPtr,
+                                                  256 * MiB)),
           complex(*complexPtr), driver(*driverPtr)
     {}
 

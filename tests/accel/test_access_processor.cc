@@ -129,9 +129,7 @@ TEST(AccessProcessor, SetMapRedirectsLineStreams)
     std::vector<std::uint8_t> blob(256);
     for (std::size_t i = 0; i < blob.size(); ++i)
         blob[i] = std::uint8_t(i + 1);
-    AccelDriver driver(rig.sys, *rig.complex,
-                       AccelDriver::Params{128 * MiB,
-                                           microseconds(1)});
+    AccelDriver driver(rig.sys, *rig.complex, 128 * MiB);
     driver.stageMapped(MapMode::port0Linear, 0, blob.size(),
                        blob.data());
 

@@ -46,8 +46,7 @@ struct BusRig
     AvalonBus bus;
     ScratchSlave scratch;
 
-    explicit BusRig(AvalonBus::Params p = {})
-        : bus("avalon", eq, fabric, &root, p)
+    BusRig() : bus("avalon", eq, fabric, &root)
     {
         bus.attach(scratch, AddressRange{0x10000, 0x10000});
     }
@@ -73,9 +72,7 @@ TEST(AvalonBus, DecodesToSlaveRelativeAddress)
 
 TEST(AvalonBus, CdcLatencyAppliedBothWays)
 {
-    AvalonBus::Params p;
-    p.cdcCycles = 4;
-    BusRig rig(p);
+    BusRig rig;
     auto &port = rig.bus.createPort("rd0");
     auto req = std::make_shared<MemRequest>();
     req->addr = 0x10000;
@@ -83,8 +80,8 @@ TEST(AvalonBus, CdcLatencyAppliedBothWays)
     req->onDone = [&](MemRequest &) { done_at = rig.eq.curTick(); };
     port.submit(req);
     rig.eq.run(microseconds(1));
-    // 2 x 4 cycles of CDC at 4 ns = at least 32 ns.
-    EXPECT_GE(done_at, nanoseconds(32));
+    // 2 x 6 cycles of CDC at 4 ns: 48 ns.
+    EXPECT_EQ(done_at, nanoseconds(48));
 }
 
 TEST(AvalonBus, UnmappedAccessCompletesWithZeros)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dmi/channel.hh"
@@ -28,7 +29,6 @@ struct LinkPair
     BufferLink buffer;
 
     explicit LinkPair(double error_rate = 0.0,
-                      HostLink::Params host_params = {},
                       BufferLink::Params buffer_params = {})
         : down("down", eq, fabric, &root,
                DmiChannel::Params{14, 125, nanoseconds(1), error_rate,
@@ -36,7 +36,7 @@ struct LinkPair
           up("up", eq, fabric, &root,
              DmiChannel::Params{21, 125, nanoseconds(1), error_rate,
                                 202}),
-          host("host", eq, nest, &root, host_params, down, up),
+          host("host", eq, nest, &root, {}, down, up),
           buffer("buffer", eq, fabric, &root, buffer_params, up, down)
     {}
 };
@@ -177,7 +177,7 @@ TEST(Link, FreezeWorkaroundRepeatsLastFrameBeforeReplay)
 {
     BufferLink::Params bp;
     bp.freezeRepeats = 4; // ConTutto's replay-switch cover frames
-    LinkPair lp(0.0, {}, bp);
+    LinkPair lp(0.0, bp);
 
     int host_frames = 0;
     lp.host.onFrame = [&](const UpFrame &) { ++host_frames; };
@@ -249,23 +249,28 @@ TEST(Link, InOrderExactlyOnceUnderRandomErrors)
 
 TEST(Link, WindowLimitQueuesWithoutLoss)
 {
-    HostLink::Params hp;
-    hp.windowLimit = 8; // tiny window forces internal queueing
-    LinkPair lp(0.0, hp);
+    // One burst well past the window forces internal queueing.
+    constexpr int frames = 300;
+    static_assert(frames > int(HostLink::windowLimit));
+    LinkPair lp;
     std::vector<std::uint8_t> tags;
     lp.buffer.onFrame =
         [&](const DownFrame &f) { tags.push_back(f.tag); };
 
-    for (int i = 0; i < 100; ++i) {
+    for (int i = 0; i < frames; ++i) {
         DownFrame f;
         f.type = FrameType::command;
         f.cmdType = CmdType::read128;
         f.tag = std::uint8_t(i % 32);
         lp.host.sendFrame(f);
     }
-    lp.eq.run(milliseconds(1));
-    ASSERT_EQ(tags.size(), 100u);
-    for (int i = 0; i < 100; ++i)
+    unsigned most_unacked = 0;
+    while (lp.eq.curTick() < milliseconds(1) && lp.eq.step())
+        most_unacked = std::max(most_unacked, lp.host.unackedFrames());
+    // The window fills exactly, and never overfills.
+    EXPECT_EQ(most_unacked, HostLink::windowLimit);
+    ASSERT_EQ(tags.size(), std::size_t(frames));
+    for (int i = 0; i < frames; ++i)
         EXPECT_EQ(tags[i], i % 32);
 }
 

@@ -156,7 +156,7 @@ struct WarmRig : BootRig
     explicit WarmRig(Power8System::Params p)
         : BootRig(p),
           domain("domain", sys.eventq(), sys.nestDomain(), &sys,
-                 control.power(), PowerDomain::Params{})
+                 control.power())
     {
         domain.attachDevice(&sys.dimm(0));
         domain.attachDevice(&sys.dimm(1));

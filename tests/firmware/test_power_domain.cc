@@ -1,10 +1,14 @@
 /**
  * @file
  * PowerSequencer re-entrancy and PowerDomain fan-out tests: cut
- * ordering, brownout ride-through/outage, and restore sequencing.
+ * ordering, brownout ride-through/outage, restore sequencing, and
+ * the device-ready timeout.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "firmware/power_domain.hh"
 
@@ -88,8 +92,7 @@ struct DomainRig
 
     DomainRig()
         : seq("seq", eq, nest, &root, contuttoRails()),
-          domain("domain", eq, nest, &root, seq,
-                 PowerDomain::Params{}),
+          domain("domain", eq, nest, &root, seq),
           nv("nv", eq, ddr, &root, 1 * MiB, {})
     {
         domain.attachDevice(&nv);
@@ -216,6 +219,72 @@ TEST(PowerDomain, CutDuringRestoreFailsItThenRetrySucceeds)
     EXPECT_TRUE(done2);
     EXPECT_TRUE(ok2);
     EXPECT_TRUE(rig.domain.powered());
+}
+
+/** A module that never comes back: every poll sees it not ready,
+ *  and it records when each poll looked. */
+class NeverReadyDevice : public mem::DramDevice
+{
+  public:
+    using DramDevice::DramDevice;
+
+    bool
+    ready() const override
+    {
+        polls.push_back(curTick());
+        return false;
+    }
+
+    mutable std::vector<Tick> polls;
+};
+
+TEST(PowerDomain, RestoreTimesOutWhenADeviceNeverGetsReady)
+{
+    EventQueue eq;
+    ClockDomain nest{"nest", 500};
+    stats::StatGroup root{"root"};
+    PowerSequencer seq("seq", eq, nest, &root, contuttoRails());
+    PowerDomain domain("domain", eq, nest, &root, seq);
+    NeverReadyDevice dev("dev", eq, nest, &root, 64 * KiB);
+    domain.attachDevice(&dev);
+
+    domain.powerCut();
+    eq.run(eq.curTick() + seq.powerDownTime() + milliseconds(1));
+    ASSERT_TRUE(dev.polls.empty());
+
+    bool done = false, ok = true;
+    Tick done_at = 0;
+    domain.powerRestore([&](bool k) {
+        done = true;
+        ok = k;
+        done_at = eq.curTick();
+    });
+    eq.run(eq.curTick() + seq.powerUpTime() + seconds(31));
+
+    ASSERT_TRUE(done);
+    EXPECT_FALSE(ok);
+    EXPECT_FALSE(domain.powered());
+    EXPECT_FALSE(domain.restoring());
+    EXPECT_EQ(domain.domainStats().failedRestores.value(), 1.0);
+    EXPECT_EQ(domain.domainStats().restores.value(), 0.0);
+
+    // The first poll is the moment the rails came up; the poll that
+    // gives up is the first one at or past the 30 s budget, so at
+    // most one (capped) poll interval late.
+    ASSERT_GE(dev.polls.size(), 2u);
+    const Tick rails_up = dev.polls.front();
+    EXPECT_EQ(dev.polls.back(), done_at);
+    EXPECT_GE(done_at - rails_up, seconds(30));
+    EXPECT_LT(done_at - rails_up, seconds(30) + milliseconds(1));
+    EXPECT_LT(dev.polls[dev.polls.size() - 2] - rails_up, seconds(30));
+
+    // Backoff: 1 us, doubling each poll, capped at 1 ms.
+    Tick expect = microseconds(1);
+    for (std::size_t i = 1; i < dev.polls.size(); ++i) {
+        ASSERT_EQ(dev.polls[i] - dev.polls[i - 1], expect)
+            << "poll " << i;
+        expect = std::min(expect * 2, milliseconds(1));
+    }
 }
 
 } // namespace

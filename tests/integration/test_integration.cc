@@ -71,9 +71,7 @@ TEST(Integration, CpuAndAcceleratorShareDimmBandwidth)
     accel::AccelComplex complex("accel", sys.eventq(),
                                 sys.fabricDomain(), &sys, *sys.card(),
                                 2ull * GiB);
-    accel::AccelDriver driver(
-        sys, complex, accel::AccelDriver::Params{256 * MiB,
-                                                 microseconds(1)});
+    accel::AccelDriver driver(sys, complex, 256 * MiB);
 
     auto scan_time = [&](bool with_cpu_traffic) {
         bool done = false;

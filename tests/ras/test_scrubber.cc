@@ -36,7 +36,6 @@ TEST(Scrubber, RepairsLatentSingleBitFaults)
         b.image.injectBitFlip(a, unsigned(a % 64));
 
     PatrolScrubber::Params p;
-    p.period = microseconds(1);
     p.linesPerBeat = 64;
     p.size = 64 * KiB;
     PatrolScrubber scrub("scrub", b.eq, b.ddr, &b.root, p, b.image);
@@ -66,7 +65,6 @@ TEST(Scrubber, ReportsUncorrectableLinesToErrorLog)
     b.image.injectBitFlip(0x2000, 60);
 
     PatrolScrubber::Params p;
-    p.period = microseconds(1);
     p.linesPerBeat = 64;
     p.size = 16 * KiB;
     PatrolScrubber scrub("scrub", b.eq, b.ddr, &b.root, p, b.image);
@@ -84,7 +82,6 @@ TEST(Scrubber, StopHaltsAndStartResumes)
     ScrubBench b;
     b.image.write64(0, 1);
     PatrolScrubber::Params p;
-    p.period = microseconds(1);
     p.linesPerBeat = 1;
     p.size = 64 * KiB;
     PatrolScrubber scrub("scrub", b.eq, b.ddr, &b.root, p, b.image);
@@ -112,7 +109,6 @@ TEST(Scrubber, ScrubsOnlyTheConfiguredWindow)
     b.image.injectBitFlip(0x10000, 2);
 
     PatrolScrubber::Params p;
-    p.period = microseconds(1);
     p.linesPerBeat = 16;
     p.base = 0x10000;
     p.size = 4 * KiB;

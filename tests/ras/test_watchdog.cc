@@ -24,8 +24,7 @@ struct WatchdogBench
     LinkWatchdog dog;
     std::vector<std::string> calls;
 
-    explicit WatchdogBench(LinkWatchdog::Params p = {})
-        : dog("dog", eq, nest, &root, p)
+    WatchdogBench() : dog("dog", eq, nest, &root)
     {
         LinkWatchdog::Actions a;
         a.retrain = [this] { calls.push_back("retrain"); };
@@ -49,10 +48,7 @@ struct WatchdogBench
 
 TEST(Watchdog, SparseReplaysDoNotEscalate)
 {
-    LinkWatchdog::Params p;
-    p.window = microseconds(2);
-    p.replayThreshold = 4;
-    WatchdogBench b(p);
+    WatchdogBench b;
 
     // One replay every 3 us: never 4 inside any 2 us window.
     for (int i = 0; i < 10; ++i)
@@ -83,9 +79,7 @@ TEST(Watchdog, StormTriggersRetrainFirst)
 
 TEST(Watchdog, CooldownGatesBackToBackEscalations)
 {
-    LinkWatchdog::Params p;
-    p.cooldown = microseconds(10);
-    WatchdogBench b(p);
+    WatchdogBench b;
 
     b.replaysAt(microseconds(1), 4); // storm -> level 1
     b.replaysAt(microseconds(2), 4); // within cooldown: detected only
@@ -98,9 +92,7 @@ TEST(Watchdog, CooldownGatesBackToBackEscalations)
 
 TEST(Watchdog, LadderRunsRetrainSpareDegradeOffline)
 {
-    LinkWatchdog::Params p;
-    p.cooldown = microseconds(10);
-    WatchdogBench b(p);
+    WatchdogBench b;
 
     // A storm every 20 us, each past the previous cooldown.
     for (int i = 0; i < 6; ++i)

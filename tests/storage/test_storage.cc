@@ -37,7 +37,7 @@ mramSystem()
 TEST(Hdd, RandomWritesCostSeekPlusRotation)
 {
     DevRig rig;
-    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root, {});
+    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root);
     FioEngine::Params fp;
     fp.ops = 50;
     fp.readFraction = 0.0;
@@ -51,7 +51,7 @@ TEST(Hdd, RandomWritesCostSeekPlusRotation)
 TEST(Hdd, SequentialIsFarFasterThanRandom)
 {
     DevRig rig;
-    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root, {});
+    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root);
     int done = 0;
     Tick t0 = rig.eq.curTick();
     std::function<void(int)> next = [&](int i) {
@@ -190,9 +190,9 @@ TEST(Pmem, DmiAttachBeatsPcieOnLatency)
 TEST(Gpfs, DirectHddIsSeventyFiveIopsClass)
 {
     DevRig rig;
-    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root, {});
-    GpfsWriteCache gpfs("gpfs", rig.eq, rig.d, &rig.root, {},
-                        nullptr, hdd);
+    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root);
+    GpfsWriteCache gpfs("gpfs", rig.eq, rig.d, &rig.root, nullptr,
+                        hdd);
     Rng rng(1);
     int done = 0;
     Tick t0 = rig.eq.curTick();
@@ -215,11 +215,10 @@ TEST(Gpfs, DirectHddIsSeventyFiveIopsClass)
 TEST(Gpfs, CacheAggregatesIntoSequentialDestages)
 {
     DevRig rig;
-    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root, {});
+    HddDevice hdd("hdd", rig.eq, rig.d, &rig.root);
     FlatLatencyDevice ssd("ssd", rig.eq, rig.d, &rig.root,
                           FlatLatencyDevice::sasSsd());
-    GpfsWriteCache gpfs("gpfs", rig.eq, rig.d, &rig.root, {}, &ssd,
-                        hdd);
+    GpfsWriteCache gpfs("gpfs", rig.eq, rig.d, &rig.root, &ssd, hdd);
     Rng rng(2);
     int done = 0;
     std::function<void()> next = [&] {
@@ -246,9 +245,9 @@ TEST(Gpfs, MramCacheReachesTable4Class)
     Power8System sys(mramSystem());
     ASSERT_TRUE(sys.train());
     PmemBlockDevice pmem("pmem", sys, &sys, {});
-    HddDevice hdd("hdd", sys.eventq(), sys.nestDomain(), &sys, {});
+    HddDevice hdd("hdd", sys.eventq(), sys.nestDomain(), &sys);
     GpfsWriteCache gpfs("gpfs", sys.eventq(), sys.nestDomain(), &sys,
-                        {}, &pmem, hdd);
+                        &pmem, hdd);
     Rng rng(3);
     int done = 0;
     Tick t0 = sys.eventq().curTick();
