@@ -24,16 +24,22 @@
  * bench/baselines/BENCH_trace.json; each replayed system's simulated
  * stat tree is captured as "sampled" and "detailed" and gated
  * against bench/baselines/BENCH_trace_sim.json. sim/heap_count.hh
- * counts the detailed replay's heap allocations per record. The
+ * counts the detailed replay's heap allocations per record, and
+ * checksumSpeedup races byte-wise FNV-1a against ckpt::WordSum, the
+ * trace's integrity sum, over the mapped file (the median of 5
+ * alternating pairs; a same-process ratio, so any host can gate
+ * it). The
  * stats-JSON's configHash covers the trace's content checksum and
  * the flags that do not name files, so one trace gives one hash
  * wherever it lies.
  */
 
+#include <algorithm>
 #include <chrono>
 
 #include "bench_util.hh"
 #include "cpu/trace_replay.hh"
+#include "sim/checkpoint.hh"
 #include "sim/heap_count.hh"
 #include "trace/generate.hh"
 #include "trace/reader.hh"
@@ -91,6 +97,47 @@ runTimed(bench::Telemetry &tm, const std::string &label,
     return wallSec(t0, t1);
 }
 
+/** Checksum races; odd, so the median is one race's ratio. */
+constexpr int checksumPairs = 5;
+
+/**
+ * Byte-wise FNV-1a over @p bin's mapped bytes against WordSum over
+ * the same bytes, checksumPairs times, alternating which runs first;
+ * returns the median of the per-pair fnv1a/WordSum time ratios.
+ */
+double
+checksumSpeedup(const trace::MappedTrace &bin)
+{
+    const std::size_t len = bin.fileBytes() - 8;
+    auto fnvSec = [&] {
+        auto t0 = std::chrono::steady_clock::now();
+        (void)ckpt::fnv1a(bin.data(), len);
+        return wallSec(t0, std::chrono::steady_clock::now());
+    };
+    auto wordSec = [&] {
+        auto t0 = std::chrono::steady_clock::now();
+        const std::uint64_t sum = ckpt::WordSum::of(bin.data(), len);
+        const double sec = wallSec(t0, std::chrono::steady_clock::now());
+        ct_assert(sum == bin.checksum());
+        return sec;
+    };
+    std::vector<double> ratio;
+    for (int i = 0; i < checksumPairs; ++i) {
+        double fnv, word;
+        if (i % 2 == 0) {
+            fnv = fnvSec();
+            word = wordSec();
+        } else {
+            word = wordSec();
+            fnv = fnvSec();
+        }
+        ratio.push_back(word > 0 ? fnv / word : 0);
+    }
+    std::nth_element(ratio.begin(), ratio.begin() + checksumPairs / 2,
+                     ratio.end());
+    return ratio[checksumPairs / 2];
+}
+
 } // namespace
 
 int
@@ -138,7 +185,10 @@ main(int argc, char **argv)
     const double decodeOps =
         decodeSec > 0 ? records / decodeSec : 0;
 
-    // 2. Sampled timed replay — the gated throughput figure.
+    // 2. The integrity sum against byte-wise FNV-1a.
+    const double sumSpeedup = checksumSpeedup(bin);
+
+    // 3. Sampled timed replay — the gated throughput figure.
     sim::SamplingConfig sampling = tm.samplingConfig();
     sampling.enabled = true;
     cpu::TimedTraceReplayer::Result sampledR;
@@ -149,7 +199,7 @@ main(int argc, char **argv)
     const double sampledOps =
         sampledSec > 0 ? records / sampledSec : 0;
 
-    // 3. Detailed timed replay, optionally recapturing itself.
+    // 4. Detailed timed replay, optionally recapturing itself.
     std::unique_ptr<trace::CaptureSink> sink;
     if (!recapturePath.empty())
         sink = std::make_unique<trace::CaptureSink>(recapturePath);
@@ -192,6 +242,9 @@ main(int argc, char **argv)
                 sampledEventsPerRecord);
     std::printf("%-10s %10.3fs %12.0f  (%.3f events/record)\n",
                 "detailed", detailedSec, detailedOps, eventsPerRecord);
+    std::printf("checksum   WordSum %.2fx faster than byte-wise "
+                "FNV-1a (median of %d pairs)\n",
+                sumSpeedup, checksumPairs);
     std::printf("\ntrace span %llu ps | sampled runtime %llu ps | "
                 "detailed runtime %llu ps\n",
                 (unsigned long long)span,
@@ -222,6 +275,10 @@ main(int argc, char **argv)
                          "heap allocations per record in the "
                          "full-detail replay",
                          [&] { return allocsPerRecord; });
+    stats::Value sumSpeedupV(&root, "checksumSpeedup",
+                             "byte-wise FNV-1a time over WordSum time "
+                             "on the mapped trace (median of 5 pairs)",
+                             [&] { return sumSpeedup; });
     stats::Value matchV(
         &root, "recaptureMatch",
         "1 when the recaptured trace matched the input byte for "

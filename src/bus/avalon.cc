@@ -83,8 +83,7 @@ AvalonBus::Port::pump()
 {
     if (queue_.empty())
         return;
-    mem::MemRequestPtr req = queue_.front();
-    queue_.pop_front();
+    mem::MemRequestPtr req = queue_.pop_front();
     bus_.dispatch(req);
     nextIssueAt_ = bus_.clockEdge(portIssueCycles);
     if (!queue_.empty())

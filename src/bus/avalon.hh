@@ -17,12 +17,12 @@
 #ifndef CONTUTTO_BUS_AVALON_HH
 #define CONTUTTO_BUS_AVALON_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/request.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 
 namespace contutto::bus
@@ -94,7 +94,7 @@ class AvalonBus : public SimObject
 
         AvalonBus &bus_;
         std::string name_;
-        std::deque<mem::MemRequestPtr> queue_;
+        sim::Ring<mem::MemRequestPtr> queue_;
         Tick nextIssueAt_ = 0;
         std::unique_ptr<EventFunctionWrapper> pumpEvent_;
     };

@@ -466,8 +466,7 @@ Mbs::upstreamPump()
     for (unsigned n = 0;
          n < upstreamFramesPerCycle && !upQueue_.empty();
          ++n) {
-        UpFrame f = upQueue_.front();
-        upQueue_.pop_front();
+        UpFrame f = upQueue_.pop_front();
         // Completion packing: adjacent done frames share a frame.
         if (f.type == FrameType::done) {
             while (f.doneCount < params_.doneTagsPerFrame

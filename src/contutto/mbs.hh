@@ -34,6 +34,7 @@
 #include "dmi/command_tags.hh"
 #include "dmi/link.hh"
 #include "sim/checkpoint.hh"
+#include "sim/ring.hh"
 
 namespace contutto::fpga
 {
@@ -194,7 +195,7 @@ class Mbs : public SimObject,
     std::deque<std::uint8_t> writeReady_[2];
     EventFunctionWrapper writeArbEvent_[2];
 
-    std::deque<dmi::UpFrame> upQueue_;
+    sim::Ring<dmi::UpFrame> upQueue_;
     EventFunctionWrapper upPumpEvent_;
 
     MbsStats stats_;

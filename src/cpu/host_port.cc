@@ -169,13 +169,13 @@ HostMemPort::abortInFlight()
         ts = TagState{};
     }
     inFlight_ = 0;
-    for (PendingOp &op : pending_) {
+    while (!pending_.empty()) {
+        PendingOp op = pending_.pop_front();
         if (op.cmd.traceId != noTraceId)
             span::closeAll(op.cmd.traceId, curTick());
         if (op.cb)
             callbacks.push_back(std::move(op.cb));
     }
-    pending_.clear();
 
     HostOpResult aborted;
     aborted.failed = true;
@@ -187,8 +187,7 @@ void
 HostMemPort::tryIssueQueued()
 {
     while (!pending_.empty() && inFlight_ < numTags) {
-        PendingOp op = std::move(pending_.front());
-        pending_.pop_front();
+        PendingOp op = pending_.pop_front();
         issue(std::move(op.cmd), std::move(op.cb), true);
     }
 }

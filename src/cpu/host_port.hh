@@ -13,11 +13,11 @@
 #ifndef CONTUTTO_CPU_HOST_PORT_HH
 #define CONTUTTO_CPU_HOST_PORT_HH
 
-#include <deque>
 #include <functional>
 
 #include "dmi/codec.hh"
 #include "dmi/link.hh"
+#include "sim/ring.hh"
 
 namespace contutto::cpu
 {
@@ -120,7 +120,7 @@ class HostMemPort : public SimObject
     dmi::ResponseAssembler assembler_;
     std::array<TagState, dmi::numTags> tags_{};
     unsigned inFlight_ = 0;
-    std::deque<PendingOp> pending_;
+    sim::Ring<PendingOp> pending_;
     PortStats stats_;
 };
 

@@ -71,8 +71,7 @@ LinkEndpoint<TxF, RxF>::pump()
 {
     bool sent_any = false;
     while (!sendQueue_.empty() && unacked_ < windowLimit) {
-        TxF f = std::move(sendQueue_.front());
-        sendQueue_.pop_front();
+        TxF f = sendQueue_.pop_front();
 
         f.seq = nextSeq_;
         f.seqValid = true;

@@ -27,11 +27,11 @@
 #define CONTUTTO_DMI_LINK_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 
 #include "dmi/channel.hh"
 #include "dmi/frame.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 
 namespace contutto::dmi
@@ -163,7 +163,7 @@ class LinkEndpoint : public SimObject, private FrameReceiver
     std::uint8_t lastAcked_ = 0xFF; ///< seq of newest acked frame.
     unsigned unacked_ = 0;
     std::array<ReplaySlot, 256> replayBuf_{};
-    std::deque<TxF> sendQueue_;
+    sim::Ring<TxF> sendQueue_;
     WireFrame lastSentWire_{};
     bool anySent_ = false;
 

@@ -72,7 +72,7 @@ Ddr3Controller::submit(const MemRequestPtr &req)
         panic("%s: request queue overflow", name().c_str());
     if (req->traceId != noTraceId)
         span::open(req->traceId, "ddr", curTick());
-    queue_.emplace_back(req, curTick());
+    queue_.push_back({req, curTick()});
     if (!issueEvent_.scheduled())
         eventq().schedule(&issueEvent_, curTick());
 }
@@ -82,8 +82,7 @@ Ddr3Controller::tryIssue()
 {
     const DramTiming &t = timing;
     while (!queue_.empty()) {
-        auto [req, submitted] = queue_.front();
-        queue_.pop_front();
+        auto [req, submitted] = queue_.pop_front();
         ++inFlight_;
 
         // Command reaches the bank scheduler after the controller's

@@ -20,10 +20,10 @@
 #define CONTUTTO_MEM_DDR3_CONTROLLER_HH
 
 #include <array>
-#include <deque>
 
 #include "mem/device.hh"
 #include "mem/request.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 
 namespace contutto::mem
@@ -110,7 +110,7 @@ class Ddr3Controller : public SimObject, public ckpt::Checkpointable
 
     Params params_;
     MemoryDevice &device_;
-    std::deque<std::pair<MemRequestPtr, Tick>> queue_;
+    sim::Ring<std::pair<MemRequestPtr, Tick>> queue_;
     std::array<Bank, numBanks> banks_{};
     Tick busFreeAt_ = 0;
     bool lastWasWrite_ = false;

@@ -45,6 +45,68 @@ fnv1a(const void *data, std::size_t len, std::uint64_t seed)
 namespace
 {
 
+/** One WordSum step (see checkpoint.hh). */
+inline std::uint64_t
+wordStep(std::uint64_t h, std::uint64_t w)
+{
+    h ^= w;
+    h *= 0x100000001b3ull;
+    return h ^ (h >> 29);
+}
+
+/** The little-endian word at @p p; GCC folds it into one load. */
+inline std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    return std::uint64_t(p[0]) | std::uint64_t(p[1]) << 8
+         | std::uint64_t(p[2]) << 16 | std::uint64_t(p[3]) << 24
+         | std::uint64_t(p[4]) << 32 | std::uint64_t(p[5]) << 40
+         | std::uint64_t(p[6]) << 48 | std::uint64_t(p[7]) << 56;
+}
+
+} // namespace
+
+WordSum &
+WordSum::update(const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    length_ += len;
+    while (tailBytes_ != 0 && len != 0) {
+        tail_ |= std::uint64_t(*p++) << (8 * tailBytes_);
+        --len;
+        if (++tailBytes_ == 8) {
+            h_ = wordStep(h_, tail_);
+            tail_ = 0;
+            tailBytes_ = 0;
+        }
+    }
+    std::uint64_t h = h_;
+    for (; len >= 8; len -= 8, p += 8)
+        h = wordStep(h, loadLe64(p));
+    h_ = h;
+    for (; len != 0; --len)
+        tail_ |= std::uint64_t(*p++) << (8 * tailBytes_++);
+    return *this;
+}
+
+std::uint64_t
+WordSum::value() const
+{
+    std::uint64_t h = h_;
+    if (tailBytes_ != 0)
+        h = wordStep(h, tail_);
+    return wordStep(h, length_);
+}
+
+std::uint64_t
+WordSum::of(const void *data, std::size_t len)
+{
+    return WordSum().update(data, len).value();
+}
+
+namespace
+{
+
 constexpr char kMagic[8] = {'C', 'T', 'C', 'K', 'P', 'T', '1', '\n'};
 
 // Grow, then copy: GCC 12 at -O3 misreads a range insert of a
@@ -153,10 +215,10 @@ Checkpoint::serialize() const
             reinterpret_cast<const std::uint8_t *>(s.name().data());
         out.insert(out.end(), np, np + s.name().size());
         appendU64(out, s.bytes().size());
-        appendU64(out, fnv1a(s.bytes().data(), s.bytes().size()));
+        appendU64(out, WordSum::of(s.bytes().data(), s.bytes().size()));
         out.insert(out.end(), s.bytes().begin(), s.bytes().end());
     }
-    appendU64(out, fnv1a(out.data(), out.size()));
+    appendU64(out, WordSum::of(out.data(), out.size()));
     return out;
 }
 
@@ -167,16 +229,10 @@ Checkpoint::deserialize(const std::vector<std::uint8_t> &raw)
                          + sizeof(std::uint64_t))
         throw Error("checkpoint file too short");
 
-    // Whole-file checksum first: everything after this is trusted to
-    // be at least the bytes that were written.
-    std::uint64_t stored;
-    std::memcpy(&stored,
-                raw.data() + raw.size() - sizeof(std::uint64_t),
-                sizeof(stored));
-    if (fnv1a(raw.data(), raw.size() - sizeof(std::uint64_t))
-        != stored)
-        throw Error("checkpoint file checksum mismatch (corrupt)");
-
+    // Identity and version first, so a file of another version is
+    // refused as such; then the whole-file checksum, after which
+    // everything is trusted to be at least the bytes that were
+    // written.
     Reader rd(raw);
     char magic[sizeof(kMagic)];
     rd.raw(magic, sizeof(magic));
@@ -187,6 +243,14 @@ Checkpoint::deserialize(const std::vector<std::uint8_t> &raw)
         throw Error("unsupported checkpoint format version "
                     + std::to_string(version) + " (expected "
                     + std::to_string(formatVersion) + ")");
+
+    std::uint64_t stored;
+    std::memcpy(&stored,
+                raw.data() + raw.size() - sizeof(std::uint64_t),
+                sizeof(stored));
+    if (WordSum::of(raw.data(), raw.size() - sizeof(std::uint64_t))
+        != stored)
+        throw Error("checkpoint file checksum mismatch (corrupt)");
 
     Checkpoint ck;
     std::uint32_t count = rd.u32();
@@ -202,7 +266,7 @@ Checkpoint::deserialize(const std::vector<std::uint8_t> &raw)
             throw Error("checkpoint file truncated");
         std::vector<std::uint8_t> payload(payloadLen);
         rd.raw(payload.data(), payloadLen);
-        if (fnv1a(payload.data(), payload.size()) != payloadSum)
+        if (WordSum::of(payload.data(), payload.size()) != payloadSum)
             throw Error("checkpoint section '" + name
                         + "' checksum mismatch (corrupt)");
         ck.add(name).setBytes(std::move(payload));

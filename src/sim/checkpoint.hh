@@ -8,13 +8,32 @@
  *
  *   magic "CTCKPT1\n" | u32 version | u32 sectionCount
  *   per section: u32 nameLen | name | u64 payloadLen
- *                | u64 fnv1a(payload) | payload
- *   u64 fnv1a(everything above)
+ *                | u64 WordSum(payload) | payload
+ *   u64 WordSum(everything above)
  *
  * so a truncated file, a flipped bit, or a section from a different
  * layout version is rejected at load time with a ckpt::Error — never
  * silently restored. Campaign drivers catch the error and fall back
- * to a cold start instead of resuming from garbage.
+ * to a cold start instead of resuming from garbage. The magic and
+ * version are checked before the file sum, so a file of another
+ * version is refused as such, not as corrupt.
+ *
+ * WordSum is the integrity sum of checkpoints and trace files (format
+ * version 4 and 2). It reads the input as little-endian 64-bit words
+ * w and, from h = the FNV-1a offset basis, applies
+ *
+ *   h ^= w;  h *= 0x100000001b3;  h ^= h >> 29
+ *
+ * then folds a zero-padded partial last word, if any, and the total
+ * byte length the same way. Each step is a bijection of h for a fixed
+ * word and maps different words to different states for a fixed h,
+ * so a change confined to one 8-byte word always changes the sum, as
+ * byte-wise FNV-1a guarantees for one byte, at one multiply per 8
+ * bytes instead of per byte. The shift is what makes it a checksum:
+ * without it the multiply never carries bit 63 downwards, so flipping
+ * bit 63 of two different words cancels out. fnv1a stays for identity
+ * hashes (config hashes, memo keys, fingerprints, sampler streams),
+ * whose values are recorded outside any one file and must not move.
  *
  * State capture follows a three-phase protocol, keyed to the fact
  * that checkpoints are only taken at *quiescent boundaries* (no
@@ -64,9 +83,37 @@ class Error : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** FNV-1a over @p len bytes, continuing from @p seed. */
+/** FNV-1a over @p len bytes, continuing from @p seed: the identity
+ *  hash (see the file comment). */
 std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = 0xcbf29ce484222325ull);
+
+/**
+ * Streaming integrity sum of trace and checkpoint files: FNV-1a
+ * taken a 64-bit word at a time (see the file comment). Feed bytes
+ * in any split with update(); value() is the same as of() over
+ * their concatenation.
+ */
+class WordSum
+{
+  public:
+    /** Fold @p len more bytes. */
+    WordSum &update(const void *data, std::size_t len);
+
+    /** The sum of every byte folded so far; the stream continues. */
+    std::uint64_t value() const;
+
+    /** One-shot sum of @p len bytes. */
+    static std::uint64_t of(const void *data, std::size_t len);
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+    /** Bytes of the unfinished word, little-endian, and their
+     *  count (0-7). */
+    std::uint64_t tail_ = 0;
+    unsigned tailBytes_ = 0;
+    std::uint64_t length_ = 0;
+};
 
 namespace testing
 {
@@ -246,7 +293,7 @@ class Section
 class Checkpoint
 {
   public:
-    static constexpr std::uint32_t formatVersion = 3;
+    static constexpr std::uint32_t formatVersion = 4;
 
     /** Append a new section; names must be unique. */
     Section &add(const std::string &name);

@@ -23,10 +23,16 @@
  *           u32 reserved    must be zero
  *   footer  (16 B)  u64 recordCount | u64 checksum
  *
- * The checksum is FNV-1a over every byte that precedes it (header,
- * all records, and the recordCount field), so a truncated file, a
- * flipped bit anywhere, or a miscounted footer is rejected at open
- * with a typed trace::Error — never replayed as silent garbage.
+ * The checksum is ckpt::WordSum (sim/checkpoint.hh: FNV-1a taken a
+ * 64-bit word at a time, with a shift that carries each multiply's
+ * high bits down) over every byte that precedes it: the header, all
+ * records, and the recordCount field, each a whole number of words.
+ * A truncated file, a flipped bit anywhere, or a miscounted footer is
+ * rejected at open with a typed trace::Error — never replayed as
+ * silent garbage. Version 1 sealed the same layout with byte-wise
+ * FNV-1a, at one multiply per byte; its files are refused as
+ * badVersion (an older build's `trace_tool convert --to=text` turns
+ * one into text, which carries no version).
  */
 
 #ifndef CONTUTTO_TRACE_FORMAT_HH
@@ -106,7 +112,7 @@ constexpr char fileMagic[8] = {'C', 'T', 'M', 'T', 'R', 'C', '1',
                                '\n'};
 
 /** Current format version. */
-constexpr std::uint32_t formatVersion = 1;
+constexpr std::uint32_t formatVersion = 2;
 
 /** The largest sane sizeLog2 (4 KiB); larger marks a bad record. */
 constexpr std::uint8_t maxSizeLog2 = 12;
@@ -120,7 +126,7 @@ enum class ErrorCode
     badVersion,  ///< format version this decoder does not speak
     badLength,   ///< byte length not header + N*record + footer
     badCount,    ///< footer recordCount disagrees with the length
-    badChecksum, ///< FNV-1a mismatch: corruption or truncation
+    badChecksum, ///< WordSum mismatch: corruption or truncation
     badRecord,   ///< record payload invalid (op/size/reserved)
     shortWrite,  ///< writer could not land every byte durably
 };

@@ -80,7 +80,7 @@ MappedTrace::MappedTrace(const std::string &path) : path_(path)
                     + std::to_string(body / recordBytes));
 
         std::memcpy(&checksum_, footer + 8, sizeof(checksum_));
-        std::uint64_t sum = ckpt::fnv1a(map_, len_ - 8);
+        std::uint64_t sum = ckpt::WordSum::of(map_, len_ - 8);
         if (sum != checksum_)
             throw Error(ErrorCode::badChecksum,
                         "'" + path + "' checksum mismatch: file "

@@ -3,7 +3,7 @@
  * mmap-backed trace decoder/validator.
  *
  * MappedTrace maps the whole file read-only and validates structure
- * (magic, version, byte length, record count, end-to-end FNV-1a)
+ * (magic, version, byte length, record count, end-to-end WordSum)
  * before a single record is surfaced, so downstream code can stream
  * records straight out of the page cache with zero copies — the
  * layer the replay path's millions-of-ops-per-second figure rests
@@ -47,6 +47,8 @@ class MappedTrace
     std::uint64_t checksum() const { return checksum_; }
     const std::string &path() const { return path_; }
     std::size_t fileBytes() const { return len_; }
+    /** The mapped file, fileBytes() long. */
+    const std::uint8_t *data() const { return map_; }
 
     /** Decode record @p i (0-based). @throw Error(badRecord). */
     Record

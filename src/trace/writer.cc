@@ -5,7 +5,6 @@
 
 #include <cstdio>
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace contutto::trace
@@ -46,7 +45,7 @@ TraceWriter::TraceWriter(std::string path, const Options &options)
     std::uint8_t header[headerBytes];
     encodeHeader(header);
     buf_.insert(buf_.end(), header, header + headerBytes);
-    checksum_ = ckpt::fnv1a(header, headerBytes);
+    sum_.update(header, headerBytes);
 }
 
 TraceWriter::~TraceWriter()
@@ -65,7 +64,7 @@ TraceWriter::append(const Record &rec)
     if (buf_.size() + recordBytes > options_.bufferBytes)
         flushBuffer();
     buf_.insert(buf_.end(), raw, raw + recordBytes);
-    checksum_ = ckpt::fnv1a(raw, recordBytes, checksum_);
+    sum_.update(raw, recordBytes);
     ++recordCount_;
 }
 
@@ -120,15 +119,13 @@ TraceWriter::close()
     // The checksum covers the recordCount field too, so the footer
     // folds its first half before emitting its second.
     std::uint8_t footer[footerBytes];
-    std::uint64_t count = recordCount_;
-    std::uint64_t sum =
-        ckpt::fnv1a(&count, sizeof(count), checksum_);
-    encodeFooter(count, sum, footer);
+    encodeFooter(recordCount_, 0, footer);
+    sum_.update(footer, sizeof(recordCount_));
+    encodeFooter(recordCount_, sum_.value(), footer);
     if (buf_.size() + footerBytes > options_.bufferBytes)
         flushBuffer();
     buf_.insert(buf_.end(), footer, footer + footerBytes);
     flushBuffer();
-    checksum_ = sum;
 
     if (::fsync(fd_) != 0)
         fail(ErrorCode::ioError,

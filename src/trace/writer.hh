@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.hh"
 #include "trace/format.hh"
 
 namespace contutto::trace
@@ -83,7 +84,7 @@ class TraceWriter
     bool closed() const { return closed_; }
     std::uint64_t recordCount() const { return recordCount_; }
     /** The footer checksum; meaningful once closed. */
-    std::uint64_t checksum() const { return checksum_; }
+    std::uint64_t checksum() const { return sum_.value(); }
     const std::string &path() const { return path_; }
     std::uint16_t threadId() const { return options_.threadId; }
 
@@ -98,7 +99,7 @@ class TraceWriter
     int fd_ = -1;
     std::vector<std::uint8_t> buf_;
     std::uint64_t recordCount_ = 0;
-    std::uint64_t checksum_ = 0; ///< running FNV-1a of file bytes
+    ckpt::WordSum sum_; ///< running sum of the file's bytes
     bool closed_ = false;
 };
 

@@ -357,8 +357,8 @@ TEST(Protocol, TracePayloadDeterministicBothReplayModes)
     // every record in detail, only the measured windows' trips when
     // sampled. The timed payloads are pinned whole.
     EXPECT_EQ(pa, "{\"kind\":\"trace\",\"seed\":11,"
-                  "\"configHash\":\"d17a3defaee51064\","
-                  "\"traceChecksum\":\"2262c7a598e45b7f\","
+                  "\"configHash\":\"d42ff49beae58095\","
+                  "\"traceChecksum\":\"b21661025de1035d\","
                   "\"records\":2000,\"reads\":1330,\"writes\":670,"
                   "\"detailedTrips\":2000,\"runtimeTicks\":100996000,"
                   "\"replayMode\":\"timed\",\"simMode\":\"detailed\"}");
@@ -382,8 +382,8 @@ TEST(Protocol, TracePayloadDeterministicBothReplayModes)
                   traceConfig(path, ("{" + sampled + "}").c_str()));
     EXPECT_EQ(s.run(cancel),
               "{\"kind\":\"trace\",\"seed\":11,"
-              "\"configHash\":\"e227300d476cfaf2\","
-              "\"traceChecksum\":\"2262c7a598e45b7f\","
+              "\"configHash\":\"30951c9493c8f897\","
+              "\"traceChecksum\":\"b21661025de1035d\","
               "\"records\":2000,\"reads\":1330,\"writes\":670,"
               "\"detailedTrips\":320,\"runtimeTicks\":101028514,"
               "\"replayMode\":\"timed\",\"simMode\":\"sampled\","

@@ -60,8 +60,7 @@ void
 resealChecksum(std::vector<std::uint8_t> &bytes)
 {
     ASSERT_GE(bytes.size(), headerBytes + footerBytes);
-    std::uint64_t sum =
-        ckpt::fnv1a(bytes.data(), bytes.size() - 8);
+    std::uint64_t sum = ckpt::WordSum::of(bytes.data(), bytes.size() - 8);
     std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
 }
 
@@ -172,6 +171,24 @@ TEST(TraceCorruption, VersionMismatchWithValidChecksum)
     std::uint32_t version = formatVersion + 1;
     std::memcpy(bytes.data() + 8, &version, sizeof(version));
     resealChecksum(bytes);
+    writeFile(path, bytes);
+    EXPECT_EQ(rejectionCode(path), ErrorCode::badVersion);
+    fs::remove(path);
+    fs::remove(base);
+}
+
+TEST(TraceFormat, VersionOneIsRefused)
+{
+    // A version-1 file: the same layout sealed with byte-wise FNV-1a.
+    // The version is read before the checksum, so it is refused for
+    // its version, not reported as corrupt.
+    const std::string base = tmpPath("v1_base.bin");
+    auto bytes = makeValidTrace(base);
+    const std::string path = tmpPath("v1.bin");
+    const std::uint32_t version = 1;
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    std::uint64_t sum = ckpt::fnv1a(bytes.data(), bytes.size() - 8);
+    std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
     writeFile(path, bytes);
     EXPECT_EQ(rejectionCode(path), ErrorCode::badVersion);
     fs::remove(path);
