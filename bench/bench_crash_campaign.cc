@@ -19,6 +19,10 @@
  *                            continue; the finished run's counters
  *                            and stats JSON are bit-identical to an
  *                            uninterrupted run with the same seed
+ *
+ * A checkpoint that cannot be resumed or written prints
+ * "resume refused: ..." or "checkpoint write failed: ..." to stderr
+ * and exits 2; exit 1 is a durability violation.
  */
 
 #include "bench_util.hh"
@@ -56,12 +60,30 @@ main(int argc, char **argv)
         bench::parseUnsigned(argc, argv, "--checkpoint-every", 2));
     if (opts.checkpointPath.empty())
         opts.checkpointEvery = 0;
-    opts.resumeFrom = bench::parseFlag(argc, argv, "--resume");
+    const std::string resume =
+        bench::parseFlag(argc, argv, "--resume");
     opts.stopAfterCheckpoints = unsigned(
         bench::parseUnsigned(argc, argv, "--kill-after", 0));
 
+    // A checkpoint that cannot be read or written ends the run with
+    // exit 2 (1 means a durability violation), never a crash.
     CrashRecoveryCampaign campaign(spec);
-    auto r = campaign.run(opts);
+    if (!resume.empty()) {
+        try {
+            campaign.restoreCheckpoint(resume);
+        } catch (const ckpt::Error &e) {
+            std::fprintf(stderr, "resume refused: %s\n", e.what());
+            return 2;
+        }
+    }
+    CrashRecoveryCampaign::Result r;
+    try {
+        r = campaign.run(opts);
+    } catch (const ckpt::Error &e) {
+        std::fprintf(stderr, "checkpoint write failed: %s\n",
+                     e.what());
+        return 2;
+    }
     tm.capture("crash_campaign", campaign.system());
 
     if (campaign.stoppedEarly()) {

@@ -8,7 +8,9 @@ Two end-to-end resilience checks, suitable for CI:
    byte-compare its stats-JSON against the same campaign run
    uninterrupted with no checkpointing at all. The deterministic
    engine's contract is bit-equality, so the diff is `cmp`, not a
-   tolerance.
+   tolerance. Two broken copies of the victim's checkpoint (one
+   flipped byte, cut to half its length) must each be refused with
+   exit 2 and "resume refused: ..." on stderr, and print no results.
 
 2. bench_ras_soak: start a supervised multi-seed soak farm with a
    task ledger, SIGKILL the process partway through (a real kill, not
@@ -42,6 +44,33 @@ def check_json(path):
         json.load(f)
 
 
+def refused_resume_smoke(bench, ckpt, seed):
+    with open(ckpt, "rb") as f:
+        good = f.read()
+    flipped = bytearray(good)
+    flipped[len(good) // 2] ^= 0x01
+    broken = {"flipped": bytes(flipped), "halved": good[:len(good) // 2]}
+    for name, data in broken.items():
+        path = f"{ckpt}.{name}"
+        with open(path, "wb") as f:
+            f.write(data)
+        cmd = [bench, f"--seed={seed}", f"--resume={path}"]
+        print("+", " ".join(cmd), "(must be refused)", flush=True)
+        res = subprocess.run(cmd, capture_output=True, text=True)
+        os.remove(path)
+        if res.returncode != 2:
+            sys.exit(f"chaos_smoke: {name} checkpoint: exit "
+                     f"{res.returncode}, expected 2\n{res.stderr}")
+        if "resume refused: " not in res.stderr:
+            sys.exit(f"chaos_smoke: {name} checkpoint: no 'resume "
+                     f"refused' message\n{res.stderr}")
+        if "DURABILITY VIOLATIONS" in res.stdout:
+            sys.exit(f"chaos_smoke: {name} checkpoint: printed a "
+                     "results table")
+        print(f"crash campaign: {name} checkpoint refused: "
+              f"{res.stderr.strip()}")
+
+
 def crash_campaign_smoke(bench_dir, workdir, seed):
     bench = os.path.join(bench_dir, "bench_crash_campaign")
     ckpt = os.path.join(workdir, "crash.ckpt")
@@ -57,6 +86,10 @@ def crash_campaign_smoke(bench_dir, workdir, seed):
          "--checkpoint-every=2", "--kill-after=1"])
     if not os.path.exists(ckpt):
         sys.exit("chaos_smoke: victim left no checkpoint behind")
+
+    # A broken checkpoint is refused: exit 2, one "resume refused"
+    # line on stderr, no results table.
+    refused_resume_smoke(bench, ckpt, seed)
 
     # Resume and byte-compare.
     run([bench, f"--seed={seed}", f"--resume={ckpt}",

@@ -18,8 +18,6 @@ faultKindName(FaultKind k)
       case FaultKind::engineStall: return "engineStall";
       case FaultKind::scramblerDesync: return "scramblerDesync";
       case FaultKind::laneFail: return "laneFail";
-      case FaultKind::nvdimmPowerLoss: return "nvdimmPowerLoss";
-      case FaultKind::nvdimmPowerRestore: return "nvdimmPowerRestore";
       case FaultKind::powerCut: return "powerCut";
       case FaultKind::powerRestore: return "powerRestore";
       case FaultKind::brownout: return "brownout";
@@ -40,8 +38,6 @@ FaultInjector::FaultInjector(const std::string &name, EventQueue &eq,
              {this, "engineStalls", "completions swallowed"},
              {this, "scramblerDesyncs", "rx scrambler slips"},
              {this, "laneFails", "hard lane failures"},
-             {this, "powerLosses", "NVDIMM power pulls"},
-             {this, "powerRestores", "NVDIMM power restores"},
              {this, "powerCuts", "power-domain cuts"},
              {this, "domainRestores", "power-domain restores"},
              {this, "brownouts", "input dips injected"}}
@@ -70,14 +66,6 @@ FaultInjector::addMbs(fpga::Mbs *mbs)
     ct_assert(mbs != nullptr);
     mbs_.push_back(mbs);
     return unsigned(mbs_.size() - 1);
-}
-
-unsigned
-FaultInjector::addNvdimm(mem::NvdimmDevice *nvdimm)
-{
-    ct_assert(nvdimm != nullptr);
-    nvdimms_.push_back(nvdimm);
-    return unsigned(nvdimms_.size() - 1);
 }
 
 unsigned
@@ -124,14 +112,6 @@ FaultInjector::inject(const FaultEvent &ev)
       case FaultKind::laneFail:
         channels_.at(ev.target)->failLane(ev.bit);
         ++stats_.laneFails;
-        break;
-      case FaultKind::nvdimmPowerLoss:
-        nvdimms_.at(ev.target)->powerLoss();
-        ++stats_.powerLosses;
-        break;
-      case FaultKind::nvdimmPowerRestore:
-        nvdimms_.at(ev.target)->powerRestore();
-        ++stats_.powerRestores;
         break;
       case FaultKind::powerCut:
         powerTargets_.at(ev.target)->powerCut();
@@ -306,10 +286,6 @@ FaultInjector::injected(FaultKind kind) const
         s = &stats_.scramblerDesyncs;
         break;
       case FaultKind::laneFail: s = &stats_.laneFails; break;
-      case FaultKind::nvdimmPowerLoss: s = &stats_.powerLosses; break;
-      case FaultKind::nvdimmPowerRestore:
-        s = &stats_.powerRestores;
-        break;
       case FaultKind::powerCut: s = &stats_.powerCuts; break;
       case FaultKind::powerRestore:
         s = &stats_.domainRestores;
@@ -345,7 +321,12 @@ FaultInjector::checkpointRestore(ckpt::Section &in)
     for (std::uint64_t i = 0; i < n; ++i) {
         FaultEvent ev;
         ev.when = in.getU64();
-        ev.kind = FaultKind(in.getU8());
+        const std::uint8_t kind = in.getU8();
+        if (kind > std::uint8_t(FaultKind::brownout))
+            throw ckpt::Error("fault injector checkpoint: unknown "
+                              "fault kind "
+                              + std::to_string(unsigned(kind)));
+        ev.kind = FaultKind(kind);
         ev.target = in.getU32();
         ev.addr = in.getU64();
         ev.bit = in.getU32();

@@ -4,7 +4,7 @@
  *
  * Every fault hook in the stack — DRAM bit flips (MemImage), frame
  * corruption/bursts/drops (DmiChannel), engine completion stalls
- * (Mbs), scrambler desync, lane failure, NVDIMM power loss — is
+ * (Mbs), scrambler desync, lane failure, power-domain cuts — is
  * routed through one registry so integration tests compose faults
  * declaratively. Randomized campaigns are seeded from sim/random.hh:
  * the same seed plans the identical fault list, which is what lets
@@ -18,14 +18,18 @@
 
 #include "contutto/mbs.hh"
 #include "dmi/channel.hh"
-#include "mem/device.hh"
+#include "mem/mem_image.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
 
 namespace contutto::ras
 {
 
-/** Everything the injector knows how to break. */
+/**
+ * Everything the injector knows how to break. Checkpoints store a
+ * kind as its number, so changing this list bumps the checkpoint
+ * format, and restore refuses a number past the last kind.
+ */
 enum class FaultKind : std::uint8_t
 {
     dramBitFlip,      ///< Flip one data bit under the ECC's nose.
@@ -36,8 +40,6 @@ enum class FaultKind : std::uint8_t
     engineStall,      ///< Memory completion swallowed in the buffer.
     scramblerDesync,  ///< RX scrambler slips one frame slot.
     laneFail,         ///< Hard lane failure (spare or degrade).
-    nvdimmPowerLoss,  ///< Pull power from an NVDIMM.
-    nvdimmPowerRestore, ///< Restore power to an NVDIMM.
     powerCut,         ///< Kill a whole power domain.
     powerRestore,     ///< Bring a power domain back.
     brownout,         ///< Input dip; rides through or cuts power.
@@ -84,7 +86,6 @@ class FaultInjector : public SimObject, public ckpt::Checkpointable
     unsigned addMemory(mem::MemImage *image);
     unsigned addChannel(dmi::DmiChannel *channel);
     unsigned addMbs(fpga::Mbs *mbs);
-    unsigned addNvdimm(mem::NvdimmDevice *nvdimm);
     unsigned addPowerTarget(PowerTarget *target);
     /** @} */
 
@@ -151,8 +152,6 @@ class FaultInjector : public SimObject, public ckpt::Checkpointable
         stats::Scalar engineStalls;
         stats::Scalar scramblerDesyncs;
         stats::Scalar laneFails;
-        stats::Scalar powerLosses;
-        stats::Scalar powerRestores;
         stats::Scalar powerCuts;
         stats::Scalar domainRestores;
         stats::Scalar brownouts;
@@ -172,7 +171,6 @@ class FaultInjector : public SimObject, public ckpt::Checkpointable
     std::vector<mem::MemImage *> memories_;
     std::vector<dmi::DmiChannel *> channels_;
     std::vector<fpga::Mbs *> mbs_;
-    std::vector<mem::NvdimmDevice *> nvdimms_;
     std::vector<PowerTarget *> powerTargets_;
     std::vector<FaultEvent> history_;
     InjectorStats stats_;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/span.hh"
 #include "sim/supervisor.hh"
@@ -208,11 +209,20 @@ void
 CampaignServer::start()
 {
     if (!params_.memoPath.empty()) {
-        // A missing index is a cold start, not an error; a corrupt
-        // one is surfaced (it means the drain persistence contract
-        // broke somewhere).
-        if (::access(params_.memoPath.c_str(), F_OK) == 0)
-            memo_.load(params_.memoPath);
+        // A missing index is a cold start, not an error, and so is
+        // one written in another checkpoint format version (a
+        // restart across a format bump loses only cached results).
+        // A corrupt one is surfaced: it means the drain persistence
+        // contract broke somewhere.
+        if (::access(params_.memoPath.c_str(), F_OK) == 0) {
+            try {
+                memo_.load(params_.memoPath);
+            } catch (const ckpt::VersionError &e) {
+                contutto::warn("campaignd: memo index '%s' not "
+                               "loaded, starting cold: %s",
+                               params_.memoPath.c_str(), e.what());
+            }
+        }
     }
 
     listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);

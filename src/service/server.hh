@@ -146,7 +146,9 @@ class CampaignServer
 
     /** Bind, listen, spawn the accept loop and the worker pool.
      *  Throws std::runtime_error when the socket cannot be set
-     *  up. Loads the memo index when memoPath names one. */
+     *  up. Loads the memo index when memoPath names one: an index
+     *  of another checkpoint format version is a cold start with
+     *  one warning, a corrupt one throws ckpt::Error. */
     void start();
 
     /** Stop admitting work; in-flight and queued jobs still run to

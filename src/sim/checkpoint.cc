@@ -13,7 +13,7 @@ namespace contutto::ckpt
 {
 
 /**
- * Remaining bytes writeFile may write before the injected disk
+ * Remaining bytes AtomicFile may write before the injected disk
  * failure fires; negative disables injection. Test-only (see
  * testing::setShortWriteBudget) — campaign code never touches it.
  */
@@ -102,6 +102,78 @@ std::uint64_t
 WordSum::of(const void *data, std::size_t len)
 {
     return WordSum().update(data, len).value();
+}
+
+AtomicFile::AtomicFile(std::string path)
+    : path_(std::move(path)), tmpPath_(path_ + ".tmp")
+{
+    fd_ = ::open(tmpPath_.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                 0644);
+    if (fd_ < 0)
+        throw Error("cannot open '" + tmpPath_ + "' for writing");
+}
+
+void
+AtomicFile::write(const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::size_t off = 0;
+    while (off < len) {
+        std::size_t want = len - off;
+        if (testShortWriteBudget >= 0) {
+            // Fault injection: pretend the disk filled up after
+            // testShortWriteBudget more bytes.
+            if (std::size_t(testShortWriteBudget) < want)
+                want = std::size_t(testShortWriteBudget);
+            testShortWriteBudget -= long(want);
+        }
+        ssize_t n = want == 0 ? -1 : ::write(fd_, p + off, want);
+        if (n <= 0)
+            fail("write to '" + tmpPath_ + "' failed");
+        off += std::size_t(n);
+    }
+}
+
+void
+AtomicFile::commit()
+{
+    if (::fsync(fd_) != 0)
+        fail("fsync of '" + tmpPath_ + "' failed");
+    ::close(fd_);
+    fd_ = -1;
+    if (std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
+        ::unlink(tmpPath_.c_str());
+        throw Error("rename '" + tmpPath_ + "' -> '" + path_
+                    + "' failed");
+    }
+    // A missing or unsyncable parent (e.g. on an exotic filesystem)
+    // degrades to the guarantee without this fsync rather than
+    // failing the save.
+    std::size_t slash = path_.find_last_of('/');
+    std::string dir =
+        slash == std::string::npos ? "." : path_.substr(0, slash);
+    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd >= 0) {
+        (void)::fsync(dfd);
+        ::close(dfd);
+    }
+}
+
+void
+AtomicFile::discard()
+{
+    if (fd_ < 0)
+        return;
+    ::close(fd_);
+    fd_ = -1;
+    ::unlink(tmpPath_.c_str());
+}
+
+void
+AtomicFile::fail(const std::string &what)
+{
+    discard();
+    throw Error(what);
 }
 
 namespace
@@ -203,25 +275,6 @@ Checkpoint::has(const std::string &name) const
     return false;
 }
 
-std::vector<std::uint8_t>
-Checkpoint::serialize() const
-{
-    std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
-    appendU32(out, formatVersion);
-    appendU32(out, std::uint32_t(sections_.size()));
-    for (const Section &s : sections_) {
-        appendU32(out, std::uint32_t(s.name().size()));
-        const auto *np =
-            reinterpret_cast<const std::uint8_t *>(s.name().data());
-        out.insert(out.end(), np, np + s.name().size());
-        appendU64(out, s.bytes().size());
-        appendU64(out, WordSum::of(s.bytes().data(), s.bytes().size()));
-        out.insert(out.end(), s.bytes().begin(), s.bytes().end());
-    }
-    appendU64(out, WordSum::of(out.data(), out.size()));
-    return out;
-}
-
 Checkpoint
 Checkpoint::deserialize(const std::vector<std::uint8_t> &raw)
 {
@@ -240,7 +293,7 @@ Checkpoint::deserialize(const std::vector<std::uint8_t> &raw)
         throw Error("not a checkpoint file (bad magic)");
     std::uint32_t version = rd.u32();
     if (version != formatVersion)
-        throw Error("unsupported checkpoint format version "
+        throw VersionError("unsupported checkpoint format version "
                     + std::to_string(version) + " (expected "
                     + std::to_string(formatVersion) + ")");
 
@@ -279,62 +332,32 @@ Checkpoint::deserialize(const std::vector<std::uint8_t> &raw)
 void
 Checkpoint::writeFile(const std::string &path) const
 {
-    std::vector<std::uint8_t> bytes = serialize();
-    // Write-then-fsync-then-rename so neither a crash mid-write nor
-    // a power cut right after the rename can leave a torn file at
-    // the final path. The fsync of the temp file makes the *data*
-    // durable before the rename makes it *visible*; the fsync of
-    // the parent directory makes the rename itself durable.
-    // Without the first, a power cut can legally leave a fully
-    // renamed but truncated-to-zero snapshot (data never reached
-    // the platter); without the second, the rename can vanish.
-    std::string tmp = path + ".tmp";
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    if (fd < 0)
-        throw Error("cannot open '" + tmp + "' for writing");
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        std::size_t want = bytes.size() - off;
-        if (testShortWriteBudget >= 0) {
-            // Fault injection: pretend the disk filled up after
-            // testShortWriteBudget more bytes.
-            if (std::size_t(testShortWriteBudget) < want)
-                want = std::size_t(testShortWriteBudget);
-            testShortWriteBudget -= long(want);
-        }
-        ssize_t n = want == 0
-                        ? -1
-                        : ::write(fd, bytes.data() + off, want);
-        if (n <= 0) {
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            throw Error("write to '" + tmp + "' failed");
-        }
-        off += std::size_t(n);
+    AtomicFile file(path);
+    WordSum fileSum;
+    auto put = [&](const void *data, std::size_t len) {
+        file.write(data, len);
+        fileSum.update(data, len);
+    };
+    // Each section's framing is gathered into one small buffer and
+    // its payload written straight from the section, so the file
+    // costs two writes per section and no copy of the payloads.
+    std::vector<std::uint8_t> head(kMagic, kMagic + sizeof(kMagic));
+    appendU32(head, formatVersion);
+    appendU32(head, std::uint32_t(sections_.size()));
+    put(head.data(), head.size());
+    for (const Section &s : sections_) {
+        const std::vector<std::uint8_t> &payload = s.bytes();
+        head.clear();
+        appendU32(head, std::uint32_t(s.name().size()));
+        head.insert(head.end(), s.name().begin(), s.name().end());
+        appendU64(head, payload.size());
+        appendU64(head, WordSum::of(payload.data(), payload.size()));
+        put(head.data(), head.size());
+        put(payload.data(), payload.size());
     }
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        throw Error("fsync of '" + tmp + "' failed");
-    }
-    ::close(fd);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        throw Error("rename '" + tmp + "' -> '" + path
-                    + "' failed");
-    }
-    // Durably record the rename in the parent directory. A missing
-    // or unsyncable parent (e.g. on an exotic filesystem) degrades
-    // to the pre-hardening guarantee rather than failing the save.
-    std::string dir = path;
-    std::size_t slash = dir.find_last_of('/');
-    dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        (void)::fsync(dfd);
-        ::close(dfd);
-    }
+    const std::uint64_t sum = fileSum.value();
+    file.write(&sum, sizeof(sum));
+    file.commit();
 }
 
 Checkpoint

@@ -18,9 +18,10 @@
  * version are checked before the file sum, so a file of another
  * version is refused as such, not as corrupt.
  *
- * WordSum is the integrity sum of checkpoints and trace files (format
- * version 4 and 2). It reads the input as little-endian 64-bit words
- * w and, from h = the FNV-1a offset basis, applies
+ * WordSum is the integrity sum of checkpoints (since format version
+ * 4) and trace files (since version 2). It reads the input as
+ * little-endian 64-bit words w and, from h = the FNV-1a offset
+ * basis, applies
  *
  *   h ^= w;  h *= 0x100000001b3;  h ^= h >> 29
  *
@@ -83,6 +84,14 @@ class Error : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** Raised for a well-formed checkpoint of another format version:
+ *  not corrupt, just not this build's to read. */
+class VersionError : public Error
+{
+  public:
+    using Error::Error;
+};
+
 /** FNV-1a over @p len bytes, continuing from @p seed: the identity
  *  hash (see the file comment). */
 std::uint64_t fnv1a(const void *data, std::size_t len,
@@ -118,14 +127,54 @@ class WordSum
 namespace testing
 {
 /**
- * Fault injection for Checkpoint::writeFile: the next write may
- * emit at most @p bytes before the (simulated) disk fails, so the
- * atomicity contract — a short write raises Error and never
- * replaces the file at the final path — is testable. Negative
- * disables injection (the default). Not thread-safe; test-only.
+ * Fault injection for AtomicFile: the writes that follow may emit
+ * at most @p bytes in total before the (simulated) disk fails, so
+ * the atomicity contract of checkpoints and traces — a short write
+ * raises an error and never replaces the file at the final path —
+ * is testable. Negative disables injection (the default). Not
+ * thread-safe; test-only.
  */
 void setShortWriteBudget(long bytes);
 } // namespace testing
+
+/**
+ * The one durable-file writer, shared by checkpoints and traces.
+ * The caller's bytes go to `path + ".tmp"` as they are handed over,
+ * with no buffer of its own. commit() fsyncs the temp file, renames
+ * it onto the final path and fsyncs the parent directory: the first
+ * fsync makes the data durable before the rename makes it visible
+ * (without it a power cut can leave a renamed but empty file), the
+ * second makes the rename itself durable. Any failure, and
+ * destruction before commit(), unlinks the temp file and leaves the
+ * final path untouched. Failures raise Error.
+ */
+class AtomicFile
+{
+  public:
+    /** Opens `path + ".tmp"`; @throw Error when it cannot. */
+    explicit AtomicFile(std::string path);
+    ~AtomicFile() { discard(); }
+
+    AtomicFile(const AtomicFile &) = delete;
+    AtomicFile &operator=(const AtomicFile &) = delete;
+
+    /** Append @p len bytes; @throw Error, and drop the temp file,
+     *  when the disk takes fewer. */
+    void write(const void *data, std::size_t len);
+
+    /** fsync, rename onto the final path, fsync the directory. */
+    void commit();
+
+    /** Drop the temp file unless committed; idempotent. */
+    void discard();
+
+  private:
+    [[noreturn]] void fail(const std::string &what);
+
+    std::string path_;
+    std::string tmpPath_;
+    int fd_ = -1; ///< open and uncommitted while >= 0
+};
 
 /**
  * One named chunk of checkpoint payload with a read cursor. Writers
@@ -293,7 +342,7 @@ class Section
 class Checkpoint
 {
   public:
-    static constexpr std::uint32_t formatVersion = 4;
+    static constexpr std::uint32_t formatVersion = 5;
 
     /** Append a new section; names must be unique. */
     Section &add(const std::string &name);
@@ -305,17 +354,17 @@ class Checkpoint
 
     std::size_t numSections() const { return sections_.size(); }
 
-    /** Serialize to @p path atomically (tmp file + rename). */
+    /** Stream every section to @p path through an AtomicFile;
+     *  builds no whole-file image. */
     void writeFile(const std::string &path) const;
 
     /** Parse and fully validate @p path; throws Error on anything
      *  short of a pristine checkpoint. */
     static Checkpoint readFile(const std::string &path);
 
-    /** @{ In-memory (de)serialization, shared with writeFile. */
-    std::vector<std::uint8_t> serialize() const;
+    /** Parse a whole file image (readFile's parser); a file of
+     *  another format version raises VersionError. */
     static Checkpoint deserialize(const std::vector<std::uint8_t> &);
-    /** @} */
 
   private:
     std::vector<Section> sections_;

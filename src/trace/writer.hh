@@ -2,15 +2,15 @@
  * @file
  * Buffered, crash-safe binary trace writer.
  *
- * Records accumulate in a fixed in-memory buffer (1 MiB by default,
- * the cwsnow1 sim_trace idiom) and flush to a `path + ".tmp"` side
- * file; close() appends the footer, fsyncs the temp file, renames
- * it onto the final path and fsyncs the parent directory — the same
- * discipline as ckpt::Checkpoint::writeFile, for the same reason: a
- * crash mid-capture must never leave a half-written file at the
- * final path, and a half-written temp file can never pass the
- * decoder's checksum. Anything short of a durably landed byte
- * raises trace::Error(shortWrite) and removes the temp file.
+ * Records accumulate in a 1 MiB in-memory buffer (the cwsnow1
+ * sim_trace idiom); each full buffer goes to a ckpt::AtomicFile,
+ * the writer checkpoints use too. close() appends the footer and
+ * commits the file: a crash mid-capture never leaves a half-written
+ * file at the final path, and a half-written temp file can never
+ * pass the decoder's checksum. A write the disk does not take
+ * raises trace::Error(shortWrite), any other I/O failure
+ * Error(ioError), and both remove the temp file. Tests inject short
+ * writes through ckpt::testing::setShortWriteBudget.
  *
  * One writer per capturing shard; writers are not thread-safe (each
  * shard appends only to its own), and trace::mergeShards stitches
@@ -29,26 +29,15 @@
 namespace contutto::trace
 {
 
-namespace testing
-{
-/**
- * Fault injection for TraceWriter: the next writer may land at most
- * @p bytes before the (simulated) disk fails, so the atomicity
- * contract — a short write raises Error and never installs a file
- * at the final path — is testable. Negative disables injection
- * (the default). Not thread-safe; test-only.
- */
-void setShortWriteBudget(long bytes);
-} // namespace testing
-
 /** Writes one binary trace file; see the file comment. */
 class TraceWriter
 {
   public:
+    /** In-memory buffer size; a full buffer is written out. */
+    static constexpr std::size_t bufferBytes = 1024 * 1024;
+
     struct Options
     {
-        /** In-memory buffer size; flushes when full. */
-        std::size_t bufferBytes = 1024 * 1024;
         /** Default threadId stamped by the delta-computing append
          *  helpers in capture.hh (raw append() keeps the record's
          *  own). */
@@ -60,7 +49,7 @@ class TraceWriter
     explicit TraceWriter(std::string path);
 
     /** Discards the temp file when close() was never reached. */
-    ~TraceWriter();
+    ~TraceWriter() = default;
 
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
@@ -90,13 +79,10 @@ class TraceWriter
 
   private:
     void flushBuffer();
-    void writeRaw(const std::uint8_t *data, std::size_t len);
-    void fail(ErrorCode code, const std::string &what);
 
     std::string path_;
-    std::string tmpPath_;
     Options options_;
-    int fd_ = -1;
+    ckpt::AtomicFile file_;
     std::vector<std::uint8_t> buf_;
     std::uint64_t recordCount_ = 0;
     ckpt::WordSum sum_; ///< running sum of the file's bytes

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "dmi/link.hh"
 #include "mem/mem_image.hh"
@@ -238,6 +239,47 @@ TEST(FaultInjector, PowerFaultsReachTheTargetAndCount)
     EXPECT_EQ(b.inj.injectorStats().powerCuts.value(), 2.0);
     EXPECT_EQ(b.inj.injectorStats().domainRestores.value(), 2.0);
     EXPECT_EQ(b.inj.injectorStats().brownouts.value(), 1.0);
+}
+
+/** An injector section holding one applied fault of kind number
+ *  @p kind, in FaultInjector::checkpointSave's layout. */
+ckpt::Section
+historyOfKind(std::uint8_t kind)
+{
+    InjectorBench src;
+    ckpt::Section empty("injector");
+    src.inj.checkpointSave(empty); // RNG stream, then count 0
+    std::vector<std::uint8_t> raw = empty.bytes();
+    raw.resize(raw.size() - sizeof(std::uint64_t));
+    ckpt::Section sec("injector");
+    sec.setBytes(raw);
+    sec.putU64(1);       // history size
+    sec.putU64(5000);    // when
+    sec.putU8(kind);
+    sec.putU32(0);       // target
+    sec.putU64(0);       // addr
+    sec.putU32(0);       // bit
+    sec.putU32(1);       // count
+    sec.putU64(1000);    // duration
+    return sec;
+}
+
+TEST(FaultInjector, RestoreRefusesAnUnknownFaultKind)
+{
+    // A checkpoint stores a fault's kind as its number; one past the
+    // last kind is an error, never a cast to a kind that does not
+    // exist.
+    const auto last = std::uint8_t(FaultKind::brownout);
+    {
+        InjectorBench dst;
+        ckpt::Section sec = historyOfKind(last);
+        dst.inj.checkpointRestore(sec);
+        ASSERT_EQ(dst.inj.history().size(), 1u);
+        EXPECT_EQ(dst.inj.history()[0].kind, FaultKind::brownout);
+    }
+    InjectorBench dst;
+    ckpt::Section sec = historyOfKind(last + 1);
+    EXPECT_THROW(dst.inj.checkpointRestore(sec), ckpt::Error);
 }
 
 TEST(FaultInjector, ChannelFaultsRideTheRealLink)

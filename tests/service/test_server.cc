@@ -10,14 +10,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/client.hh"
+#include "service/memo_cache.hh"
 #include "service/server.hh"
+#include "sim/checkpoint.hh"
 #include "harness.hh"
 
 using namespace contutto::service;
@@ -418,6 +422,99 @@ TEST(CampaignServer, MemoSurvivesDrainAndRestart)
         EXPECT_EQ(counter(server, "campaignd_executions_total"),
                   0u);
         EXPECT_TRUE(server.stop());
+    }
+}
+
+/** Overwrite the format version of the checkpoint at @p path and
+ *  re-seal its file sum, so only the version check can object. */
+void
+resealAsVersion(const std::string &path, std::uint32_t version)
+{
+    std::vector<std::uint8_t> raw;
+    {
+        std::ifstream in(path, std::ios::binary);
+        raw.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(raw.size(), 24u);
+    std::memcpy(raw.data() + 8, &version, sizeof(version));
+    const std::uint64_t sum = contutto::ckpt::WordSum::of(
+        raw.data(), raw.size() - sizeof(sum));
+    std::memcpy(raw.data() + raw.size() - sizeof(sum), &sum,
+                sizeof(sum));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(raw.data()),
+              std::streamsize(raw.size()));
+}
+
+TEST(CampaignServer, MemoIndexOfAnotherVersionStartsCold)
+{
+    // A restart across a checkpoint format bump: the index that would
+    // answer the job is readable but of the previous version, so the
+    // server starts with an empty memo and runs the job again.
+    TempPath sock("srv_version.sock");
+    TempPath memo("srv_version.memo");
+    std::string firstPayload;
+    {
+        auto p = fastServer(sock.str());
+        p.memoPath = memo.str();
+        CampaignServer server(p);
+        server.start();
+        CampaignClient client(fastClient(sock.str()));
+        auto r = client.submit(soakRequest("old", 23));
+        ASSERT_EQ(r.outcome, CampaignClient::Outcome::ok);
+        firstPayload = payloadText(r.response);
+        EXPECT_TRUE(server.stop());
+    }
+    resealAsVersion(memo.str(),
+                    contutto::ckpt::Checkpoint::formatVersion - 1);
+    {
+        auto p = fastServer(sock.str());
+        p.memoPath = memo.str();
+        CampaignServer server(p);
+        ASSERT_NO_THROW(server.start());
+        CampaignClient client(fastClient(sock.str()));
+        auto r = client.submit(soakRequest("new", 23));
+        ASSERT_EQ(r.outcome, CampaignClient::Outcome::ok);
+        EXPECT_EQ(r.response.at("outcome").asString(), "ok");
+        EXPECT_EQ(payloadText(r.response), firstPayload);
+        EXPECT_EQ(counter(server, "campaignd_executions_total"),
+                  1u);
+        EXPECT_EQ(counter(server, "campaignd_memo_hits_total"), 0u);
+        EXPECT_TRUE(server.stop());
+    }
+}
+
+TEST(CampaignServer, CorruptMemoIndexStopsStart)
+{
+    // Only another version is a cold start: an index whose checksum
+    // does not match means the persistence contract broke.
+    TempPath sock("srv_corrupt.sock");
+    TempPath memo("srv_corrupt.memo");
+    {
+        MemoCache cache(4);
+        cache.insert(1, 2, "{\"x\":1}");
+        cache.save(memo.str());
+    }
+    {
+        // Flip a bit of the stored file sum.
+        std::fstream f(memo.str(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(-1, std::ios::end);
+        const char last = char(f.get());
+        f.seekp(-1, std::ios::end);
+        f.put(char(last ^ 0x01));
+    }
+    auto p = fastServer(sock.str());
+    p.memoPath = memo.str();
+    CampaignServer server(p);
+    try {
+        server.start();
+        ADD_FAILURE() << "start() accepted a corrupt memo index";
+    } catch (const contutto::ckpt::VersionError &) {
+        ADD_FAILURE() << "a corrupt index was taken for another "
+                         "version";
+    } catch (const contutto::ckpt::Error &) {
     }
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,24 @@ class TempPath
   private:
     std::string path_;
 };
+
+/** Every byte of @p path. */
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** @p ck as writeFile lays it on disk. */
+std::vector<std::uint8_t>
+fileBytes(const ckpt::Checkpoint &ck)
+{
+    TempPath p("ckpt_file_bytes.bin");
+    ck.writeFile(p.str());
+    return readBytes(p.str());
+}
 
 TEST(CheckpointSection, PrimitivesRoundTrip)
 {
@@ -119,7 +138,7 @@ TEST(CheckpointFile, CorruptionIsDetected)
 {
     ckpt::Checkpoint ck;
     ck.add("payload").putU64(0x1122334455667788ull);
-    std::vector<std::uint8_t> raw = ck.serialize();
+    std::vector<std::uint8_t> raw = fileBytes(ck);
 
     // Flip one payload bit: both the section checksum and the file
     // checksum must miss nothing.
@@ -135,7 +154,7 @@ TEST(CheckpointFile, TruncationIsDetected)
 {
     ckpt::Checkpoint ck;
     ck.add("payload").putU64(99);
-    std::vector<std::uint8_t> raw = ck.serialize();
+    std::vector<std::uint8_t> raw = fileBytes(ck);
     for (std::size_t keep = 0; keep < raw.size(); ++keep) {
         std::vector<std::uint8_t> bad(raw.begin(),
                                       raw.begin() + keep);
@@ -177,11 +196,47 @@ TEST(CheckpointFile, ShortWriteNeverLeavesAPartialFile)
               0ull * 0x9e3779b97f4a7c15ull);
 }
 
+TEST(CheckpointFile, ShortWriteAtEveryOffsetKeepsTheOldFile)
+{
+    // writeFile streams the header, then each section's framing and
+    // payload, so a disk that fills up can stop it inside any write
+    // or between two of them. At every budget short of the whole
+    // file it must throw, keep the file already at the final path,
+    // and leave no temp file behind.
+    ckpt::Checkpoint ck;
+    ck.add("alpha").putU64(42);
+    ck.add("beta").putStr("streamed");
+    ck.add("gamma"); // an empty payload
+    const std::vector<std::uint8_t> whole = fileBytes(ck);
+
+    TempPath p("short_sweep.ckpt");
+    ckpt::Checkpoint old;
+    old.add("old").putU64(7);
+    old.writeFile(p.str());
+    const std::vector<std::uint8_t> oldBytes = readBytes(p.str());
+    for (long budget = 0; budget < long(whole.size()); ++budget) {
+        ckpt::testing::setShortWriteBudget(budget);
+        EXPECT_THROW(ck.writeFile(p.str()), ckpt::Error)
+            << "budget " << budget;
+        ckpt::testing::setShortWriteBudget(-1);
+        EXPECT_TRUE(readBytes(p.str()) == oldBytes)
+            << "budget " << budget << " touched the old file";
+        EXPECT_FALSE(std::ifstream(p.str() + ".tmp").good())
+            << "budget " << budget << " left its temp file";
+    }
+
+    // A budget of exactly the file lands it.
+    ckpt::testing::setShortWriteBudget(long(whole.size()));
+    ck.writeFile(p.str());
+    ckpt::testing::setShortWriteBudget(-1);
+    EXPECT_TRUE(readBytes(p.str()) == whole);
+}
+
 TEST(CheckpointFile, VersionMismatchThrows)
 {
     ckpt::Checkpoint ck;
     ck.add("payload").putU64(1);
-    std::vector<std::uint8_t> raw = ck.serialize();
+    std::vector<std::uint8_t> raw = fileBytes(ck);
     // Bump the version field (offset 8, after the magic) and re-seal
     // the file checksum so only the version check can complain.
     raw[8] += 1;
@@ -199,7 +254,7 @@ checkpointOfVersion(std::uint32_t version)
 {
     ckpt::Checkpoint ck;
     ck.add("payload").putU64(1);
-    std::vector<std::uint8_t> raw = ck.serialize();
+    std::vector<std::uint8_t> raw = fileBytes(ck);
     std::memcpy(raw.data() + 8, &version, sizeof(version));
     std::uint64_t sum = ckpt::WordSum::of(
         raw.data(), raw.size() - sizeof(std::uint64_t));
@@ -235,10 +290,24 @@ TEST(CheckpointFile, FormatVersionThreeIsRefused)
     try {
         ckpt::Checkpoint::deserialize(checkpointOfVersion(3));
         FAIL() << "a version-3 checkpoint was accepted";
-    } catch (const ckpt::Error &e) {
-        EXPECT_STREQ(e.what(), "unsupported checkpoint format "
-                               "version 3 (expected 4)");
+    } catch (const ckpt::VersionError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "unsupported checkpoint format version 3 (expected "
+                      + std::to_string(ckpt::Checkpoint::formatVersion)
+                      + ")");
     }
+}
+
+TEST(CheckpointFile, FormatVersionFourIsRefused)
+{
+    // Version 5 drops the NVDIMM fault kinds, which renumbers the
+    // fault kinds an injector section stores and removes two stats
+    // from a campaign's stats section, so a version-4 file must be
+    // refused for its version.
+    EXPECT_THROW(ckpt::Checkpoint::deserialize(checkpointOfVersion(4)),
+                 ckpt::VersionError);
+    EXPECT_NO_THROW(ckpt::Checkpoint::deserialize(
+        checkpointOfVersion(ckpt::Checkpoint::formatVersion)));
 }
 
 /** @p n deterministic, irregular bytes. */

@@ -2,14 +2,18 @@
  * @file
  * TraceWriter atomicity: the final path holds either a complete
  * valid trace or nothing, across normal close, abort, destruction
- * without close, tiny-buffer flush paths, and injected short writes
- * (trace::testing::setShortWriteBudget).
+ * without close, multi-flush captures, and injected short writes
+ * (ckpt::testing::setShortWriteBudget, the seam of the atomic file
+ * writer traces share with checkpoints).
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "trace/reader.hh"
 #include "trace/writer.hh"
@@ -99,32 +103,39 @@ TEST(TraceWriter, DestructionWithoutCloseLeavesNothing)
     EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
-TEST(TraceWriter, TinyBufferMatchesBigBuffer)
+TEST(TraceWriter, MultiFlushFileMatchesTheEncoders)
 {
-    // A buffer barely larger than one record forces a flush on
-    // nearly every append; the resulting file must be byte-identical
-    // (same checksum) to the default-buffer one.
-    const std::string big = tmpPath("big.bin");
-    const std::string tiny = tmpPath("tiny.bin");
-    fs::remove(big);
-    fs::remove(tiny);
+    // Enough records for at least three full-buffer flushes before
+    // close(); the file must be exactly the header, every record and
+    // the footer as the format encoders lay them out.
+    const std::string path = tmpPath("flushes.bin");
+    fs::remove(path);
+    const int n = int(3 * TraceWriter::bufferBytes / recordBytes) + 500;
 
-    TraceWriter bigW(big);
-    TraceWriter::Options opts;
-    opts.bufferBytes = recordBytes + 1;
-    TraceWriter tinyW(tiny, opts);
-    for (int i = 0; i < 500; ++i) {
-        Record rec = makeRecord(i, 0x100 * i,
+    std::vector<std::uint8_t> expect(headerBytes);
+    encodeHeader(expect.data());
+    TraceWriter writer(path);
+    for (int i = 0; i < n; ++i) {
+        Record rec = makeRecord(i % 1000, 0x100 * Addr(i),
                                 i % 3 ? Op::read : Op::depWrite);
-        bigW.append(rec);
-        tinyW.append(rec);
+        writer.append(rec);
+        std::uint8_t raw[recordBytes];
+        encodeRecord(rec, raw);
+        expect.insert(expect.end(), raw, raw + recordBytes);
     }
-    bigW.close();
-    tinyW.close();
-    EXPECT_EQ(bigW.checksum(), tinyW.checksum());
-    EXPECT_EQ(fs::file_size(big), fs::file_size(tiny));
-    fs::remove(big);
-    fs::remove(tiny);
+    writer.close();
+    std::uint8_t footer[footerBytes];
+    encodeFooter(std::uint64_t(n), writer.checksum(), footer);
+    expect.insert(expect.end(), footer, footer + footerBytes);
+    ASSERT_GT(expect.size(), 3 * TraceWriter::bufferBytes);
+
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> got(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    EXPECT_TRUE(got == expect) << "file differs from the encoders";
+    EXPECT_EQ(MappedTrace(path).checksum(), writer.checksum());
+    fs::remove(path);
 }
 
 TEST(TraceWriter, ShortWriteRaisesTypedErrorAndCleansUp)
@@ -135,7 +146,7 @@ TEST(TraceWriter, ShortWriteRaisesTypedErrorAndCleansUp)
     // Inject failures at several disk-full points: immediately, mid
     // buffer flush, and during the footer write at close().
     for (long budget : {0L, 64L, 4096L}) {
-        trace::testing::setShortWriteBudget(budget);
+        ckpt::testing::setShortWriteBudget(budget);
         bool threw = false;
         try {
             TraceWriter writer(path);
@@ -147,7 +158,7 @@ TEST(TraceWriter, ShortWriteRaisesTypedErrorAndCleansUp)
             EXPECT_EQ(e.code(), ErrorCode::shortWrite)
                 << "budget " << budget;
         }
-        trace::testing::setShortWriteBudget(-1);
+        ckpt::testing::setShortWriteBudget(-1);
         EXPECT_TRUE(threw) << "budget " << budget;
         EXPECT_FALSE(fs::exists(path)) << "budget " << budget;
         EXPECT_FALSE(fs::exists(path + ".tmp"))
@@ -163,7 +174,7 @@ TEST(TraceWriter, ShortWriteAtFooterOnlyStillInstallsNothing)
     const std::string path = tmpPath("footer.bin");
     fs::remove(path);
     const int n = 10;
-    trace::testing::setShortWriteBudget(
+    ckpt::testing::setShortWriteBudget(
         long(headerBytes + n * recordBytes + footerBytes - 1));
     bool threw = false;
     try {
@@ -175,7 +186,7 @@ TEST(TraceWriter, ShortWriteAtFooterOnlyStillInstallsNothing)
         threw = true;
         EXPECT_EQ(e.code(), ErrorCode::shortWrite);
     }
-    trace::testing::setShortWriteBudget(-1);
+    ckpt::testing::setShortWriteBudget(-1);
     EXPECT_TRUE(threw);
     EXPECT_FALSE(fs::exists(path));
     EXPECT_FALSE(fs::exists(path + ".tmp"));
