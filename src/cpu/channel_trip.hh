@@ -19,22 +19,34 @@
  * through its own OneShotEvent. An open-loop driver (one that
  * declares `static constexpr bool openLoop = true`) issues at
  * recorded ticks and waits on nothing; its tripDone only counts the
- * trip off, and its run ends at the last completion. Its
- * fast-forwarded trips share one persistent tail event, which sits
- * where the last of them completes. A trip that completes at c:
+ * trip off, and its run ends at the last completion. Two things
+ * follow, and DESIGN.md §14 argues both exact.
  *
- *  - while the tail is pending and c < tail.when(), is done at once;
- *  - otherwise completes the tail's trip at once, and the tail moves
- *    to c by a deschedule plus a schedule, so it takes the tick,
- *    priority and insertion order this trip's one-shot would have
- *    taken (a tie goes to the newer trip, as with one-shots);
- *  - and the tail, when it fires, completes its trip.
+ * Its fast-forwarded trips share one *tail*: the trip that completes
+ * last so far, held as (tick, token, insertion order) beside a
+ * persistent event. A trip that completes at c:
  *
- * This is exact: each dropped one-shot would only have counted a
- * trip off, a count that cannot reach zero while the tail still
- * holds one, and every other event keeps its relative order. So the
- * run ends at the same point of the same tick; only the event-queue
- * counters differ from one one-shot per trip.
+ *  - while the tail holds a trip due after c, is done at once;
+ *  - otherwise completes the tail's trip at once and becomes the
+ *    tail, with an insertion order reserved from the queue where its
+ *    one-shot would have been scheduled (so a tie goes to the newer
+ *    trip, as with one-shots).
+ *
+ * The tail enters the queue only when it can fire: the driver calls
+ * settleTail() with the tick of its next issue (maxTick when it has
+ * none left), and the tail is scheduled at its reserved order when
+ * it is due by then. A tail due later would be overtaken or fired
+ * after that issue anyway, and a dropped firing only counted a trip
+ * off, a count that cannot reach zero while the driver has records
+ * left.
+ *
+ * And it may issue a trip the sampler will fast-forward ahead of the
+ * clock (nextTripSkips(), skipAheadTrip()): such a trip schedules
+ * nothing and reads nothing that events between now and its tick
+ * could change, so the driver issues every one due before the
+ * queue's next event in the event it is running, stamped with its
+ * own tick. Only the event-queue counters differ from one issue
+ * event per tick and one one-shot per trip.
  */
 
 #ifndef CONTUTTO_CPU_CHANNEL_TRIP_HH
@@ -54,6 +66,8 @@ namespace contutto::cpu
  * `void tripDone(std::uint32_t token)`, which runs when a trip sent
  * with that token has completed, and optionally
  * `static constexpr bool openLoop = true` (see the file comment).
+ * An open-loop driver calls settleTail() whenever it schedules its
+ * next issue, and once when it has none left.
  */
 template <typename Driver>
 class ChannelTrips
@@ -67,7 +81,12 @@ class ChannelTrips
     ChannelTrips(EventQueue &eq, HostMemPort &port, Tick overhead,
                  sim::SamplingController *sampler)
         : eq_(eq), port_(port), overhead_(overhead), sampler_(sampler),
-          tail_([this] { done(tailToken_); }, "trips.tail")
+          tail_(
+              [this] {
+                  tailHeld_ = false;
+                  done(tailToken_);
+              },
+              "trips.tail")
     {}
 
     ~ChannelTrips()
@@ -91,18 +110,7 @@ class ChannelTrips
     {
         const Tick now = eq_.curTick();
         if (sampler_ && !sampler_->beginMiss(workDone, now)) {
-            // Fast-forward: stores still land in the memory image,
-            // and the estimate and the overhead are charged as one
-            // completion.
-            if (isWrite)
-                sampler_->warmWrite(addr, dmi::CacheLine{});
-            const Tick when = now + sampler_->chargedLatency()
-                              + (withOverhead ? overhead_ : 0);
-            if constexpr (openLoopDriver())
-                foldIntoTail(when, token);
-            else
-                OneShotEvent::schedule(eq_, when,
-                                       [this, token] { done(token); });
+            fastForward(now, addr, isWrite, token, withOverhead);
             return false;
         }
 
@@ -131,6 +139,40 @@ class ChannelTrips
         return true;
     }
 
+    /** Open loop: true when the sampler will fast-forward the next
+     *  trip, which the driver may then send ahead of the clock. */
+    bool
+    nextTripSkips() const
+    {
+        return sampler_ && sampler_->nextIsFastForward();
+    }
+
+    /**
+     * Open loop: send the trip nextTripSkips() vouched for as issued
+     * at @p at, at or after curTick() and before any event still to
+     * fire (file comment). Its store, its charged completion and the
+     * sampler see @p at, not curTick().
+     */
+    void
+    skipAheadTrip(std::uint64_t workDone, Tick at, Addr addr,
+                  bool isWrite)
+    {
+        static_assert(openLoopDriver());
+        const bool detailed = sampler_->beginMiss(workDone, at);
+        ct_assert(!detailed);
+        fastForward(at, addr, isWrite, 0, true);
+    }
+
+    /** Open loop: schedule the tail when it is due at or before
+     *  @p nextIssue, the tick of the driver's next issue (maxTick
+     *  when it has none left). */
+    void
+    settleTail(Tick nextIssue)
+    {
+        if (tailHeld_ && !tail_.scheduled() && tailWhen_ <= nextIssue)
+            eq_.scheduleReserved(&tail_, tailWhen_, tailOrder_);
+    }
+
   private:
     static constexpr bool
     openLoopDriver()
@@ -141,25 +183,43 @@ class ChannelTrips
             return false;
     }
 
+    /** Fast-forward a trip issued at @p at: stores still land in the
+     *  memory image, and the estimate and the overhead are charged
+     *  as one completion. */
+    void
+    fastForward(Tick at, Addr addr, bool isWrite, std::uint32_t token,
+                bool withOverhead)
+    {
+        if (isWrite)
+            sampler_->warmWrite(addr, dmi::CacheLine{});
+        const Tick when = at + sampler_->chargedLatency()
+                          + (withOverhead ? overhead_ : 0);
+        if constexpr (openLoopDriver())
+            foldIntoTail(when, token);
+        else
+            OneShotEvent::schedule(eq_, when,
+                                   [this, token] { done(token); });
+    }
+
     /** Complete a fast-forwarded trip due at @p when through the
      *  tail, by the rule of the file comment. */
     void
     foldIntoTail(Tick when, std::uint32_t token)
     {
-        if (!tail_.scheduled()) {
-            tailToken_ = token;
-            eq_.schedule(&tail_, when);
-            return;
-        }
-        if (when < tail_.when()) {
+        if (tailHeld_ && when < tailWhen_) {
             done(token);
             return;
         }
+        const bool overtakes = tailHeld_;
         const std::uint32_t overtaken = tailToken_;
-        eq_.deschedule(&tail_);
+        if (tail_.scheduled())
+            eq_.deschedule(&tail_);
+        tailHeld_ = true;
+        tailWhen_ = when;
         tailToken_ = token;
-        eq_.schedule(&tail_, when);
-        done(overtaken);
+        tailOrder_ = eq_.reserveOrder();
+        if (overtakes)
+            done(overtaken);
     }
 
     void
@@ -172,10 +232,16 @@ class ChannelTrips
     HostMemPort &port_;
     const Tick overhead_;
     sim::SamplingController *const sampler_;
-    /** Open loop only: the fast-forwarded trip completing last, and
-     *  its token. */
+    /** @{ Open loop only: the fast-forwarded trip completing last
+     *  (held while tailHeld_), its completion tick, token and
+     *  reserved insertion order, and the event that completes it
+     *  once settleTail() has scheduled it. */
     EventFunctionWrapper tail_;
+    bool tailHeld_ = false;
+    Tick tailWhen_ = 0;
     std::uint32_t tailToken_ = 0;
+    std::uint64_t tailOrder_ = 0;
+    /** @} */
 };
 
 } // namespace contutto::cpu

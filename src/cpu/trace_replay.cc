@@ -171,7 +171,8 @@ TimedTraceReplayer::start(const trace::MappedTrace &trace,
     // A trace whose origin is already behind us replays under a
     // rigid shift; deltas — and therefore a recapture — are
     // unchanged.
-    nextTick_ = trace.record(0).tickDelta;
+    cur_ = trace.record(0);
+    nextTick_ = cur_.tickDelta;
     shift_ = nextTick_ >= curTick() ? 0 : curTick() - nextTick_;
     if (params_.capture)
         params_.capture->setBase(shift_);
@@ -182,40 +183,74 @@ void
 TimedTraceReplayer::scheduleNext()
 {
     if (next_ >= trace_->recordCount()) {
+        settleTail(maxTick);
         maybeFinish();
         return;
     }
-    eventq().schedule(&issueEvent_, nextTick_ + shift_);
+    const Tick at = nextTick_ + shift_;
+    settleTail(at);
+    eventq().schedule(&issueEvent_, at);
 }
 
 void
 TimedTraceReplayer::issueDue()
 {
-    // Issue every record whose (shifted) tick is now; records are
-    // decoded straight off the mmap, one at a time.
-    Tick now = curTick();
-    while (next_ < trace_->recordCount()
-           && nextTick_ + shift_ == now) {
-        trace::Record rec = trace_->record(next_);
-        bool isWrite = trace::opIsWrite(rec.op);
-        if (isWrite)
-            ++result_.writes;
-        else
-            ++result_.reads;
-        ++result_.replayed;
-        ++outstanding_;
-        if (params_.capture)
-            params_.capture->record(now, rec.addr, rec.op,
-                                    rec.sizeLog2, rec.threadId);
-
-        if (trip(next_, rec.addr, isWrite))
-            ++result_.detailed;
-
-        ++next_;
-        if (next_ < trace_->recordCount())
-            nextTick_ += trace_->record(next_).tickDelta;
+    // Issue every record whose (shifted) tick is now. Then keep
+    // going between events: a record the sampler will fast-forward
+    // is issued at its own tick when that tick comes before the
+    // queue's next event (which was queued first, so it wins a tie)
+    // and within the limit of the run() firing us
+    // (cpu/channel_trip.hh, DESIGN.md §14).
+    const Tick now = curTick();
+    Tick nextEvent = 0;
+    Tick limit = 0;
+    bool bounded = false;
+    while (next_ < trace_->recordCount()) {
+        const Tick at = nextTick_ + shift_;
+        const bool ahead = at != now;
+        if (ahead) {
+            if (!nextTripSkips())
+                break;
+            // Read once this tick's own records are out: a detailed
+            // one among them may have queued an earlier event, and a
+            // fast-forwarded one queues none.
+            if (!bounded) {
+                nextEvent = eventq().nextEventTick();
+                limit = eventq().dispatchLimit();
+                bounded = true;
+            }
+            if (at >= nextEvent || at > limit)
+                break;
+        }
+        issue(at, ahead);
     }
     scheduleNext();
+}
+
+void
+TimedTraceReplayer::issue(Tick at, bool ahead)
+{
+    const bool isWrite = trace::opIsWrite(cur_.op);
+    if (isWrite)
+        ++result_.writes;
+    else
+        ++result_.reads;
+    ++result_.replayed;
+    ++outstanding_;
+    if (params_.capture)
+        params_.capture->record(at, cur_.addr, cur_.op, cur_.sizeLog2,
+                                cur_.threadId);
+
+    if (ahead)
+        skipAheadTrip(next_, at, cur_.addr, isWrite);
+    else if (trip(next_, cur_.addr, isWrite))
+        ++result_.detailed;
+
+    ++next_;
+    if (next_ < trace_->recordCount()) {
+        cur_ = trace_->record(next_);
+        nextTick_ += cur_.tickDelta;
+    }
 }
 
 void

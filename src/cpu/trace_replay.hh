@@ -137,6 +137,11 @@ class TraceReplayer : public SimObject,
  * controller is consulted per record, and fast-forwarded records
  * complete from the calibrated estimate without touching the
  * channel — the path that streams millions of records per second.
+ * Being open loop, the replayer issues the fast-forwarded records
+ * due before the queue's next event in one event, each at its own
+ * tick (cpu/channel_trip.hh): a caller between step() calls may see
+ * records issued whose ticks are still ahead of curTick(), while
+ * run(limit) never issues past its limit.
  */
 class TimedTraceReplayer : public SimObject,
                            private ChannelTrips<TimedTraceReplayer>
@@ -182,6 +187,9 @@ class TimedTraceReplayer : public SimObject,
 
   private:
     void issueDue();
+    /** Issue record next_ at tick @p at; @p ahead when that is past
+     *  curTick() (a fast-forwarded record issued between events). */
+    void issue(Tick at, bool ahead);
     void scheduleNext();
     friend class ChannelTrips<TimedTraceReplayer>;
     /** Issues at recorded ticks and waits on no completion. */
@@ -192,6 +200,8 @@ class TimedTraceReplayer : public SimObject,
     Params params_;
     const trace::MappedTrace *trace_ = nullptr;
     std::uint64_t next_ = 0;
+    /** Record next_, decoded (valid while next_ < recordCount). */
+    trace::Record cur_;
     /** Absolute (unshifted) tick of record next_. */
     Tick nextTick_ = 0;
     /** The rigid shift applied to recorded ticks this run. */

@@ -94,8 +94,8 @@ EventQueue::bucketInsert(Event *ev)
     // next event of the slot. Fresh schedules carry the largest order
     // yet issued, so the walk back from the tail only passes
     // residents at a later tick or a higher priority value; overflow
-    // pulls, which keep their original order, also pass same-key
-    // later arrivals.
+    // pulls and reserved-order schedules, which carry an older
+    // order, also pass same-key later arrivals.
     detail::WheelLink *const sentinel = &b.list;
     detail::WheelLink *after = sentinel->_prev;
     while (after != sentinel
@@ -166,6 +166,20 @@ EventQueue::nextOccupied(std::size_t fromBucket) const
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
+    insert(ev, when, _nextOrder);
+    ++_nextOrder;
+}
+
+void
+EventQueue::scheduleReserved(Event *ev, Tick when, std::uint64_t order)
+{
+    ct_assert(order < _nextOrder);
+    insert(ev, when, order);
+}
+
+void
+EventQueue::insert(Event *ev, Tick when, std::uint64_t order)
+{
     ct_assert(ev != nullptr);
     if (ev->_scheduled)
         panic("event '%s' scheduled twice", ev->name());
@@ -176,7 +190,7 @@ EventQueue::schedule(Event *ev, Tick when)
               (unsigned long long)_curTick);
 
     ev->_when = when;
-    ev->_order = _nextOrder++;
+    ev->_order = order;
     ev->_scheduled = true;
     ++_live;
     if (!_freezeCtr) {
@@ -334,6 +348,7 @@ EventQueue::fire(Event *ev)
 bool
 EventQueue::step()
 {
+    _dispatchLimit = maxTick;
     Event *ev = peekNext();
     if (!ev)
         return false;
@@ -351,6 +366,7 @@ EventQueue::nextEventTick()
 Tick
 EventQueue::run(Tick limit)
 {
+    _dispatchLimit = limit;
     std::uint64_t untilPoll = cancelPollInterval;
     for (;;) {
         Event *ev = peekNext();

@@ -8,9 +8,11 @@
  * binary-heap contract: rescheduling an event to the tick it is
  * already scheduled at is a no-op that keeps the event's original
  * insertion-order tie-break (the heap rebuilt the entry and moved the
- * event behind later arrivals at the same tick). Every tie-break a
- * model can observe remains a pure function of the schedule calls it
- * made.
+ * event behind later arrivals at the same tick). A model may also
+ * reserve an insertion order and schedule with it later
+ * (reserveOrder(), scheduleReserved()). Every tie-break a model can
+ * observe remains a pure function of the schedule and reserve calls
+ * it made.
  *
  * The queue itself is a two-tier ladder:
  *
@@ -207,6 +209,23 @@ class EventQueue : public ckpt::Checkpointable
      */
     void schedule(Event *ev, Tick when);
 
+    /**
+     * Take the insertion order the next schedule() would use,
+     * without scheduling anything. A model that may or may not need
+     * an event later reserves its place among same-tick events now
+     * and schedules it with scheduleReserved() once it knows.
+     */
+    std::uint64_t reserveOrder() { return _nextOrder++; }
+
+    /**
+     * schedule() with an insertion order taken earlier from
+     * reserveOrder(): @p ev fires after same-(tick, priority) events
+     * scheduled before the reservation and before those scheduled
+     * after it. The same order may be used again after a deschedule.
+     * @pre as schedule(), and @p order was reserved.
+     */
+    void scheduleReserved(Event *ev, Tick when, std::uint64_t order);
+
     /** Remove a scheduled event before it fires. */
     void deschedule(Event *ev);
 
@@ -249,6 +268,15 @@ class EventQueue : public ckpt::Checkpointable
      * behind it have not fired. False between run()/step() calls.
      */
     bool dispatching() const { return _dispatching; }
+
+    /**
+     * The latest tick the dispatch in progress may reach: the limit
+     * of the run() firing the current event, or maxTick under
+     * step(). A model that acts ahead of curTick() between events
+     * stops here, so a caller slicing time with run() observes
+     * exactly the work due by each slice's end.
+     */
+    Tick dispatchLimit() const { return _dispatchLimit; }
 
     /** Total number of events processed since construction. */
     std::uint64_t eventsProcessed() const { return _ctr.processed; }
@@ -387,6 +415,9 @@ class EventQueue : public ckpt::Checkpointable
     /** Unlink @p ev (wheel or overflow top), then fire it. */
     void fire(Event *ev);
 
+    /** Both schedule calls, once the order is chosen. */
+    void insert(Event *ev, Tick when, std::uint64_t order);
+
     std::vector<Bucket> _buckets;
     std::vector<std::uint64_t> _occ;     ///< bit per bucket.
     std::vector<std::uint64_t> _summary; ///< bit per _occ word.
@@ -405,6 +436,8 @@ class EventQueue : public ckpt::Checkpointable
     bool _freezeCtr = false;
     /** True inside fire(); see dispatching(). */
     bool _dispatching = false;
+    /** See dispatchLimit(). */
+    Tick _dispatchLimit = maxTick;
 
     /** @{ One-shot freelist pool. */
     struct OneShotSlot

@@ -175,6 +175,18 @@ class SamplingController
      */
     bool beginMiss(std::uint64_t workDone, Tick now);
 
+    /**
+     * True when the next beginMiss() will fast-forward its miss. Such
+     * a call reads neither its work count nor its tick, so an
+     * open-loop driver may issue the miss ahead of the clock.
+     */
+    bool
+    nextIsFastForward() const
+    {
+        return phase_ == Phase::fastForward
+               && missIndex_ < nextWindowStart_;
+    }
+
     /** True while detailed misses should report their latency. */
     bool measuring() const { return phase_ == Phase::measure; }
 

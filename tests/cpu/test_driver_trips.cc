@@ -12,12 +12,23 @@
  * and gaps pins the timed replayer's one completion event for its
  * fast-forwarded trips (cpu/channel_trip.hh), and a last test
  * checks that fast-forwarded stores still reach the memory image.
+ *
+ * The timed replayer issues fast-forwarded records between events,
+ * ahead of the clock. Tests on the same trace check that this is
+ * invisible: test-owned tickers that cut the batches anywhere change
+ * no simulated figure, and a ticker or a run(limit) slice observing
+ * the replay sees exactly the records due by then.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cpu/cache_hierarchy.hh"
@@ -298,8 +309,215 @@ TEST(DriverTrips, TimedReplayFoldsFastForwardedTrips)
     fillPort(sys, pin, tp.sampler);
     expectPin(pin, {2160246643, 3340, 1460, 400, 281, 369.95017793594309,
                     5, 400, 4400, 2160000000});
-    // One one-shot per fast-forwarded trip took 18996 events.
-    EXPECT_EQ(sys.eventq().eventsProcessed() - events0, 15149u);
+    // One one-shot per fast-forwarded trip took 18996 events, and
+    // one queued tail that each later trip moved, with an issue
+    // event per record tick, 15149. Now the fast-forwarded records
+    // due before the next event issue in the event that finds them,
+    // and the tail is queued only when it fires before the next
+    // issue.
+    EXPECT_EQ(sys.eventq().eventsProcessed() - events0, 12325u);
+}
+
+/** A test-owned event every @p period ticks, at @p priority, that
+ *  calls @p onTick (if any) and re-arms itself. */
+class Ticker
+{
+  public:
+    Ticker(EventQueue &eq, Tick period, std::function<void()> onTick,
+           int priority = Event::defaultPriority)
+        : eq_(eq), period_(period), onTick_(std::move(onTick)),
+          event_([this] { tick(); }, "ticker", priority)
+    {
+        eq_.schedule(&event_, eq_.curTick() + period_);
+    }
+
+    ~Ticker() { eq_.deschedule(&event_); }
+
+  private:
+    void
+    tick()
+    {
+        if (onTick_)
+            onTick_();
+        eq_.schedule(&event_, eq_.curTick() + period_);
+    }
+
+    EventQueue &eq_;
+    const Tick period_;
+    std::function<void()> onTick_;
+    EventFunctionWrapper event_;
+};
+
+/** What a run leaves behind, event-queue counters aside. */
+struct ReplayView
+{
+    TimedTraceReplayer::Result result;
+    std::string stats;
+    std::string errorLog;
+};
+
+void
+expectSameView(const ReplayView &got, const ReplayView &want)
+{
+    EXPECT_EQ(got.result.runtime, want.result.runtime);
+    EXPECT_EQ(got.result.reads, want.result.reads);
+    EXPECT_EQ(got.result.writes, want.result.writes);
+    EXPECT_EQ(got.result.replayed, want.result.replayed);
+    EXPECT_EQ(got.result.detailed, want.result.detailed);
+    EXPECT_TRUE(got.stats == want.stats);
+    EXPECT_EQ(got.errorLog, want.errorLog);
+}
+
+/** burstTrace() replayed sampled on a fresh system. */
+struct BurstReplay
+{
+    std::unique_ptr<trace::MappedTrace> bin = burstTrace();
+    Power8System sys{smallCard()};
+    sim::SamplingController *sampler = nullptr;
+    std::optional<TimedTraceReplayer> rep;
+    /** The tick each record is due at, once started. */
+    std::vector<Tick> due;
+    bool finished = false;
+    TimedTraceReplayer::Result result;
+
+    BurstReplay()
+    {
+        EXPECT_TRUE(sys.train());
+        TimedTraceReplayer::Params tp;
+        tp.nestOverhead = sys.params().nestOverhead;
+        tp.sampler = sampler = &sys.enableSampling(pinSampling(), 3);
+        rep.emplace("replay", sys.eventq(), sys.nestDomain(), &sys, tp,
+                    sys.port());
+    }
+
+    EventQueue &eq() { return sys.eventq(); }
+
+    void
+    start()
+    {
+        // The replayer shifts a trace whose origin has passed.
+        Tick t = 0;
+        for (std::uint64_t i = 0; i < bin->recordCount(); ++i) {
+            t += bin->record(i).tickDelta;
+            due.push_back(t);
+        }
+        const Tick now = eq().curTick();
+        const Tick shift = due[0] >= now ? 0 : now - due[0];
+        for (Tick &tick : due)
+            tick += shift;
+        rep->start(*bin, [this](const TimedTraceReplayer::Result &r) {
+            result = r;
+            finished = true;
+        });
+    }
+
+    /** Records due at or before @p t. */
+    std::uint64_t
+    dueBy(Tick t) const
+    {
+        return std::uint64_t(std::upper_bound(due.begin(), due.end(), t)
+                             - due.begin());
+    }
+
+    void
+    stepToEnd()
+    {
+        while (!finished && eq().step()) {
+        }
+        EXPECT_TRUE(finished);
+        EXPECT_EQ(result.replayed, 4800u);
+    }
+
+    ReplayView
+    view()
+    {
+        ReplayView v;
+        v.result = result;
+        std::ostringstream stats;
+        for (const stats::StatGroup *g : sys.children())
+            if (!g->groupName().ends_with("eventq"))
+                stats::toJson(*g, stats);
+        v.stats = stats.str();
+        std::ostringstream log;
+        for (const auto &e : sys.channel().errorLog().entries())
+            log << e.when << '|' << e.component << '|'
+                << int(e.severity) << '|' << e.message << '\n';
+        log << "overflow=" << sys.channel().errorLog().overflowCount();
+        v.errorLog = log.str();
+        return v;
+    }
+};
+
+ReplayView
+replayWithTicker(Tick period)
+{
+    BurstReplay b;
+    std::optional<Ticker> ticker;
+    if (period)
+        ticker.emplace(b.eq(), period, nullptr);
+    b.start();
+    b.stepToEnd();
+    return b.view();
+}
+
+TEST(DriverTrips, TickersBetweenRecordsChangeNothing)
+{
+    // A ticker cuts the replay's fast-forwarded batches wherever it
+    // fires; where they end must not show in any simulated figure.
+    const ReplayView alone = replayWithTicker(0);
+    EXPECT_EQ(alone.result.runtime, Tick(2160246643));
+    for (const Tick period :
+         {nanoseconds(1), nanoseconds(37), microseconds(1)}) {
+        SCOPED_TRACE(period);
+        expectSameView(replayWithTicker(period), alone);
+    }
+}
+
+TEST(DriverTrips, ObserverSeesExactlyTheRecordsDue)
+{
+    // At statPriority the observer fires after a record due at its
+    // own tick, so it must find every record due by then issued and
+    // decided by the sampler, and no later one.
+    BurstReplay b;
+    b.start();
+    std::uint64_t observed = 0, wrong = 0;
+    Ticker observer(
+        b.eq(), nanoseconds(37),
+        [&] {
+            const std::uint64_t due = b.dueBy(b.eq().curTick());
+            ++observed;
+            wrong += b.rep->issuedSoFar() != due
+                     || b.sampler->detailedUnits()
+                                + b.sampler->fastForwardUnits()
+                            != due;
+        },
+        Event::statPriority);
+    b.stepToEnd();
+    EXPECT_EQ(wrong, 0u) << "of " << observed << " observations";
+    EXPECT_GT(observed, 50000u);
+}
+
+TEST(DriverTrips, RunSlicesSeeExactlyTheRecordsDue)
+{
+    const ReplayView alone = replayWithTicker(0);
+    for (const Tick slice : {nanoseconds(37) + 5, microseconds(1)}) {
+        SCOPED_TRACE(slice);
+        BurstReplay b;
+        b.start();
+        std::uint64_t slices = 0, wrong = 0;
+        while (!b.finished && !b.eq().empty()) {
+            const Tick limit = b.eq().curTick() + slice;
+            b.eq().run(limit);
+            ++slices;
+            wrong += b.rep->issuedSoFar() != b.dueBy(limit);
+        }
+        ASSERT_TRUE(b.finished);
+        EXPECT_EQ(wrong, 0u) << "of " << slices << " slices";
+        const ReplayView v = b.view();
+        EXPECT_EQ(v.result.runtime, alone.result.runtime);
+        EXPECT_EQ(v.result.detailed, alone.result.detailed);
+        EXPECT_EQ(v.errorLog, alone.errorLog);
+    }
 }
 
 TEST(DriverTrips, FastForwardedStoresReachMemory)

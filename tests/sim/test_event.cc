@@ -496,6 +496,69 @@ TEST(EventQueue, OverflowPullLandsBehindSameTickResidents)
     EXPECT_EQ(eq.counters().overflowPulls, 1u);
 }
 
+// A reserved order places an event where a schedule() at the
+// reservation would have: behind same-tick events scheduled before
+// it, ahead of those scheduled after, wherever it resides.
+TEST(EventQueue, ReservedOrderFiresBetweenEarlierAndLaterSchedules)
+{
+    for (const Tick meet : {Tick(5 * grain + 3), Tick(3 * span + 3)}) {
+        EventQueue eq;
+        std::vector<int> log;
+        auto before = record(log, 1);
+        auto reserved = record(log, 2);
+        auto after = record(log, 3);
+        eq.schedule(&before, meet);
+        const std::uint64_t order = eq.reserveOrder();
+        eq.schedule(&after, meet);
+        eq.scheduleReserved(&reserved, meet, order);
+        EXPECT_EQ(eq.counters().schedules, 3u);
+        eq.run();
+        EXPECT_EQ(log, (std::vector<int>{1, 2, 3})) << "at " << meet;
+        EXPECT_EQ(eq.counters().overflowSpills,
+                  meet > span ? 3u : 0u);
+    }
+}
+
+TEST(EventQueue, ReservedOrderSurvivesDescheduleAndRearm)
+{
+    for (const Tick meet : {Tick(5 * grain + 3), Tick(3 * span + 3)}) {
+        EventQueue eq;
+        std::vector<int> log;
+        auto before = record(log, 1);
+        auto reserved = record(log, 2);
+        auto after = record(log, 3);
+        auto later = record(log, 4);
+        const std::uint64_t order = eq.reserveOrder();
+        eq.scheduleReserved(&reserved, meet + 1, order);
+        eq.schedule(&before, meet);
+        eq.deschedule(&reserved);
+        eq.schedule(&after, meet);
+        // Re-armed at the tick of the others with the order taken
+        // before any of them: it now fires first at that tick, and
+        // ahead of a later arrival too.
+        eq.scheduleReserved(&reserved, meet, order);
+        eq.schedule(&later, meet);
+        eq.run();
+        EXPECT_EQ(log, (std::vector<int>{2, 1, 3, 4})) << "at " << meet;
+        EXPECT_EQ(eq.counters().deschedules, 1u);
+    }
+}
+
+TEST(EventQueue, DispatchLimitIsTheEnclosingRunLimit)
+{
+    EventQueue eq;
+    std::vector<Tick> seen;
+    EventFunctionWrapper probe([&] { seen.push_back(eq.dispatchLimit()); },
+                               "probe");
+    eq.schedule(&probe, 10);
+    eq.run(25);
+    eq.schedule(&probe, 30);
+    eq.step();
+    eq.schedule(&probe, 40);
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{25, maxTick, maxTick}));
+}
+
 // Regression: run(limit) with a limit behind curTick() used to set
 // the clock back to the limit. Wheel residents admitted against the
 // later slot then lay beyond the horizon, and one aliasing an early

@@ -2,7 +2,8 @@
  * @file
  * Differential determinism test for the ladder event queue.
  *
- * Drives 1M+ randomized schedule/deschedule/reschedule/step/run ops
+ * Drives 1M+ randomized schedule/deschedule/reschedule/step/run ops,
+ * some of them schedules at an insertion order reserved earlier,
  * through the real EventQueue and, in lock-step, through a minimal
  * reference implementation (binary heap + lazy deletion — the
  * pre-ladder structure) that follows the same documented contract:
@@ -17,8 +18,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <queue>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -76,12 +79,20 @@ class RefQueue
     void
     schedule(int id, Tick when, int prio)
     {
+        scheduleReserved(id, when, prio, reserveOrder());
+    }
+
+    std::uint64_t reserveOrder() { return order_++; }
+
+    void
+    scheduleReserved(int id, Tick when, int prio, std::uint64_t order)
+    {
         St &s = st_[std::size_t(id)];
         ASSERT_FALSE(s.sched);
         s.sched = true;
         s.when = when;
         ++s.gen;
-        heap_.push(Entry{when, prio, order_++, id, s.gen});
+        heap_.push(Entry{when, prio, order, id, s.gen});
         ++live_;
     }
 
@@ -214,6 +225,11 @@ TEST(EventQueueDifferential, MillionOpFuzzMatchesReferenceHeap)
         evs.push_back(std::make_unique<RecEvent>(
             logNew, eq, i, prios[std::size_t(rng() % 3)]));
 
+    // Insertion orders reserved per event (real queue, reference),
+    // spent by that event's next plain schedule op.
+    std::vector<std::optional<std::pair<std::uint64_t, std::uint64_t>>>
+        reserved(kEvents);
+
     auto pickDelta = [&](std::uint64_t r) -> Tick {
         const std::uint64_t d = (r >> 16) & 0xFFFFFFFF;
         switch ((r >> 52) % 10) {
@@ -239,9 +255,24 @@ TEST(EventQueueDifferential, MillionOpFuzzMatchesReferenceHeap)
         if (op < 50) {
             if (!ev.scheduled()) {
                 const Tick when = eq.curTick() + pickDelta(r);
-                eq.schedule(&ev, when);
-                ref.schedule(id, when, ev.priority());
+                auto &res = reserved[std::size_t(id)];
+                if (res) {
+                    eq.scheduleReserved(&ev, when, res->first);
+                    ref.scheduleReserved(id, when, ev.priority(),
+                                         res->second);
+                    // Sometimes keep it, for a deschedule and re-arm
+                    // at the same order.
+                    if ((r >> 36) % 2 == 0)
+                        res.reset();
+                } else {
+                    eq.schedule(&ev, when);
+                    ref.schedule(id, when, ev.priority());
+                }
             }
+        } else if (op < 54) {
+            auto &res = reserved[std::size_t(id)];
+            if (!res)
+                res.emplace(eq.reserveOrder(), ref.reserveOrder());
         } else if (op < 60) {
             if (ev.scheduled()) {
                 eq.deschedule(&ev);

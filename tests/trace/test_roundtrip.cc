@@ -5,7 +5,8 @@
  * system, must drive the memory channel byte-identically — same
  * channel stats JSON, same error log — and a recapture of the
  * replay must reproduce the trace file checksum-for-checksum.
- * Swept over 16 seeds, serial and under 2-/4-shard task farms.
+ * Swept over 16 seeds, serial and under 2-/4-shard task farms. A
+ * sampled replay must recapture its input byte for byte too.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "cpu/trace_replay.hh"
 #include "firmware/error_log.hh"
 #include "trace/capture.hh"
+#include "trace/generate.hh"
 #include "trace/reader.hh"
 
 #include "../integration/seed_sweep.hh"
@@ -197,5 +199,47 @@ TEST_P(TraceRoundTrip, SixteenSeedsChannelByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(Serial2And4Shards, TraceRoundTrip,
                          ::testing::Values(1u, 2u, 4u));
+
+// A sampled replay issues most fast-forwarded records between events,
+// ahead of the clock. Each must still be recaptured at its own tick,
+// so the recapture is the input byte for byte.
+TEST(SampledTraceRoundTrip, RecaptureByteIdentical)
+{
+    const std::string base = ::testing::TempDir() + "trace_rt_sampled";
+    trace::GenerateSpec spec;
+    spec.shape = trace::Shape::qsort;
+    spec.records = 20000;
+    spec.seed = 31;
+    spec.meanDelay = nanoseconds(200);
+    trace::generate(spec, base + ".bin");
+    trace::MappedTrace bin(base + ".bin");
+
+    Power8System sys(smallCard());
+    ASSERT_TRUE(sys.train());
+    trace::CaptureSink sink(base + ".recap.bin");
+    sim::SamplingConfig cfg;
+    cfg.enabled = true;
+    TimedTraceReplayer::Params rp;
+    rp.capture = &sink;
+    rp.sampler = &sys.enableSampling(cfg, 3);
+    TimedTraceReplayer rep("replay", sys.eventq(), sys.nestDomain(),
+                           &sys, rp, sys.port());
+    bool finished = false;
+    TimedTraceReplayer::Result r;
+    rep.start(bin, [&](const TimedTraceReplayer::Result &res) {
+        r = res;
+        finished = true;
+    });
+    while (!finished && sys.eventq().step()) {
+    }
+    ASSERT_TRUE(finished);
+    sink.close();
+    EXPECT_EQ(r.replayed, 20000u);
+    EXPECT_LT(r.detailed, r.replayed / 4);
+    EXPECT_EQ(sink.recordCount(), bin.recordCount());
+    EXPECT_EQ(sink.checksum(), bin.checksum());
+    fs::remove(base + ".bin");
+    fs::remove(base + ".recap.bin");
+}
 
 } // namespace
